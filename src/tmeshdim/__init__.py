@@ -26,7 +26,7 @@ from .segments import (ContributionSets, MaxSegment, SegmentAnalysis,
                        SegmentOrdering, TooManyForExhaustive,
                        analyze_segments, contribution_sets,
                        dim_D_contribution, h0_ideal_oracle, h0_ideal_upper,
-                       maximal_segments, order_segments, segment_weight)
+                       order_segments, segment_weight)
 
 __version__ = "0.1.0"
 
@@ -46,7 +46,7 @@ __all__ = [
     "dim_D_contribution", "dim_L", "dim_M", "dim_edge_increment",
     "dim_power_sum", "dim_power_sum_in", "dim_shift",
     "dim_vertex_increment", "euler_characteristic", "h0_ideal_oracle",
-    "h0_ideal_upper", "island_components", "maximal_segments",
+    "h0_ideal_upper", "island_components",
     "oracle_spline_dim", "order_segments", "relative_betti", "segment_weight",
     "span_dim", "span_quotient_dim",
 ]

@@ -41,16 +41,17 @@ def _vertex_data(mesh, profile, smoothness, v):
     return e_h, e_v, dstar_h, dstar_v
 
 
-def euler_characteristic(mesh: TMesh, profile, smoothness, m):
+def euler_characteristic(lvls, smoothness, m):
     """Evaluate chi at m twice: once per level, once on the raw cell data.
 
-    The two values agree on every valid input; a mismatch can only come from
-    an implementation bug and raises DecompositionMismatch rather than
-    returning silently.
+    lvls is the list all_levels returns. The two values agree on every
+    valid input; a mismatch can only come from an implementation bug and
+    raises DecompositionMismatch rather than returning silently.
     """
+    mesh, profile = lvls[0].mesh, lvls[0].profile
     levels = profile.levels
     chi = 0
-    for lv in all_levels(mesh, profile):
+    for lv in lvls:
         i = lv.index
         dm0 = dim_M(levels, i, (0, 0), m)
         part = len(lv.faces) * dm0
@@ -110,12 +111,14 @@ class Config1Report:
         return self.holds
 
 
-def configuration1_holds(mesh, profile, smoothness, m) -> Config1Report:
+def configuration1_holds(lvls, smoothness, m) -> Config1Report:
+    """Check practical smoothness on the levels all_levels returns."""
+    profile = lvls[0].profile
     levels = profile.levels
     top = profile.top
     failures = []
     case_b = []
-    for lv in all_levels(mesh, profile):
+    for lv in lvls:
         gap = bd_sub(m, levels[min(lv.index, top)])
         prev_gap = bd_sub(m, levels[lv.index - 1])
         saturated = bool(lv.interior_vertices)
@@ -191,8 +194,8 @@ def bounds(mesh: TMesh, profile, smoothness, m, ordering="auto",
     levels = profile.levels
     lvls = all_levels(mesh, profile)
     assumption = check_assumptions(lvls)
-    chi, chi_direct = euler_characteristic(mesh, profile, smoothness, m)
-    config = configuration1_holds(mesh, profile, smoothness, m)
+    chi, chi_direct = euler_characteristic(lvls, smoothness, m)
+    config = configuration1_holds(lvls, smoothness, m)
 
     rows = []
     notes = []

@@ -61,56 +61,51 @@ def _emit(text: str, out):
 
 def _cmd_analyze(args):
     mesh, profile, smoothness = parse_mesh_file(args.mesh)
-    lvls = all_levels(mesh, profile)
+    records = []
+    for lv in all_levels(mesh, profile):
+        an = analyze_segments(lv, smoothness)
+        records.append({
+            "i": lv.index, "c": lv.c, "h": lv.h,
+            "faces": len(lv.faces),
+            "interior_edges": len(lv.interior_edges),
+            "interior_vertices": len(lv.interior_vertices),
+            "islands": [len(comp) for comp, isl in island_components(lv)
+                        if isl],
+            "segments": [{"orientation": s.axis,
+                          "line": _rat_str(s.line),
+                          "span": [_rat_str(s.lo), _rat_str(s.hi)],
+                          "interior": s.interior, "r": s.r}
+                         for s in an.segments]})
+    ok = all(rec["h"] == 0 for rec in records)
+    st = mesh.stats()
     if args.report == "machine":
-        doc = {"command": "analyze", "mesh": mesh.stats(),
+        doc = {"command": "analyze", "mesh": st,
                "levels_sequence": [list(lv) for lv in profile.levels],
-               "assumption_ok": all(lv.h == 0 for lv in lvls),
-               "levels": []}
-        for lv in lvls:
-            an = analyze_segments(lv, smoothness)
-            doc["levels"].append({
-                "i": lv.index, "c": lv.c, "h": lv.h,
-                "faces": len(lv.faces),
-                "interior_edges": len(lv.interior_edges),
-                "interior_vertices": len(lv.interior_vertices),
-                "islands": [len(comp) for comp, isl
-                            in island_components(lv) if isl],
-                "segments": [{"orientation": s.axis,
-                              "line": _rat_str(s.line),
-                              "span": [_rat_str(s.lo), _rat_str(s.hi)],
-                              "interior": s.interior, "r": s.r}
-                             for s in an.segments]})
+               "assumption_ok": ok, "levels": records}
         _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
-    else:
-        st = mesh.stats()
-        lines = [f"mesh: {st['faces']} faces, {st['edges']} edges, "
-                 f"{st['vertices']} vertices "
-                 f"({st['interior_edges']} interior edges, "
-                 f"{st['interior_vertices']} interior vertices)",
-                 "levels: " + " < ".join(f"({a},{b})"
-                                         for a, b in profile.levels)]
-        for lv in lvls:
-            an = analyze_segments(lv, smoothness)
-            islands = [len(comp) for comp, isl in island_components(lv)
-                       if isl]
-            line = (f"level {lv.index}: c={lv.c} h={lv.h} "
-                    f"faces={len(lv.faces)} "
-                    f"segments={len(an.segments)} "
-                    f"interior-segments={len(an.interior)}")
-            if islands:
-                line += " islands=" + ",".join(str(n) for n in islands)
-            lines.append(line)
-            for s in an.segments:
-                tag = "interior" if s.interior else "boundary-linked"
-                r = "mixed" if s.r is None else s.r
-                lines.append(f"  {s.axis} {_rat_str(s.line)} "
-                             f"[{_rat_str(s.lo)},{_rat_str(s.hi)}] "
-                             f"r={r} {tag}")
-        ok = all(lv.h == 0 for lv in lvls)
-        lines.append("assumption: " + ("ok" if ok else "violated"))
-        _emit("\n".join(lines) + "\n", args.out)
-    return 0 if all(lv.h == 0 for lv in lvls) else 2
+        return 0 if ok else 2
+    lines = [f"mesh: {st['faces']} faces, {st['edges']} edges, "
+             f"{st['vertices']} vertices "
+             f"({st['interior_edges']} interior edges, "
+             f"{st['interior_vertices']} interior vertices)",
+             "levels: " + " < ".join(f"({a},{b})" for a, b in profile.levels)]
+    for rec in records:
+        segs = rec["segments"]
+        line = (f"level {rec['i']}: c={rec['c']} h={rec['h']} "
+                f"faces={rec['faces']} segments={len(segs)} "
+                f"interior-segments={sum(s['interior'] for s in segs)}")
+        if rec["islands"]:
+            line += " islands=" + ",".join(str(n) for n in rec["islands"])
+        lines.append(line)
+        for s in segs:
+            tag = "interior" if s["interior"] else "boundary-linked"
+            r = "mixed" if s["r"] is None else s["r"]
+            lo, hi = s["span"]
+            lines.append(f"  {s['orientation']} {s['line']} [{lo},{hi}] "
+                         f"r={r} {tag}")
+    lines.append("assumption: " + ("ok" if ok else "violated"))
+    _emit("\n".join(lines) + "\n", args.out)
+    return 0 if ok else 2
 
 
 def _reports(args, with_oracle=False):

@@ -113,7 +113,7 @@ def _closed_single(levels, i, top, gen, m):
     return val
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=4096)
 def _power_sum_in_cached(levels, i, gens, m):
     from .oracle import power_grid, span_quotient_dim
 

@@ -63,11 +63,3 @@ def rank_sparse(rows):
                 nxt.append(new)
         work = nxt
     return rank
-
-
-def rank_dense(rows):
-    """Rank of a small dense matrix given as a list of lists (ints or Fractions)."""
-    sparse = []
-    for row in rows:
-        sparse.append({j: v for j, v in enumerate(row) if v})
-    return rank_sparse(sparse)

@@ -10,7 +10,6 @@ exactly three (T-junction) or four (crossing) incident edges.
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 
 class MeshError(Exception):
@@ -138,9 +137,6 @@ class TMesh:
             return "boundary"
         return "crossing" if len(self.vertex_edges[v]) == 4 else "t-junction"
 
-    def edges_at(self, v, axis: str):
-        return tuple(e for e in self.vertex_edges[v] if e.axis == axis)
-
     def stats(self):
         return {
             "faces": len(self.faces),
@@ -167,16 +163,21 @@ def build_tmesh(rects) -> TMesh:
 
     The result is independent of the input ordering. Raises OverlapError,
     DisconnectedError, NotSimplyConnectedError or MalformedError when the
-    input does not describe a valid simply connected T-mesh.
+    input does not describe a valid simply connected T-mesh. The overlap
+    message names the first overlapping pair by input position, as
+    "faces[i] and faces[j] overlap: ...".
     """
-    faces = sorted(_as_rect(r) for r in rects)
-    if not faces:
+    rects = [_as_rect(r) for r in rects]
+    if not rects:
         raise MalformedError("no rectangles given")
-    for i, a in enumerate(faces):
-        for b in faces[i + 1:]:
+    for i, a in enumerate(rects):
+        for j in range(i + 1, len(rects)):
+            b = rects[j]
             if (max(a.x0, b.x0) < min(a.x1, b.x1)
                     and max(a.y0, b.y0) < min(a.y1, b.y1)):
-                raise OverlapError(f"face interiors intersect: {a} and {b}")
+                raise OverlapError(
+                    f"faces[{i}] and faces[{j}] overlap: {a} and {b}")
+    faces = sorted(rects)
 
     vertices = sorted({p for f in faces
                        for p in ((f.x0, f.y0), (f.x1, f.y0),
@@ -282,9 +283,6 @@ class LeveledProfile:
         """The index 𝔩 of the maximal level (levels run 0..top)."""
         return len(self.levels) - 1
 
-    def level_of(self, deficit) -> int:
-        return self.levels.index(deficit)
-
 
 def build_profile(mesh: TMesh, face_deficits,
                   explicit_levels=None) -> LeveledProfile:
@@ -354,13 +352,6 @@ class SmoothnessProfile:
 
     edge_r: dict
     vertex_pair: dict
-
-    def r_at(self, mesh: TMesh, v, axis: str) -> Optional[int]:
-        """Smoothness of the line with the given axis through vertex v."""
-        for e in mesh.edges_at(v, axis):
-            if e in self.edge_r:
-                return self.edge_r[e]
-        return None
 
 
 def build_smoothness(mesh: TMesh, default_r: int,

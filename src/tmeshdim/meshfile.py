@@ -13,7 +13,7 @@ import tempfile
 from fractions import Fraction
 
 from .bounds import DimReport, LevelRow
-from .mesh import OverlapError, build_profile, build_smoothness, build_tmesh
+from .mesh import Rect, build_profile, build_smoothness, build_tmesh
 
 
 class ParseError(Exception):
@@ -58,7 +58,6 @@ def parse_mesh_dict(doc):
 
     rects = []
     deficits = {}
-    from .mesh import Rect
     for k, entry in enumerate(faces):
         where = f"faces[{k}]"
         if not isinstance(entry, dict) or "rect" not in entry:
@@ -75,19 +74,17 @@ def parse_mesh_dict(doc):
         if "deficit" in entry:
             deficits[r] = _pair(entry["deficit"], f"{where}.deficit")
 
-    for a in range(len(rects)):
-        for b in range(a + 1, len(rects)):
-            ra, rb = rects[a], rects[b]
-            if (max(ra.x0, rb.x0) < min(ra.x1, rb.x1)
-                    and max(ra.y0, rb.y0) < min(ra.y1, rb.y1)):
-                raise OverlapError(f"faces[{a}] and faces[{b}] overlap")
+    mesh = build_tmesh(rects)
 
     smoothness_doc = doc.get("smoothness", {"default": 0})
     if not isinstance(smoothness_doc, dict):
         raise ParseError("smoothness: expected an object")
     default_r = _int(smoothness_doc.get("default", 0), "smoothness.default")
+    override_docs = smoothness_doc.get("overrides", [])
+    if not isinstance(override_docs, list):
+        raise ParseError("smoothness.overrides: expected a list")
     overrides = []
-    for k, ov in enumerate(smoothness_doc.get("overrides", ())):
+    for k, ov in enumerate(override_docs):
         where = f"smoothness.overrides[{k}]"
         if not isinstance(ov, dict):
             raise ParseError(f"{where}: expected an object")
@@ -110,21 +107,26 @@ def parse_mesh_dict(doc):
         levels = [_pair(entry, f"levels[{k}]")
                   for k, entry in enumerate(levels)]
 
-    mesh = build_tmesh(rects)
     profile = build_profile(mesh, deficits, explicit_levels=levels)
     smoothness = build_smoothness(mesh, default_r, overrides)
     return mesh, profile, smoothness
 
 
-def parse_mesh_file(path):
+def _load_json(path):
     try:
-        with open(path) as f:
-            doc = json.load(f)
+        with open(path, encoding="utf-8") as f:
+            return json.load(f)
     except OSError as exc:
         raise ParseError(f"{path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text ({exc.reason} at byte "
+                         f"{exc.start})")
     except json.JSONDecodeError as exc:
         raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
-    return parse_mesh_dict(doc)
+
+
+def parse_mesh_file(path):
+    return parse_mesh_dict(_load_json(path))
 
 
 def mesh_to_dict(mesh, profile, smoothness):
@@ -245,18 +247,8 @@ def report_from_dict(doc) -> DimReport:
         raise ParseError(f"report row: missing or malformed member ({exc})")
 
 
-def write_report_file(path, reports, command="bounds"):
-    write_text_atomic(path, render_machine(reports, command))
-
-
 def parse_report_file(path):
-    try:
-        with open(path) as f:
-            doc = json.load(f)
-    except OSError as exc:
-        raise ParseError(f"{path}: {exc.strerror or exc}")
-    except json.JSONDecodeError as exc:
-        raise ParseError(f"{path}:{exc.lineno}:{exc.colno}: {exc.msg}")
+    doc = _load_json(path)
     if not isinstance(doc, dict) or "rows" not in doc:
         raise ParseError(f"{path}: expected an object with a rows member")
     return [report_from_dict(row) for row in doc["rows"]]

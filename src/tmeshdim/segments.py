@@ -16,6 +16,7 @@ from .graded import dim_M, dim_power_sum_in
 from .levels import ActiveLevel, AssumptionViolated
 from .linalg import rank_sparse
 from .mesh import bd_sub
+from .oracle import power_grid
 
 
 EXHAUSTIVE_LIMIT = 8
@@ -121,11 +122,6 @@ class SegmentAnalysis:
 
 def analyze_segments(level: ActiveLevel, smoothness) -> SegmentAnalysis:
     return SegmentAnalysis(level, smoothness)
-
-
-def maximal_segments(level: ActiveLevel, smoothness):
-    """All maximal segments of the level, sorted by (axis, line, start)."""
-    return list(analyze_segments(level, smoothness).segments)
 
 
 @dataclass(frozen=True)
@@ -382,26 +378,19 @@ def h0_ideal_oracle(an: SegmentAnalysis, m) -> int:
             r_v = rho.r if rho.axis == "v" else rec.r
             e_gamma = (r_v + 1, r_h + 1)
             x0, y0 = rec.vertex
+            terms = []
+            if h_seg.interior:
+                terms.append((h_seg, power_grid("s", x0, r_v + 1)[0], 1))
+            if v_seg.interior:
+                terms.append((v_seg, power_grid("t", y0, r_h + 1)[0], -1))
             for mu in reps(e_gamma):
                 row = {}
-                if h_seg.interior:
-                    _add_power(row, basis[h_seg.key], x0, r_v + 1, mu, "s", 1)
-                if v_seg.interior:
-                    _add_power(row, basis[v_seg.key], y0, r_h + 1, mu, "t", -1)
+                for seg, grid, sign in terms:
+                    block = basis[seg.key]
+                    for (es, et), c in grid.items():
+                        col = block.get((mu[0] + es, mu[1] + et))
+                        if col is not None:
+                            row[col] = row.get(col, 0) + sign * c
                 if row:
                     rows.append(row)
     return total - rank_sparse(rows)
-
-
-def _add_power(row, block, knot, power, mu, direction, sign):
-    from math import comb
-
-    for k in range(power + 1):
-        c = comb(power, k) * (-knot) ** (power - k)
-        if not c:
-            continue
-        ab = (mu[0] + k, mu[1]) if direction == "s" else (mu[0], mu[1] + k)
-        col = block.get(ab)
-        if col is not None:
-            row[col] = row.get(col, 0) + sign * c
-    return row

@@ -121,14 +121,16 @@ def test_constant_complex_dims_track_c():
 
 def test_config1_report_is_boolean():
     mesh, profile, smoothness = _tight_island()
-    report = configuration1_holds(mesh, profile, smoothness, (2, 2))
+    lvls = all_levels(mesh, profile)
+    report = configuration1_holds(lvls, smoothness, (2, 2))
     assert not report and report.failures
-    assert configuration1_holds(mesh, profile, smoothness, (4, 4))
+    assert configuration1_holds(lvls, smoothness, (4, 4))
 
 
 def test_euler_characteristic_matches_certified_oracle():
     mesh, profile, smoothness = parse_mesh_file(fixture_path("new_relations_a"))
-    chi, direct = euler_characteristic(mesh, profile, smoothness, (3, 3))
+    chi, direct = euler_characteristic(all_levels(mesh, profile), smoothness,
+                                       (3, 3))
     assert chi == direct == 17
 
 

@@ -4,7 +4,7 @@ import json
 import os
 
 import pytest
-from tmeshdim import bounds
+from tmeshdim import OverlapError, bounds
 from tmeshdim.cli import main
 from tmeshdim.meshfile import (ParseError, mesh_to_dict, parse_mesh_dict,
                                parse_mesh_file, parse_report_file,
@@ -59,11 +59,15 @@ def test_malformed_documents_name_the_member():
                          "smoothness": {"default": 0, "overrides": [
                              {"orientation": "x", "line": 1,
                               "span": [0, 1], "r": 1}]}})
+    with pytest.raises(ParseError,
+                       match=r"^smoothness\.overrides: expected a list$"):
+        parse_mesh_dict({"faces": [{"rect": [0, 0, 1, 1]}],
+                         "smoothness": {"overrides": 5}})
 
 
 def test_overlap_error_names_both_faces():
     doc = {"faces": [{"rect": [0, 0, 2, 2]}, {"rect": [1, 1, 3, 3]}]}
-    with pytest.raises(Exception, match=r"faces\[0\] and faces\[1\]"):
+    with pytest.raises(OverlapError, match=r"faces\[0\] and faces\[1\]"):
         parse_mesh_dict(doc)
 
 
@@ -113,6 +117,11 @@ def test_cli_input_errors_exit_one(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text("{not json")
     assert main(["bounds", str(bad), "--degrees", "3,3"]) == 1
+    latin1 = tmp_path / "latin1.json"
+    latin1.write_bytes('{"faces": "\u00e9"}'.encode("latin-1"))
+    assert main(["analyze", str(latin1)]) == 1
+    assert main(["bounds", str(latin1), "--degrees", "3,3"]) == 1
+    assert f"{latin1}: not UTF-8" in capsys.readouterr().err
     assert main(["bounds", fixture_path("test1"), "--degrees", "3"]) == 1
     assert main(["bounds", fixture_path("test1"), "--degrees", "5,5:3,3"]) == 1
     capsys.readouterr()

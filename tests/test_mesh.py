@@ -56,8 +56,8 @@ def test_crossing_vertex_class():
 
 
 def test_overlap_rejected():
-    with pytest.raises(OverlapError):
-        build_tmesh([(0, 0, 2, 2), (1, 1, 3, 3)])
+    with pytest.raises(OverlapError, match=r"faces\[1\] and faces\[2\]"):
+        build_tmesh([(3, 0, 4, 1), (0, 0, 2, 2), (1, 1, 3, 3)])
 
 
 def test_disconnected_rejected():
