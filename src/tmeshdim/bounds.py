@@ -8,11 +8,12 @@ bound meets its island count, chi is the exact dimension, independent of the
 edge coordinates.
 """
 
+from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
 from .graded import dim_L, dim_M, dim_shift, dim_vertex_increment
-from .levels import all_levels, check_assumptions
+from .levels import AssumptionReport, all_levels, check_assumptions
 from .mesh import TMesh, bd_add, bd_max, bd_min, bd_sub
 from .segments import (analyze_segments, contribution_sets, h0_ideal_upper,
                        order_segments)
@@ -41,6 +42,71 @@ def _vertex_data(mesh, profile, smoothness, v):
     return e_h, e_v, dstar_h, dstar_v
 
 
+@dataclass(frozen=True)
+class _ChiTerms:
+    """The inputs of both chi sums that do not depend on m, as multisets.
+
+    per_level holds (index, face count, Counter of edge shifts, Counter of
+    vertex data) for each level; faces, edges and vertices hold the raw
+    cells' deficits, (deficit, shift) pairs and (deficit, vertex data).
+    """
+
+    levels: tuple
+    per_level: tuple
+    faces: Counter
+    edges: Counter
+    vertices: Counter
+
+
+def _chi_terms(lvls, smoothness) -> _ChiTerms:
+    mesh, profile = lvls[0].mesh, lvls[0].profile
+    shift = {e: _edge_shift(e.axis, smoothness.edge_r[e])
+             for e in mesh.interior_edges}
+    vdata = {v: _vertex_data(mesh, profile, smoothness, v)
+             for v in mesh.interior_vertices}
+    per_level = tuple(
+        (lv.index, len(lv.faces),
+         Counter(shift[e] for e in lv.interior_edges),
+         Counter(vdata[v] for v in lv.interior_vertices))
+        for lv in lvls)
+    return _ChiTerms(
+        profile.levels, per_level,
+        Counter(profile.face_deficit[f] for f in mesh.faces),
+        Counter((profile.edge_deficit[e], shift[e])
+                for e in mesh.interior_edges),
+        Counter((profile.vertex_deficit[v], vdata[v])
+                for v in mesh.interior_vertices))
+
+
+def _chi_at(terms: _ChiTerms, m):
+    levels = terms.levels
+    chi = 0
+    for i, n_faces, edges, vertices in terms.per_level:
+        dm0 = dim_M(levels, i, (0, 0), m)
+        part = n_faces * dm0
+        for shift, k in edges.items():
+            part -= k * (dm0 - dim_M(levels, i, shift, m))
+        for (e_h, e_v, dstar_h, dstar_v), k in vertices.items():
+            part += k * (dm0 - dim_vertex_increment(levels, i, e_h, e_v, m,
+                                                    dstar_h, dstar_v))
+        chi += part
+
+    direct = sum(k * dim_shift(m, d) for d, k in terms.faces.items())
+    for (d, shift), k in terms.edges.items():
+        direct -= k * (dim_shift(m, d) - dim_shift(m, bd_add(d, shift)))
+    for (d, (e_h, e_v, dstar_h, dstar_v)), k in terms.vertices.items():
+        ideal = (dim_shift(m, bd_add(dstar_h, e_h))
+                 + dim_shift(m, bd_add(dstar_v, e_v))
+                 - dim_shift(m, bd_add(bd_max(dstar_h, dstar_v),
+                                       bd_add(e_h, e_v))))
+        direct += k * (dim_shift(m, d) - ideal)
+
+    if chi != direct:
+        raise DecompositionMismatch(
+            f"leveled chi {chi} != direct chi {direct} at m = {m}")
+    return chi, direct
+
+
 def euler_characteristic(lvls, smoothness, m):
     """Evaluate chi at m twice: once per level, once on the raw cell data.
 
@@ -48,40 +114,7 @@ def euler_characteristic(lvls, smoothness, m):
     valid input; a mismatch can only come from an implementation bug and
     raises DecompositionMismatch rather than returning silently.
     """
-    mesh, profile = lvls[0].mesh, lvls[0].profile
-    levels = profile.levels
-    chi = 0
-    for lv in lvls:
-        i = lv.index
-        dm0 = dim_M(levels, i, (0, 0), m)
-        part = len(lv.faces) * dm0
-        for e in lv.interior_edges:
-            shift = _edge_shift(e.axis, smoothness.edge_r[e])
-            part -= dm0 - dim_M(levels, i, shift, m)
-        for v in lv.interior_vertices:
-            e_h, e_v, dstar_h, dstar_v = _vertex_data(mesh, profile,
-                                                      smoothness, v)
-            part += dm0 - dim_vertex_increment(levels, i, e_h, e_v, m,
-                                               dstar_h, dstar_v)
-        chi += part
-
-    direct = sum(dim_shift(m, profile.face_deficit[f]) for f in mesh.faces)
-    for e in mesh.interior_edges:
-        d = profile.edge_deficit[e]
-        shift = _edge_shift(e.axis, smoothness.edge_r[e])
-        direct -= dim_shift(m, d) - dim_shift(m, bd_add(d, shift))
-    for v in mesh.interior_vertices:
-        e_h, e_v, dstar_h, dstar_v = _vertex_data(mesh, profile, smoothness, v)
-        ideal = (dim_shift(m, bd_add(dstar_h, e_h))
-                 + dim_shift(m, bd_add(dstar_v, e_v))
-                 - dim_shift(m, bd_add(bd_max(dstar_h, dstar_v),
-                                       bd_add(e_h, e_v))))
-        direct += dim_shift(m, profile.vertex_deficit[v]) - ideal
-
-    if chi != direct:
-        raise DecompositionMismatch(
-            f"leveled chi {chi} != direct chi {direct} at m = {m}")
-    return chi, direct
+    return _chi_at(_chi_terms(lvls, smoothness), m)
 
 
 def constant_complex_dims(level, m):
@@ -183,27 +216,73 @@ class DimReport:
     notes: tuple
 
 
+@dataclass(frozen=True)
+class _Prepared:
+    """Everything a report needs that depends on the mesh, its deficits and
+    its smoothness but not on m; analyses is None when a level has
+    relative cycles."""
+
+    lvls: tuple
+    assumption: AssumptionReport
+    analyses: Optional[tuple]
+    terms: _ChiTerms
+
+
+def _prepare(mesh, profile, smoothness) -> _Prepared:
+    lvls = tuple(all_levels(mesh, profile))
+    assumption = check_assumptions(lvls)
+    analyses = (tuple(analyze_segments(lv, smoothness) for lv in lvls)
+                if assumption.ok else None)
+    return _Prepared(lvls, assumption, analyses,
+                     _chi_terms(lvls, smoothness))
+
+
+# Prepared records of the last few (mesh, profile, smoothness) triples, by
+# object identity. Each entry holds the triple itself, so no id can be
+# recycled while its entry lives.
+_MEMO_CAP = 8
+_memo = OrderedDict()
+
+
+def _prepared(mesh, profile, smoothness) -> _Prepared:
+    key = (id(mesh), id(profile), id(smoothness))
+    # pop and re-insert put the entry last, so the first is the least
+    # recently used
+    entry = _memo.pop(key, None)
+    if entry is None:
+        entry = (mesh, profile, smoothness,
+                 _prepare(mesh, profile, smoothness))
+    _memo[key] = entry
+    if len(_memo) > _MEMO_CAP:
+        _memo.popitem(last=False)
+    return entry[3]
+
+
 def bounds(mesh: TMesh, profile, smoothness, m, ordering="auto",
            with_oracle=False) -> DimReport:
     """Assemble the dimension report for one bi-degree.
 
     ordering picks the segment ordering strategy per level; auto uses the
     exhaustive search on small levels and the greedy heuristic otherwise.
+    The levels, their topology, the segment analyses and the m-independent
+    chi terms are built once per (mesh, profile, smoothness) and reused by
+    later calls on the same three objects, so a degree sweep pays for them
+    once. The triple is treated as immutable, as TMesh documents.
     """
     m = (int(m[0]), int(m[1]))
     levels = profile.levels
-    lvls = all_levels(mesh, profile)
-    assumption = check_assumptions(lvls)
-    chi, chi_direct = euler_characteristic(lvls, smoothness, m)
+    prep = _prepared(mesh, profile, smoothness)
+    lvls, assumption = prep.lvls, prep.assumption
+    chi, chi_direct = _chi_at(prep.terms, m)
     config = configuration1_holds(lvls, smoothness, m)
 
     rows = []
     notes = []
-    for lv in lvls:
+    for k, lv in enumerate(lvls):
         dm0 = dim_M(levels, lv.index, (0, 0), m)
         h0c = lv.c * dm0
         if assumption.ok:
-            an = analyze_segments(lv, smoothness)
+            an = prep.analyses[k]
             ordr = order_segments(an, ordering, m)
             sets = contribution_sets(an, ordr, m)
             h0i = h0_ideal_upper(an, ordr, m, sets=sets)
@@ -256,6 +335,10 @@ def bounds(mesh: TMesh, profile, smoothness, m, ordering="auto",
 
 
 def certify_stable(mesh: TMesh, profile, smoothness, m, ordering="auto"):
-    """(certified, exact dimension or None) at bi-degree m."""
+    """(certified, exact dimension or None) at bi-degree m.
+
+    Shares the per-mesh work of bounds(): a call after bounds() on the same
+    three objects rebuilds no level, topology or segment analysis.
+    """
     report = bounds(mesh, profile, smoothness, m, ordering)
     return report.certified, report.exact

@@ -158,6 +158,25 @@ def _as_rect(spec) -> Rect:
     return r
 
 
+def _overlapping_pairs(rects):
+    """Input-position pairs (i, j), i < j, of rectangles whose interiors
+    meet.
+
+    A sweep in order of x0 keeps the rectangles whose x1 lies strictly
+    beyond the current x0 and tests y-overlap against those only, so the
+    cost follows the pairs of faces whose x-ranges overlap, not all pairs.
+    """
+    active = []
+    for k in sorted(range(len(rects)), key=lambda k: rects[k].x0):
+        a = rects[k]
+        active = [j for j in active if rects[j].x1 > a.x0]
+        for j in active:
+            b = rects[j]
+            if max(a.y0, b.y0) < min(a.y1, b.y1):
+                yield min(j, k), max(j, k)
+        active.append(k)
+
+
 def build_tmesh(rects) -> TMesh:
     """Build the canonical cell complex from a list of rectangles.
 
@@ -170,13 +189,11 @@ def build_tmesh(rects) -> TMesh:
     rects = [_as_rect(r) for r in rects]
     if not rects:
         raise MalformedError("no rectangles given")
-    for i, a in enumerate(rects):
-        for j in range(i + 1, len(rects)):
-            b = rects[j]
-            if (max(a.x0, b.x0) < min(a.x1, b.x1)
-                    and max(a.y0, b.y0) < min(a.y1, b.y1)):
-                raise OverlapError(
-                    f"faces[{i}] and faces[{j}] overlap: {a} and {b}")
+    pair = min(_overlapping_pairs(rects), default=None)
+    if pair is not None:
+        i, j = pair
+        raise OverlapError(
+            f"faces[{i}] and faces[{j}] overlap: {rects[i]} and {rects[j]}")
     faces = sorted(rects)
 
     vertices = sorted({p for f in faces

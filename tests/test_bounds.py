@@ -1,10 +1,14 @@
 """End-to-end dimension reports: chi, bounds, certification."""
 
+import sys
+
 import pytest
-from tmeshdim import (bounds, certify_stable, configuration1_holds,
-                      constant_complex_dims, euler_characteristic, all_levels,
-                      dim_M)
-from tmeshdim.meshfile import parse_mesh_file
+from tmeshdim import (DecompositionMismatch, bounds, certify_stable,
+                      configuration1_holds, constant_complex_dims,
+                      euler_characteristic, all_levels, dim_M)
+from tmeshdim.cli import main
+from tmeshdim.meshfile import (parse_mesh_file, render_certify_text,
+                               render_machine)
 
 from .helpers import fixture_path, grid, make, single_face
 from .helpers.randmesh import island_region_mesh, ring_region_mesh
@@ -147,3 +151,68 @@ def test_fixture_reports_pin_their_published_values():
         rep = run(name, m)
         for field, value in want.items():
             assert getattr(rep, field) == value, (name, field)
+
+
+def test_chi_cross_check_catches_a_broken_term(monkeypatch):
+    # the leveled and direct sums are computed independently, so a wrong
+    # vertex increment in the leveled one cannot go unnoticed
+    module = sys.modules["tmeshdim.bounds"]
+    real = module.dim_vertex_increment
+    monkeypatch.setattr(module, "dim_vertex_increment",
+                        lambda *args: real(*args) + 1)
+    mesh, profile, smoothness = parse_mesh_file(fixture_path("test1"))
+    with pytest.raises(DecompositionMismatch,
+                       match="leveled chi 1 != direct chi 37"):
+        bounds(mesh, profile, smoothness, (3, 3))
+    with pytest.raises(DecompositionMismatch):
+        euler_characteristic(all_levels(mesh, profile), smoothness, (3, 3))
+
+
+# the sweep of --degrees 2,2:4,4, in the CLI's colex order
+DEGREES = [(a, b) for b in range(2, 5) for a in range(2, 5)]
+
+
+def test_degree_sweep_builds_the_levels_once(monkeypatch, capsys):
+    module = sys.modules["tmeshdim.bounds"]
+    real = module.all_levels
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(module, "all_levels", counted)
+    assert main(["certify", fixture_path("test1"),
+                 "--degrees", "2,2:4,4"]) == 0
+    assert len(calls) == 1
+    fresh = [bounds(*parse_mesh_file(fixture_path("test1")), m)
+             for m in DEGREES]
+    assert capsys.readouterr().out == render_certify_text(fresh)
+
+    del calls[:]
+    triple = parse_mesh_file(fixture_path("test1"))
+    reports = []
+    for m in DEGREES:
+        rep = bounds(*triple, m, ordering="greedy")
+        assert certify_stable(*triple, m, ordering="greedy") == (
+            rep.certified, rep.exact)
+        reports.append(rep)
+    assert len(calls) == 1
+
+    fresh = [bounds(*parse_mesh_file(fixture_path("test1")), m,
+                    ordering="greedy") for m in DEGREES]
+    assert len(calls) == 1 + len(DEGREES)
+    assert render_machine(reports, "bounds") == render_machine(fresh,
+                                                                "bounds")
+
+
+def test_prepared_memo_is_bounded():
+    module = sys.modules["tmeshdim.bounds"]
+    cap = module._MEMO_CAP
+    triples = [single_face() for _ in range(cap + 1)]
+    for triple in triples:
+        bounds(*triple, (1, 1))
+    assert len(module._memo) == cap
+    keys = [tuple(id(x) for x in triple) for triple in triples]
+    assert keys[0] not in module._memo
+    assert keys[-1] in module._memo

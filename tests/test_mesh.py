@@ -4,9 +4,9 @@ from fractions import Fraction
 import pytest
 from tmeshdim import (ChainConflictError, DanglingOverrideError,
                       DisconnectedError, InvalidSequenceError, MalformedError,
-                      MissingZeroError, NotSimplyConnectedError, OverlapError,
-                      UnorderedDeficitsError, build_profile, build_smoothness,
-                      build_tmesh)
+                      MeshError, MissingZeroError, NotSimplyConnectedError,
+                      OverlapError, UnorderedDeficitsError, build_profile,
+                      build_smoothness, build_tmesh)
 from tmeshdim.mesh import Rect
 
 from .helpers import make
@@ -58,6 +58,49 @@ def test_crossing_vertex_class():
 def test_overlap_rejected():
     with pytest.raises(OverlapError, match=r"faces\[1\] and faces\[2\]"):
         build_tmesh([(3, 0, 4, 1), (0, 0, 2, 2), (1, 1, 3, 3)])
+
+
+def _first_overlap_brute(rects):
+    for i, a in enumerate(rects):
+        for j in range(i + 1, len(rects)):
+            b = rects[j]
+            if (max(a.x0, b.x0) < min(a.x1, b.x1)
+                    and max(a.y0, b.y0) < min(a.y1, b.y1)):
+                return i, j
+    return None
+
+
+def test_overlap_report_matches_the_pair_scan():
+    # grids of unit cells with a few random rectangles injected at random
+    # positions; cells that only touch along a side or a corner must not
+    # count as overlapping
+    rng = random.Random(11)
+    hits = 0
+    for _ in range(200):
+        k = rng.randint(1, 5)
+        rects = [Rect(*(Fraction(c) for c in (i, j, i + 1, j + 1)))
+                 for j in range(k) for i in range(k)]
+        for _ in range(rng.randint(0, 3)):
+            x0 = Fraction(rng.randint(0, 2 * k), 2)
+            y0 = Fraction(rng.randint(0, 2 * k), 2)
+            x1 = x0 + Fraction(rng.randint(1, 4), 2)
+            y1 = y0 + Fraction(rng.randint(1, 4), 2)
+            rects.insert(rng.randint(0, len(rects)), Rect(x0, y0, x1, y1))
+        rng.shuffle(rects)
+        want = _first_overlap_brute(rects)
+        try:
+            build_tmesh(rects)
+        except OverlapError as exc:
+            assert want is not None
+            i, j = want
+            assert str(exc) == (f"faces[{i}] and faces[{j}] overlap: "
+                                f"{rects[i]} and {rects[j]}")
+            hits += 1
+        except MeshError:
+            assert want is None
+        else:
+            assert want is None
+    assert hits > 100
 
 
 def test_disconnected_rejected():

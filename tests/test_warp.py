@@ -1,0 +1,96 @@
+"""Order-preserving coordinate warps leave the combinatorial report
+unchanged: the bounds and the certificate see only the order of the mesh
+lines, not where they sit."""
+
+import json
+import random
+from fractions import Fraction
+
+from tmeshdim import bounds
+from tmeshdim.meshfile import parse_mesh_dict
+
+from .helpers import fixture_path
+
+# headline bi-degrees; test3 is left out because its exhaustive ordering
+# search alone takes several seconds per report
+HEADLINES = {"test1": (3, 3), "test2": (4, 4), "new_relations_a": (3, 3),
+             "new_relations_b": (4, 4), "counterexample": (5, 5),
+             "nested": (4, 4)}
+
+
+def _cubic(t):
+    return t * t * t + t
+
+
+def _relabel(values, rng):
+    """Send the sorted values to a strictly increasing sequence of random
+    rationals."""
+    out = {}
+    at = Fraction(rng.randint(-5, 5), rng.randint(1, 7))
+    for v in sorted(values):
+        out[v] = at
+        at += Fraction(rng.randint(1, 9), rng.randint(1, 9))
+    return out.__getitem__
+
+
+def warp(doc, fx, fy):
+    """The document with every x coordinate sent through fx and every y
+    coordinate through fy, smoothness overrides included."""
+    def s(f, c):
+        return str(f(Fraction(c)))
+
+    faces = []
+    for face in doc["faces"]:
+        x0, y0, x1, y1 = face["rect"]
+        faces.append(dict(face, rect=[s(fx, x0), s(fy, y0), s(fx, x1),
+                                      s(fy, y1)]))
+    out = dict(doc, faces=faces)
+    if "smoothness" in doc:
+        overrides = []
+        for ov in doc["smoothness"].get("overrides", []):
+            # a horizontal override sits on a y line and spans x values
+            line_f, span_f = (fy, fx) if ov["orientation"] == "h" \
+                else (fx, fy)
+            overrides.append(dict(ov, line=s(line_f, ov["line"]),
+                                  span=[s(span_f, c) for c in ov["span"]]))
+        out["smoothness"] = dict(doc["smoothness"], overrides=overrides)
+    return out
+
+
+def _coordinates(doc):
+    xs, ys = set(), set()
+    for face in doc["faces"]:
+        x0, y0, x1, y1 = (Fraction(c) for c in face["rect"])
+        xs |= {x0, x1}
+        ys |= {y0, y1}
+    for ov in doc.get("smoothness", {}).get("overrides", []):
+        line, span = Fraction(ov["line"]), {Fraction(c) for c in ov["span"]}
+        if ov["orientation"] == "h":
+            ys.add(line)
+            xs |= span
+        else:
+            xs.add(line)
+            ys |= span
+    return xs, ys
+
+
+def combinatorial_part(rep):
+    rows = tuple((r.index, r.c, r.h, r.dim_m, r.h0_constant, r.h0_ideal)
+                 for r in rep.rows)
+    return (rep.chi, rep.chi_direct, rep.lower_general, rep.lower_special,
+            rep.upper, rep.clamped, rep.certified, rows)
+
+
+def test_order_preserving_warps_keep_the_report():
+    rng = random.Random(5)
+    for name, m in HEADLINES.items():
+        with open(fixture_path(name)) as f:
+            doc = json.load(f)
+        xs, ys = _coordinates(doc)
+        base = bounds(*parse_mesh_dict(doc), m)
+        for fx, fy in ((_cubic, lambda t: 3 * t + t * t / 2),
+                       (_relabel(xs, rng), _relabel(ys, rng))):
+            rep = bounds(*parse_mesh_dict(warp(doc, fx, fy)), m)
+            assert combinatorial_part(rep) == combinatorial_part(base), name
+            if base.certified:
+                assert rep.exact == base.exact, name
