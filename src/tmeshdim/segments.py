@@ -9,6 +9,7 @@ boundary, and by relations manufactured from parallel neighbors.
 """
 
 from dataclasses import dataclass
+from functools import cached_property
 from itertools import permutations
 from typing import Optional
 
@@ -56,7 +57,11 @@ class Crossing:
 
 
 class SegmentAnalysis:
-    """Maximal segments of one level plus their crossing structure."""
+    """Maximal segments of one level plus their crossing structure.
+
+    index holds the same crossing structure in integer form (SegmentIndex);
+    the contribution rules and the ordering search run on it.
+    """
 
     def __init__(self, level: ActiveLevel, smoothness):
         self.level = level
@@ -85,7 +90,6 @@ class SegmentAnalysis:
         self.by_key = {s.key: s for s in segs}
 
         self.crossers = {}
-        self.icross = {}
         for rho in self.interior:
             recs = []
             for sig in segs:
@@ -99,8 +103,7 @@ class SegmentAnalysis:
                 recs.append(Crossing(sig.key, vertex,
                                      self._r_at(sig, rho.line), sig.interior))
             self.crossers[rho.key] = tuple(recs)
-            self.icross[rho.key] = frozenset(
-                rec.key for rec in recs if rec.interior)
+        self.index = SegmentIndex(self)
 
     def _mk(self, i, axis, line, run, step):
         mesh = self.level.mesh
@@ -119,6 +122,102 @@ class SegmentAnalysis:
                 return self.smoothness.edge_r[e]
         return seg.r
 
+    @cached_property
+    def greedy_sequence(self):
+        """The greedy order's keys; it does not depend on the bi-degree."""
+        ix = self.index
+        left = set(range(len(self.interior)))
+        comps = []
+        while left:
+            start = min(left)
+            comp = {start}
+            stack = [start]
+            while stack:
+                k = stack.pop()
+                for j in ix.icross[k]:
+                    if j in left and j not in comp:
+                        comp.add(j)
+                        stack.append(j)
+            left -= comp
+            comps.append(sorted(comp))
+        seq = []
+        for comp in comps:
+            # the most crossed segment goes first so every other member may
+            # count it among its predecessors
+            hub = min(comp, key=lambda k: (-len(ix.icross[k]),
+                                           -(len(ix.crossers[k])
+                                             - len(ix.icross[k])),
+                                           k))
+            seq.append(hub)
+            seq.extend(k for k in comp if ix.axis[k] != ix.axis[hub])
+            seq.extend(k for k in comp if ix.axis[k] == ix.axis[hub]
+                       and k != hub)
+        return tuple(ix.keys[k] for k in seq)
+
+
+class SegmentIndex:
+    """One level's crossing structure with small ints in place of keys.
+
+    Interior segment k is an.interior[k], so the numbers follow the sorted
+    keys. Every segment also has a position p in an.segments (again the key
+    order) and every line a rank in lines, the sorted line coordinates, so
+    the rules hash and compare ints, never Fractions.
+
+    keys, axis, r, dp, pos  per k: the key, 0 for "h" and 1 for "v", the
+                            smoothness, the step shift and the position
+    of                      key -> k
+    line                    per position: the rank of the segment's line
+    crossers                per k: one (j, p, r, record) per crossing
+                            segment, j its number (-1 off the interior),
+                            r its smoothness at the crossing
+    icross                  per k: its interior crossers' numbers, ascending
+    common                  per k: (k1, shared) for each other same-axis k1,
+                            ascending, whose interior crossers meet k's in
+                            the non-empty tuple shared
+    """
+
+    def __init__(self, an: SegmentAnalysis):
+        segs, interior = an.segments, an.interior
+        n = len(interior)
+        self.keys = [s.key for s in interior]
+        self.of = {key: k for k, key in enumerate(self.keys)}
+        pos = {s.key: p for p, s in enumerate(segs)}
+        self.lines = sorted({s.line for s in segs})
+        line_rank = {x: q for q, x in enumerate(self.lines)}
+        self.line = [line_rank[s.line] for s in segs]
+        self.axis = [_axis_index(s.axis) for s in interior]
+        self.r = [s.r for s in interior]
+        self.dp = [s.dp for s in interior]
+        self.pos = [pos[s.key] for s in interior]
+        self.crossers = [
+            tuple((self.of.get(rec.key, -1), pos[rec.key], rec.r, rec)
+                  for rec in an.crossers[s.key])
+            for s in interior]
+        self.icross = [tuple(sorted(c[0] for c in cs if c[0] >= 0))
+                       for cs in self.crossers]
+        self.common = []
+        for k in range(n):
+            mine = set(self.icross[k])
+            pairs = []
+            for k1 in range(n):
+                if k1 == k or self.axis[k1] != self.axis[k]:
+                    continue
+                shared = tuple(j for j in self.icross[k1] if j in mine)
+                if shared:
+                    pairs.append((k1, shared))
+            self.common.append(tuple(pairs))
+
+    def ranks(self, sequence):
+        """rank[k]: the place of interior segment k in sequence."""
+        rank = [None] * len(self.axis)
+        for q, key in enumerate(sequence):
+            k = self.of.get(key)
+            if k is not None:
+                rank[k] = q
+        if None in rank:
+            raise KeyError(self.keys[rank.index(None)])
+        return rank
+
 
 def analyze_segments(level: ActiveLevel, smoothness) -> SegmentAnalysis:
     return SegmentAnalysis(level, smoothness)
@@ -133,48 +232,18 @@ class SegmentOrdering:
         return {k: n + 1 for n, k in enumerate(self.sequence)}
 
 
-def _greedy_sequence(an: SegmentAnalysis):
-    keys = sorted(s.key for s in an.interior)
-    left = set(keys)
-    comps = []
-    while left:
-        start = min(left)
-        comp = {start}
-        stack = [start]
-        while stack:
-            k = stack.pop()
-            for k2 in an.icross[k]:
-                if k2 in left and k2 not in comp:
-                    comp.add(k2)
-                    stack.append(k2)
-        left -= comp
-        comps.append(sorted(comp))
-    seq = []
-    for comp in comps:
-        # the most crossed segment goes first so every other member may
-        # count it among its predecessors
-        hub = min(comp, key=lambda k: (-len(an.icross[k]),
-                                       -(len(an.crossers[k]) - len(an.icross[k])),
-                                       k))
-        seq.append(hub)
-        seq.extend(k for k in comp if k[0] != hub[0])
-        seq.extend(k for k in comp if k[0] == hub[0] and k != hub)
-    return tuple(seq)
-
-
 def order_segments(an: SegmentAnalysis, strategy="auto",
                    m=None) -> SegmentOrdering:
     """Rank the interior segments. greedy needs no bi-degree; exhaustive
     minimizes the resulting upper bound at m over all orders."""
-    keys = sorted(s.key for s in an.interior)
-    n = len(keys)
+    n = len(an.interior)
     if strategy == "auto":
         strategy = "exhaustive" if n <= EXHAUSTIVE_LIMIT and m is not None \
             else "greedy"
     if strategy == "input":
-        return SegmentOrdering("input", tuple(keys))
+        return SegmentOrdering("input", tuple(an.index.keys))
     if strategy == "greedy":
-        return SegmentOrdering("greedy", _greedy_sequence(an))
+        return SegmentOrdering("greedy", an.greedy_sequence)
     if strategy != "exhaustive":
         raise ValueError(f"unknown ordering strategy {strategy!r}")
     if n > EXHAUSTIVE_LIMIT:
@@ -182,14 +251,31 @@ def order_segments(an: SegmentAnalysis, strategy="auto",
             f"{n} interior segments exceed the exhaustive limit {EXHAUSTIVE_LIMIT}")
     if m is None:
         raise ValueError("exhaustive ordering needs a bi-degree")
-    best = None
-    best_seq = tuple(keys)
-    for perm in permutations(keys):
-        ordering = SegmentOrdering("exhaustive", perm)
-        val = h0_ideal_upper(an, ordering, m, _skip_assumption=True)
+    # The objective is h0_ideal_upper; a segment's term depends only on its
+    # weight and generators, which many orders share, so each term is
+    # computed once per search.
+    levels, i = an.level.profile.levels, an.level.index
+    terms = {}
+    rank = [0] * n
+    best = best_perm = None
+    for perm in permutations(range(n)):
+        for q, k in enumerate(perm):
+            rank[k] = q
+        *_, weights, gens = _evaluate(an, rank, m)
+        val = 0
+        for k in range(n):
+            key = (k, gens[k], weights[k])
+            term = terms.get(key)
+            if term is None:
+                rho = an.interior[k]
+                term = terms[key] = _uncovered(
+                    levels, i, rho, weights[k],
+                    _generator_form(an, rho, gens[k]), m)
+            val += term
         if best is None or val < best:
-            best, best_seq = val, perm
-    return SegmentOrdering("exhaustive", best_seq)
+            best, best_perm = val, perm
+    return SegmentOrdering("exhaustive",
+                           tuple(an.index.keys[k] for k in best_perm))
 
 
 @dataclass
@@ -216,83 +302,111 @@ def segment_weight(rho: MaxSegment, lam, m, levels) -> int:
     return sum(max(m[ax] - dm - r, 0) for _, r in lam)
 
 
-def contribution_sets(an: SegmentAnalysis, ordering: SegmentOrdering,
-                      m) -> ContributionSets:
-    level = an.level
-    profile = level.profile
-    levels = profile.levels
-    i = level.index
-    top = profile.top
-    rank = ordering.ranks()
+def _evaluate(an: SegmentAnalysis, rank, m):
+    """The contribution rules of one level under one order, on the index.
 
-    gamma = {}
-    for rho in an.interior:
-        mine = rank[rho.key]
-        gamma[rho.key] = tuple(
-            rec for rec in an.crossers[rho.key]
-            if not rec.interior or rank[rec.key] < mine)
+    rank[k] is interior segment k's place in the order. Returns, each as a
+    list over k: gamma (crosser entries of the index), upsilon ((k1, j)
+    pairs), theta ((a, b) pairs), lam (sorted (position, r) pairs), the
+    weight, and the generators as (line rank, (r, extra shift)) pairs in
+    line order.
+    """
+    ix = an.index
+    levels = an.level.profile.levels
+    i = an.level.index
+    axis, r, dp, pos = ix.axis, ix.r, ix.dp, ix.pos
+    n = len(rank)
+    gamma = [tuple(c for c in ix.crossers[k]
+                   if c[0] < 0 or rank[c[0]] < rank[k])
+             for k in range(n)]
 
-    upsilon = {rho.key: () for rho in an.interior}
-    theta = {rho.key: () for rho in an.interior}
-    if i <= top:
-        for rho in an.interior:
-            mine = rank[rho.key]
-            ax = _axis_index(rho.axis)
-            dm = levels[i][ax]
-            thresh = m[ax] - dm + 1
-            pairs = []
-            for rho1 in an.interior:
-                if (rho1.axis != rho.axis or rank[rho1.key] >= mine
-                        or rho.r < rho1.r):
-                    continue
-                for k2 in sorted(an.icross[rho.key] & an.icross[rho1.key]):
-                    pairs.append((rho1.key, k2))
-            upsilon[rho.key] = tuple(pairs)
-
-            def qualified(cutoff):
-                seconds = {k2 for k1, k2 in pairs if rank[k1] < cutoff}
-                got = sum(max(m[ax] - dm - an.by_key[k].r, 0)
-                          for k in seconds)
-                return got >= thresh
-
-            perp = sorted(an.icross[rho.key])
+    upsilon = [()] * n
+    theta = [()] * n
+    if i <= an.level.profile.top:
+        for k in range(n):
+            mine = rank[k]
+            surplus = m[axis[k]] - levels[i][axis[k]]
+            pairs = tuple((k1, j) for k1, shared in ix.common[k]
+                          if rank[k1] < mine and r[k] >= r[k1]
+                          for j in shared)
+            upsilon[k] = pairs
+            perp = ix.icross[k]
             trips = []
             for a in perp:
-                if not qualified(rank[a]):
-                    continue
-                for b in perp:
-                    if rank[b] > rank[a] and an.by_key[b].r >= an.by_key[a].r:
-                        trips.append((a, b))
-            theta[rho.key] = tuple(trips)
+                cutoff = rank[a]
+                seconds = {j for k1, j in pairs if rank[k1] < cutoff}
+                # a qualifies when its predecessors' pairs alone would
+                # cover the whole block
+                if sum(max(surplus - r[j], 0) for j in seconds) > surplus:
+                    trips.extend((a, b) for b in perp
+                                 if rank[b] > cutoff and r[b] >= r[a])
+            theta[k] = tuple(trips)
 
-    lam = {rho.key: {rec.key: rec.r for rec in gamma[rho.key]}
-           for rho in an.interior}
-    for rho in an.interior:
-        for a, b in theta[rho.key]:
-            lam[b][rho.key] = rho.r
-            if rho.dp == (0, 0):
-                lam[a][rho.key] = rho.r
+    lam = [{p: rc for _, p, rc, _ in g} for g in gamma]
+    for k in range(n):
+        for a, b in theta[k]:
+            lam[b][pos[k]] = r[k]
+            if dp[k] == (0, 0):
+                lam[a][pos[k]] = r[k]
+    lam = [tuple(sorted(d.items())) for d in lam]
 
-    weights = {}
-    generators = {}
-    for rho in an.interior:
-        recs = tuple(sorted(lam[rho.key].items()))
-        weights[rho.key] = segment_weight(rho, recs, m, levels)
+    weights = [segment_weight(rho, recs, m, levels)
+               for rho, recs in zip(an.interior, lam)]
+    generators = []
+    for k in range(n):
         gens = {}
-        for key2, r2 in recs:
-            gens[key2[1]] = (r2, (0, 0))
-        for _, k2 in upsilon[rho.key]:
-            line = k2[1]
-            if line not in gens:
-                gens[line] = (an.by_key[k2].r, rho.dp)
-        direction = "s" if rho.axis == "h" else "t"
-        generators[rho.key] = tuple(
-            (direction, line, r2 + 1, extra)
-            for line, (r2, extra) in sorted(gens.items()))
-        lam[rho.key] = recs
+        for p, rc in lam[k]:
+            gens[ix.line[p]] = (rc, (0, 0))
+        for _, j in upsilon[k]:
+            gens.setdefault(ix.line[pos[j]], (r[j], dp[k]))
+        generators.append(tuple(sorted(gens.items())))
+    return gamma, upsilon, theta, lam, weights, generators
 
-    return ContributionSets(an, ordering, tuple(m), gamma, upsilon, theta,
-                            lam, weights, generators)
+
+def _generator_form(an: SegmentAnalysis, rho: MaxSegment, gens):
+    """(direction, knot, degree, extra shift) generators, as dim_power_sum_in
+    takes them, from _evaluate's (line rank, (r, extra shift)) pairs."""
+    direction = "s" if rho.axis == "h" else "t"
+    return tuple((direction, an.index.lines[q], r2 + 1, extra)
+                 for q, (r2, extra) in gens)
+
+
+def contribution_sets(an: SegmentAnalysis, ordering: SegmentOrdering,
+                      m) -> ContributionSets:
+    gamma, upsilon, theta, lam, weights, gens = _evaluate(
+        an, an.index.ranks(ordering.sequence), m)
+    keys = an.index.keys
+
+    def by_key(values):
+        return dict(zip(keys, values))
+
+    return ContributionSets(
+        an, ordering, tuple(m),
+        by_key(tuple(c[3] for c in g) for g in gamma),
+        by_key(tuple((keys[k1], keys[j]) for k1, j in u) for u in upsilon),
+        by_key(tuple((keys[a], keys[b]) for a, b in t) for t in theta),
+        by_key(tuple((an.segments[p].key, rc) for p, rc in recs)
+               for recs in lam),
+        by_key(weights),
+        by_key(_generator_form(an, rho, g)
+               for rho, g in zip(an.interior, gens)))
+
+
+def _uncovered(levels, i, rho: MaxSegment, weight, gens, m) -> int:
+    """The part of rho's block at m that its weight and generators leave
+    uncovered: the segment's term in the H0 upper bound."""
+    block = dim_M(levels, i, rho.e, m)
+    return max(block - _covered(levels, i, rho, weight, gens, m), 0)
+
+
+def _covered(levels, i, rho: MaxSegment, weight, gens, m) -> int:
+    ax = _axis_index(rho.axis)
+    dm = levels[min(i, len(levels) - 1)][ax]
+    if weight >= m[ax] - dm + 1:
+        return dim_M(levels, i, rho.e, m)
+    if not gens:
+        return 0
+    return dim_power_sum_in(levels, i, gens, bd_sub(m, rho.e))
 
 
 def dim_D_contribution(rho, sets: ContributionSets, m=None) -> int:
@@ -302,16 +416,8 @@ def dim_D_contribution(rho, sets: ContributionSets, m=None) -> int:
     if m is None:
         m = sets.m
     level = sets.analysis.level
-    levels = level.profile.levels
-    i = level.index
-    ax = _axis_index(rho.axis)
-    dm = levels[min(i, level.profile.top)][ax]
-    if sets.weights[rho.key] >= m[ax] - dm + 1:
-        return dim_M(levels, i, rho.e, m)
-    gens = sets.generators[rho.key]
-    if not gens:
-        return 0
-    return dim_power_sum_in(levels, i, gens, bd_sub(m, rho.e))
+    return _covered(level.profile.levels, level.index, rho,
+                    sets.weights[rho.key], sets.generators[rho.key], m)
 
 
 def h0_ideal_upper(an: SegmentAnalysis, ordering: SegmentOrdering, m,
@@ -323,12 +429,10 @@ def h0_ideal_upper(an: SegmentAnalysis, ordering: SegmentOrdering, m,
             f"level {an.level.index} has relative cycles (h = {an.level.h})")
     if sets is None:
         sets = contribution_sets(an, ordering, m)
-    levels = an.level.profile.levels
-    total = 0
-    for rho in an.interior:
-        block = dim_M(levels, an.level.index, rho.e, m)
-        total += max(block - dim_D_contribution(rho, sets), 0)
-    return total
+    levels, i = an.level.profile.levels, an.level.index
+    return sum(_uncovered(levels, i, rho, sets.weights[rho.key],
+                          sets.generators[rho.key], m)
+               for rho in an.interior)
 
 
 def h0_ideal_oracle(an: SegmentAnalysis, m) -> int:

@@ -150,3 +150,48 @@ def test_h0_upper_requires_acyclic_levels():
     an = analyze_segments(lv, smoothness)
     with pytest.raises(AssumptionViolated):
         h0_ideal_upper(an, order_segments(an, "input", (3, 3)), (3, 3))
+
+
+def test_exhaustive_search_returns_the_lex_first_minimizer():
+    # brute force through the public path: every order of the sorted keys,
+    # in lexicographic order, scored by h0_ideal_upper; the search must
+    # return the first order reaching the minimum
+    degrees = [(a, b) for a in range(2, 7) for b in range(2, 7)]
+    tied = 0
+    for name in ("test1", "test2", "test3", "new_relations_a",
+                 "new_relations_b", "counterexample", "nested"):
+        mesh, profile, smoothness = parse_mesh_file(fixture_path(name))
+        for lv in all_levels(mesh, profile):
+            an = analyze_segments(lv, smoothness)
+            if not 2 <= len(an.interior) <= 6:
+                continue
+            keys = [s.key for s in an.interior]
+            perms = list(permutations(keys))
+            for m in degrees:
+                vals = [h0_ideal_upper(an, SegmentOrdering("input", perm), m)
+                        for perm in perms]
+                best = min(vals)
+                first = perms[vals.index(best)]
+                got = order_segments(an, "exhaustive", m)
+                assert got.sequence == first, (name, lv.index, m)
+                assert h0_ideal_upper(an, got, m) == best
+                tied += vals.count(best) > 1
+    # ties are common, so the tie-break is exercised
+    assert tied > 0
+
+
+def test_sequences_with_int_coordinates_resolve_against_fraction_keys():
+    an = level_analysis("new_relations_b", 1)
+    ints = (("h", 1, 1), ("v", 1, 1), ("v", 2, 1), ("h", 2, 1))
+    fracs = tuple((a, F(x), F(y)) for a, x, y in ints)
+    a = contribution_sets(an, SegmentOrdering("input", ints), (4, 4))
+    b = contribution_sets(an, SegmentOrdering("input", fracs), (4, 4))
+    for field in ("gamma", "upsilon", "theta", "lam", "weights",
+                  "generators"):
+        assert getattr(a, field) == getattr(b, field)
+    # the sets are keyed by the analysis's own keys, whatever the caller used
+    assert all(isinstance(k[1], F) for k in a.weights)
+    assert h0_ideal_upper(an, SegmentOrdering("input", ints), (4, 4)) == \
+        h0_ideal_upper(an, SegmentOrdering("input", fracs), (4, 4))
+    with pytest.raises(KeyError):
+        contribution_sets(an, SegmentOrdering("input", ints[:3]), (4, 4))
