@@ -258,6 +258,26 @@ def _prepared(mesh, profile, smoothness) -> _Prepared:
     return entry[3]
 
 
+def _level_rows(prep: _Prepared, ordering, m):
+    """Yield the LevelRow of each level at m, in level order; the segment
+    work of a level runs only when its row is asked for."""
+    levels = prep.lvls[0].profile.levels
+    for k, lv in enumerate(prep.lvls):
+        dm0 = dim_M(levels, lv.index, (0, 0), m)
+        h0c = lv.c * dm0
+        if prep.analyses is None:
+            yield LevelRow(lv.index, lv.c, lv.h, dm0, h0c, None,
+                           0, "none", (), ())
+            continue
+        an = prep.analyses[k]
+        ordr = order_segments(an, ordering, m)
+        sets = contribution_sets(an, ordr, m)
+        h0i = h0_ideal_upper(an, ordr, m, sets=sets)
+        yield LevelRow(lv.index, lv.c, lv.h, dm0, h0c, h0i,
+                       len(an.interior), ordr.strategy, ordr.sequence,
+                       tuple(sorted(sets.weights.items())))
+
+
 def bounds(mesh: TMesh, profile, smoothness, m, ordering="auto",
            with_oracle=False) -> DimReport:
     """Assemble the dimension report for one bi-degree.
@@ -270,30 +290,13 @@ def bounds(mesh: TMesh, profile, smoothness, m, ordering="auto",
     once. The triple is treated as immutable, as TMesh documents.
     """
     m = (int(m[0]), int(m[1]))
-    levels = profile.levels
     prep = _prepared(mesh, profile, smoothness)
-    lvls, assumption = prep.lvls, prep.assumption
+    assumption = prep.assumption
     chi, chi_direct = _chi_at(prep.terms, m)
-    config = configuration1_holds(lvls, smoothness, m)
+    config = configuration1_holds(prep.lvls, smoothness, m)
+    rows = tuple(_level_rows(prep, ordering, m))
 
-    rows = []
     notes = []
-    for k, lv in enumerate(lvls):
-        dm0 = dim_M(levels, lv.index, (0, 0), m)
-        h0c = lv.c * dm0
-        if assumption.ok:
-            an = prep.analyses[k]
-            ordr = order_segments(an, ordering, m)
-            sets = contribution_sets(an, ordr, m)
-            h0i = h0_ideal_upper(an, ordr, m, sets=sets)
-            rows.append(LevelRow(lv.index, lv.c, lv.h, dm0, h0c, h0i,
-                                 len(an.interior), ordr.strategy,
-                                 ordr.sequence,
-                                 tuple(sorted(sets.weights.items()))))
-        else:
-            rows.append(LevelRow(lv.index, lv.c, lv.h, dm0, h0c, None,
-                                 0, "none", (), ()))
-
     for i in config.case_b_levels:
         notes.append(f"level {i}: every crossing smoothness reaches the "
                      "degree gap, so the level's ideal homology vanishes")
@@ -307,7 +310,7 @@ def bounds(mesh: TMesh, profile, smoothness, m, ordering="auto",
         notes.append("levels with relative cycles: "
                      + ", ".join(str(i) for i in assumption.violations)
                      + "; bounds suppressed")
-        return DimReport(m, chi, chi_direct, tuple(rows), False,
+        return DimReport(m, chi, chi_direct, rows, False,
                          assumption.violations, config.holds,
                          config.case_b_levels, ordering, None, None, None,
                          False, False, None, oracle_val, tuple(notes))
@@ -328,7 +331,7 @@ def bounds(mesh: TMesh, profile, smoothness, m, ordering="auto",
         notes.append("ideal slack by level: "
                      + ", ".join(f"{i}: {s}" for i, s in sorted(gaps.items())))
     exact = chi if certified else oracle_val
-    return DimReport(m, chi, chi_direct, tuple(rows), True, (),
+    return DimReport(m, chi, chi_direct, rows, True, (),
                      config.holds, config.case_b_levels, ordering,
                      lower_general, lower_special, upper, clamped,
                      certified, exact, oracle_val, tuple(notes))
@@ -337,8 +340,19 @@ def bounds(mesh: TMesh, profile, smoothness, m, ordering="auto",
 def certify_stable(mesh: TMesh, profile, smoothness, m, ordering="auto"):
     """(certified, exact dimension or None) at bi-degree m.
 
-    Shares the per-mesh work of bounds(): a call after bounds() on the same
-    three objects rebuilds no level, topology or segment analysis.
+    Gives what bounds() reports as (certified, exact) without the oracle,
+    but does only the work the verdict needs: no segment work when the
+    assumption or configuration 1 fails, and none past the first level
+    whose ideal bound misses its island count. It shares the per-mesh work
+    of bounds(): a call after bounds() on the same three objects rebuilds
+    no level, topology or segment analysis.
     """
-    report = bounds(mesh, profile, smoothness, m, ordering)
-    return report.certified, report.exact
+    m = (int(m[0]), int(m[1]))
+    prep = _prepared(mesh, profile, smoothness)
+    if not (prep.assumption.ok
+            and configuration1_holds(prep.lvls, smoothness, m)):
+        return False, None
+    if any(r.h0_ideal != r.h0_constant
+           for r in _level_rows(prep, ordering, m)):
+        return False, None
+    return True, _chi_at(prep.terms, m)[0]

@@ -72,51 +72,59 @@ def oracle_spline_dim(mesh: TMesh, profile, smoothness, m) -> int:
     Unknowns are the monomial coefficients of each face's polynomial piece;
     each interior edge contributes the vanishing of the first r+1 Taylor
     coefficients of the piece difference across its line. Rows repeated by
-    edge subdivision are deduplicated by (face pair, line).
+    edge subdivision are deduplicated by face pair. On the line
+    c0 = p/q the Taylor row of order j is scaled by q^(deg - j), where deg
+    is the highest power of the expansion variable, so its entries are the
+    integers comb(a, j) p^(a-j) q^(deg-a).
     """
-    sizes = {}
-    offs = {}
+    index = {}
+    pieces = []
     total = 0
-    for f in mesh.faces:
+    for k, f in enumerate(mesh.faces):
+        index[f] = k
         box = bd_sub(m, profile.face_deficit[f])
         if box[0] < 0 or box[1] < 0:
+            pieces.append(None)
             continue
-        offs[f] = total
-        sizes[f] = box
+        pieces.append((total, box))
         total += (box[0] + 1) * (box[1] + 1)
 
     rows = []
     seen = set()
     for e in mesh.interior_edges:
-        f, g = mesh.edge_faces[e]
-        key = (f, g, e.axis, e.line)
-        if key in seen:
+        # two faces meet in at most one segment, so the face pair names
+        # the line
+        pair = tuple(index[h] for h in mesh.edge_faces[e])
+        if pair in seen:
             continue
-        seen.add(key)
-        r = smoothness.edge_r[e]
-        c0 = e.line
-        for j in range(r + 1):
-            across = max(
-                (sizes[h][1 if e.axis == "v" else 0]
-                 for h in (f, g) if h in sizes), default=-1)
+        seen.add(pair)
+        # per face piece: (sign, column offset, top exponent and column
+        # stride of the expansion variable, the same of the other variable)
+        sides = []
+        for k, sign in zip(pair, (1, -1)):
+            if pieces[k] is not None:
+                off, (s, t) = pieces[k]
+                sides.append((sign, off, s, t + 1, t, 1) if e.axis == "v"
+                             else (sign, off, t, 1, s, t + 1))
+        if not sides:
+            continue
+        deg = max(side[2] for side in sides)
+        across = max(side[4] for side in sides)
+        p, q = e.line.numerator, e.line.denominator
+        p_pow = [p ** k for k in range(deg + 1)]
+        q_pow = [q ** k for k in range(deg + 1)]
+        for j in range(smoothness.edge_r[e] + 1):
+            coef = [comb(a, j) * p_pow[a - j] * q_pow[deg - a]
+                    for a in range(j, deg + 1)]
+            signed = {1: coef, -1: [-c for c in coef]}
             for l in range(across + 1):
                 row = {}
-                for h, sign in ((f, 1), (g, -1)):
-                    if h not in sizes:
-                        continue
-                    box = sizes[h]
-                    if e.axis == "v":
-                        if l > box[1]:
-                            continue
-                        for a in range(j, box[0] + 1):
-                            col = offs[h] + a * (box[1] + 1) + l
-                            row[col] = row.get(col, 0) + sign * comb(a, j) * c0 ** (a - j)
-                    else:
-                        if l > box[0]:
-                            continue
-                        for b in range(j, box[1] + 1):
-                            col = offs[h] + l * (box[1] + 1) + b
-                            row[col] = row.get(col, 0) + sign * comb(b, j) * c0 ** (b - j)
+                for sign, off, top, stride, top_l, stride_l in sides:
+                    if l <= top_l:
+                        first = off + l * stride_l
+                        cols = range(first + j * stride,
+                                     first + (top + 1) * stride, stride)
+                        row.update(zip(cols, signed[sign]))
                 if row:
                     rows.append(row)
     return total - rank_sparse(rows)

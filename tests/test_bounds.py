@@ -109,6 +109,33 @@ def test_certify_stable_api():
     assert certify_stable(mesh3, profile3, smoothness3, (6, 6)) == (False, None)
 
 
+def test_certify_stable_stops_at_the_first_failed_check(monkeypatch):
+    module = sys.modules["tmeshdim.bounds"]
+    real = module.order_segments
+    ordered = []
+
+    def counted(an, *args):
+        ordered.append(an.level.index)
+        return real(an, *args)
+
+    monkeypatch.setattr(module, "order_segments", counted)
+    test1 = parse_mesh_file(fixture_path("test1"))
+    cases = [
+        (ring_region_mesh(), (3, 3), []),              # relative cycles
+        (parse_mesh_file(fixture_path("test2")), (2, 2), []),  # config 1
+        (test1, (2, 2), [1]),                          # level 1 has slack
+        (test1, (3, 3), [1, 2]),                       # level 2 has slack
+        (test1, (4, 4), [1, 2]),                       # certified
+    ]
+    for triple, m, levels in cases:
+        rep = bounds(*triple, m, ordering="greedy")
+        del ordered[:]
+        assert certify_stable(*triple, m, ordering="greedy") == (
+            rep.certified, rep.exact)
+        assert ordered == levels, m
+    assert certify_stable(*test1, (4, 4)) == (True, 121)
+
+
 def test_ordering_strategy_is_recorded():
     rep = run("new_relations_b", (4, 4), ordering="input")
     assert rep.ordering_strategy == "input"

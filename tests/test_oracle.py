@@ -1,11 +1,13 @@
 """The exact constraint-rank oracle and the polynomial span oracle."""
 
+import json
 from fractions import Fraction as F
 
 from tmeshdim import oracle_spline_dim, span_dim, span_quotient_dim
+from tmeshdim.meshfile import parse_mesh_dict
 from tmeshdim.oracle import power_grid
 
-from .helpers import grid, make, single_face
+from .helpers import fixture_path, grid, make, single_face
 from .helpers.univariate import tensor_grid_dim, univariate_spline_dim
 
 
@@ -91,3 +93,21 @@ def test_deficit_empties_a_face():
     mesh, profile, smoothness = make([(0, 0, 1, 1), (1, 0, 2, 1)],
                                      deficits=[(0, 0), (2, 2)], r=0)
     assert oracle_spline_dim(mesh, profile, smoothness, (1, 1)) == 2
+
+
+def test_counterexample_keeps_81_when_one_strip_line_moves():
+    """The 81 at (5,5) does not need the vertical lines of the middle strip
+    exactly at 1/3, 1/2 and 2/3: moving any one of them keeps it."""
+    with open(fixture_path("counterexample")) as f:
+        doc = json.load(f)
+    moves = [(F(1, 2), F(2, 5)), (F(1, 2), F(3, 5)), (F(1, 2), F(4, 9)),
+             (F(1, 2), F(51, 100)), (F(1, 3), F(1, 4)), (F(1, 3), F(3, 10)),
+             (F(2, 3), F(3, 4)), (F(2, 3), F(7, 10))]
+    for old, new in moves:
+        # x coordinates sit at even places of [x0, y0, x1, y1]
+        faces = [dict(face, rect=[str(new) if k % 2 == 0 and F(c) == old
+                                  else c for k, c in enumerate(face["rect"])])
+                 for face in doc["faces"]]
+        assert faces != doc["faces"]
+        mesh = parse_mesh_dict(dict(doc, faces=faces))
+        assert oracle_spline_dim(*mesh, (5, 5)) == 81, (old, new)

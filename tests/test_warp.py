@@ -1,7 +1,9 @@
 """Order-preserving coordinate warps leave the combinatorial report
 unchanged: the bounds and the certificate see only the order of the mesh
-lines, not where they sit."""
+lines, not where they sit. Reflections reverse that order and leave the
+whole report unchanged, the oracle included, up to the segment keys."""
 
+import dataclasses
 import json
 import random
 from fractions import Fraction
@@ -35,15 +37,20 @@ def _relabel(values, rng):
 
 def warp(doc, fx, fy):
     """The document with every x coordinate sent through fx and every y
-    coordinate through fy, smoothness overrides included."""
+    coordinate through fy, smoothness overrides included. fx and fy are
+    monotone; a decreasing one swaps the ends of each rectangle side and
+    of each override span."""
     def s(f, c):
         return str(f(Fraction(c)))
+
+    def span(f, lo, hi):
+        return sorted((s(f, lo), s(f, hi)), key=Fraction)
 
     faces = []
     for face in doc["faces"]:
         x0, y0, x1, y1 = face["rect"]
-        faces.append(dict(face, rect=[s(fx, x0), s(fy, y0), s(fx, x1),
-                                      s(fy, y1)]))
+        (a0, a1), (b0, b1) = span(fx, x0, x1), span(fy, y0, y1)
+        faces.append(dict(face, rect=[a0, b0, a1, b1]))
     out = dict(doc, faces=faces)
     if "smoothness" in doc:
         overrides = []
@@ -52,7 +59,7 @@ def warp(doc, fx, fy):
             line_f, span_f = (fy, fx) if ov["orientation"] == "h" \
                 else (fx, fy)
             overrides.append(dict(ov, line=s(line_f, ov["line"]),
-                                  span=[s(span_f, c) for c in ov["span"]]))
+                                  span=span(span_f, *ov["span"])))
         out["smoothness"] = dict(doc["smoothness"], overrides=overrides)
     return out
 
@@ -94,3 +101,37 @@ def test_order_preserving_warps_keep_the_report():
             assert combinatorial_part(rep) == combinatorial_part(base), name
             if base.certified:
                 assert rep.exact == base.exact, name
+
+
+def _negate(t):
+    return -t
+
+
+def _identity(t):
+    return t
+
+
+def _mirror(t):
+    # the reflection in t = 1/4, which puts lines on both sides of 0
+    return Fraction(1, 2) - t
+
+
+def _without_keys(rep):
+    """The report with each level's ordering and weights, which name
+    segments by their coordinates, replaced by the (axis, weight) pairs."""
+    rows = tuple(dataclasses.replace(
+        r, ordering=(), weights=sorted((k[0], w) for k, w in r.weights))
+        for r in rep.rows)
+    return dataclasses.replace(rep, rows=rows)
+
+
+def test_reflections_keep_the_report():
+    for name, m in HEADLINES.items():
+        with open(fixture_path(name)) as f:
+            doc = json.load(f)
+        base = bounds(*parse_mesh_dict(doc), m, with_oracle=True)
+        for fx, fy in ((_negate, _identity), (_identity, _negate),
+                       (_negate, _negate), (_mirror, _mirror)):
+            rep = bounds(*parse_mesh_dict(warp(doc, fx, fy)), m,
+                         with_oracle=True)
+            assert _without_keys(rep) == _without_keys(base), name
