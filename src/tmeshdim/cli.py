@@ -7,14 +7,13 @@ violated, 3 internal consistency failure.
 """
 
 import argparse
-import json
 import os
 import sys
 
 from .bounds import DecompositionMismatch, bounds
 from .levels import all_levels, island_components
 from .mesh import MeshError
-from .meshfile import (ParseError, _rat_str, parse_mesh_file,
+from .meshfile import (ParseError, _rat_str, dump_machine, parse_mesh_file,
                        render_certify_text, render_machine, render_text,
                        write_text_atomic)
 from .oracle import oracle_spline_dim
@@ -82,7 +81,7 @@ def _cmd_analyze(args):
         doc = {"command": "analyze", "mesh": st,
                "levels_sequence": [list(lv) for lv in profile.levels],
                "assumption_ok": ok, "levels": records}
-        _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+        _emit(dump_machine(doc), args.out)
         return 0 if ok else 2
     lines = [f"mesh: {st['faces']} faces, {st['edges']} edges, "
              f"{st['vertices']} vertices "
@@ -138,7 +137,7 @@ def _cmd_oracle(args):
     if args.report == "machine":
         doc = {"command": "oracle",
                "rows": [{"m": list(m), "dimension": v} for m, v in rows]}
-        _emit(json.dumps(doc, indent=2, sort_keys=True) + "\n", args.out)
+        _emit(dump_machine(doc), args.out)
     else:
         _emit("".join(f"m=({m[0]},{m[1]})  dimension={v}\n"
                       for m, v in rows), args.out)

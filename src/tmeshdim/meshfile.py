@@ -257,7 +257,34 @@ def parse_report_file(path):
 def render_machine(reports, command="bounds") -> str:
     doc = {"command": command,
            "rows": [report_to_dict(r) for r in reports]}
-    return json.dumps(doc, indent=2, sort_keys=True) + "\n"
+    return dump_machine(doc)
+
+
+def dump_machine(doc) -> str:
+    """The text of json.dumps(doc, indent=2, sort_keys=True) plus a newline.
+
+    With an indent, json encodes in pure Python, and its nested closures
+    leave about thirty objects of cyclic garbage per call. A caller that
+    renders every report then sets off full collections, each of which
+    walks the whole heap, inside later calls. Here only scalars go to
+    json.dumps, whose C encoder leaves none."""
+    return _dump(doc, "") + "\n"
+
+
+def _dump(value, indent):
+    inner = indent + "  "
+    if isinstance(value, dict):
+        if not value:
+            return "{}"
+        return "{\n" + ",\n".join(
+            f"{inner}{json.dumps(k)}: {_dump(value[k], inner)}"
+            for k in sorted(value)) + "\n" + indent + "}"
+    if isinstance(value, (list, tuple)):
+        if not value:
+            return "[]"
+        return "[\n" + ",\n".join(inner + _dump(v, inner)
+                                  for v in value) + "\n" + indent + "]"
+    return json.dumps(value)
 
 
 def _fmt_m(m):

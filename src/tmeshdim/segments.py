@@ -11,6 +11,7 @@ boundary, and by relations manufactured from parallel neighbors.
 from dataclasses import dataclass
 from functools import cached_property
 from itertools import permutations
+from operator import getitem
 from typing import Optional
 
 from .graded import dim_M, dim_power_sum_in
@@ -171,9 +172,24 @@ class SegmentIndex:
                             segment, j its number (-1 off the interior),
                             r its smoothness at the crossing
     icross                  per k: its interior crossers' numbers, ascending
-    common                  per k: (k1, shared) for each other same-axis k1,
-                            ascending, whose interior crossers meet k's in
-                            the non-empty tuple shared
+    common                  per k: (k1, shared, its bitmask) for each other
+                            same-axis k1, ascending, whose interior crossers
+                            meet k's in the non-empty tuple shared; empty
+                            above the top level, where no relations are
+                            manufactured
+    theta                   theta's candidates: (k, a, 1 << a, the bit of k
+                            among a's crossers or 0 when k's line carries a
+                            step, ((b, the bit of k among b's crossers),
+                            ...)) for each owner k and a in icross[k] with
+                            some b in icross[k] other than a and
+                            r[b] >= r[a]; empty above the top level
+
+    An order is given to the rules as before[k], the bitmask of the segments
+    placed before k. A lam mask has one bit per crosser of k; crossers are
+    listed in position order, so it lists k's lam records in that order.
+    k's rule key is its lam mask with the bitmask of its upsilon j's above
+    it, shifted by len(crossers[k]); at a given m, k's term depends on
+    nothing else.
     """
 
     def __init__(self, an: SegmentAnalysis):
@@ -195,7 +211,10 @@ class SegmentIndex:
             for s in interior]
         self.icross = [tuple(sorted(c[0] for c in cs if c[0] >= 0))
                        for cs in self.crossers]
-        self.common = []
+        self.common = [()] * n
+        self.theta = ()
+        if an.level.index > an.level.profile.top:
+            return
         for k in range(n):
             mine = set(self.icross[k])
             pairs = []
@@ -204,8 +223,27 @@ class SegmentIndex:
                     continue
                 shared = tuple(j for j in self.icross[k1] if j in mine)
                 if shared:
-                    pairs.append((k1, shared))
-            self.common.append(tuple(pairs))
+                    pairs.append((k1, shared, sum(1 << j for j in shared)))
+            self.common[k] = tuple(pairs)
+        bit = [{c[0]: 1 << t for t, c in enumerate(cs) if c[0] >= 0}
+               for cs in self.crossers]
+        cands = []
+        for k, perp in enumerate(self.icross):
+            for a in perp:
+                seconds = tuple((b, bit[b][k]) for b in perp
+                                if b != a and self.r[b] >= self.r[a])
+                if seconds:
+                    k_in_a = bit[a][k] if self.dp[k] == (0, 0) else 0
+                    cands.append((k, a, 1 << a, k_in_a, seconds))
+        self.theta = tuple(cands)
+
+    @cached_property
+    def search_tables(self):
+        """The rule keys at every before mask (_rule_tables); the exhaustive
+        search builds them for levels of at most EXHAUSTIVE_LIMIT segments
+        only."""
+        n = len(self.keys)
+        return _rule_tables(self, [range(1 << n)] * n)
 
     def ranks(self, sequence):
         """rank[k]: the place of interior segment k in sequence."""
@@ -251,27 +289,16 @@ def order_segments(an: SegmentAnalysis, strategy="auto",
             f"{n} interior segments exceed the exhaustive limit {EXHAUSTIVE_LIMIT}")
     if m is None:
         raise ValueError("exhaustive ordering needs a bi-degree")
-    # The objective is h0_ideal_upper; a segment's term depends only on its
-    # weight and generators, which many orders share, so each term is
-    # computed once per search.
-    levels, i = an.level.profile.levels, an.level.index
-    terms = {}
-    rank = [0] * n
+    # The objective is h0_ideal_upper. The rules are looked up in tables
+    # indexed by before masks, and a segment's term depends only on its rule
+    # key, which many orders share, so each term is computed once per search.
+    rules = an.index.search_tables
+    theta_at = _theta_at(an, rules, m)
+    terms = [_Terms(an, k, m) for k in range(n)]
     best = best_perm = None
     for perm in permutations(range(n)):
-        for q, k in enumerate(perm):
-            rank[k] = q
-        *_, weights, gens = _evaluate(an, rank, m)
-        val = 0
-        for k in range(n):
-            key = (k, gens[k], weights[k])
-            term = terms.get(key)
-            if term is None:
-                rho = an.interior[k]
-                term = terms[key] = _uncovered(
-                    levels, i, rho, weights[k],
-                    _generator_form(an, rho, gens[k]), m)
-            val += term
+        val = sum(map(getitem, terms,
+                      _order_keys(_before(perm), rules, theta_at)))
         if best is None or val < best:
             best, best_perm = val, perm
     return SegmentOrdering("exhaustive",
@@ -302,70 +329,144 @@ def segment_weight(rho: MaxSegment, lam, m, levels) -> int:
     return sum(max(m[ax] - dm - r, 0) for _, r in lam)
 
 
-def _evaluate(an: SegmentAnalysis, rank, m):
-    """The contribution rules of one level under one order, on the index.
+def _before(order):
+    """before[k]: the bitmask of the segments ahead of k in order, a
+    sequence of interior segment numbers."""
+    before = [0] * len(order)
+    seen = 0
+    for k in order:
+        before[k] = seen
+        seen |= 1 << k
+    return before
 
-    rank[k] is interior segment k's place in the order. Returns, each as a
-    list over k: gamma (crosser entries of the index), upsilon ((k1, j)
-    pairs), theta ((a, b) pairs), lam (sorted (position, r) pairs), the
-    weight, and the generators as (line rank, (r, extra shift)) pairs in
-    line order.
-    """
+
+def _bits(mask):
+    return [j for j in range(mask.bit_length()) if mask >> j & 1]
+
+
+# The contribution rules. Each takes an order as before masks; the search
+# tabulates them over every mask, contribution_sets evaluates them at one
+# order's masks.
+
+def _gamma(ix: SegmentIndex, k, before):
+    """The lam mask of k's crossers that are off the interior or come
+    earlier."""
+    mask = 0
+    for t, c in enumerate(ix.crossers[k]):
+        if c[0] < 0 or before >> c[0] & 1:
+            mask |= 1 << t
+    return mask
+
+
+def _upsilon(ix: SegmentIndex, k, before):
+    """The entries of common[k] whose partner k1 is earlier with
+    r[k] >= r[k1]; upsilon pairs k1 with each j of their shared."""
+    r = ix.r
+    return [c for c in ix.common[k] if before >> c[0] & 1 and r[k] >= r[c[0]]]
+
+
+def _covers(ix: SegmentIndex, js, surplus):
+    """Theta's test on a mask of j's: alone they would cover the whole
+    block."""
+    return sum(max(surplus - ix.r[j], 0) for j in _bits(js)) > surplus
+
+
+def _rule_tables(ix: SegmentIndex, masks):
+    """Per k, a dict from each mask of masks[k] to k's rule key before
+    theta: the lam mask of gamma and the j's of upsilon."""
+    tables = []
+    for k, ms in enumerate(masks):
+        table = {}
+        for b in ms:
+            js = 0
+            for _, _, shared in _upsilon(ix, k, b):
+                js |= shared
+            table[b] = _gamma(ix, k, b) | js << len(ix.crossers[k])
+        tables.append(table)
+    return tables
+
+
+def _theta_at(an: SegmentAnalysis, rules, m):
+    """Theta's candidates whose owner passes the surplus test at m on the
+    upsilon j's of some entry of its rule table, each with that test as a
+    table over the same masks."""
     ix = an.index
-    levels = an.level.profile.levels
-    i = an.level.index
-    axis, r, dp, pos = ix.axis, ix.r, ix.dp, ix.pos
-    n = len(rank)
-    gamma = [tuple(c for c in ix.crossers[k]
-                   if c[0] < 0 or rank[c[0]] < rank[k])
-             for k in range(n)]
+    live = []
+    tests = {}
+    for k, *cand in ix.theta:
+        if k not in tests:
+            need = an.level.profile.levels[an.level.index][ix.axis[k]]
+            surplus = m[ix.axis[k]] - need
+            width = len(ix.crossers[k])
+            covers = {js: _covers(ix, js, surplus)
+                      for js in {key >> width for key in rules[k].values()}}
+            tests[k] = {b: covers[key >> width]
+                        for b, key in rules[k].items()}
+        if any(tests[k].values()):
+            live.append((k, *cand, tests[k]))
+    return live
 
-    upsilon = [()] * n
-    theta = [()] * n
-    if i <= an.level.profile.top:
-        for k in range(n):
-            mine = rank[k]
-            surplus = m[axis[k]] - levels[i][axis[k]]
-            pairs = tuple((k1, j) for k1, shared in ix.common[k]
-                          if rank[k1] < mine and r[k] >= r[k1]
-                          for j in shared)
-            upsilon[k] = pairs
-            perp = ix.icross[k]
-            trips = []
-            for a in perp:
-                cutoff = rank[a]
-                seconds = {j for k1, j in pairs if rank[k1] < cutoff}
-                # a qualifies when its predecessors' pairs alone would
-                # cover the whole block
-                if sum(max(surplus - r[j], 0) for j in seconds) > surplus:
-                    trips.extend((a, b) for b in perp
-                                 if rank[b] > cutoff and r[b] >= r[a])
-            theta[k] = tuple(trips)
 
-    lam = [{p: rc for _, p, rc, _ in g} for g in gamma]
-    for k in range(n):
-        for a, b in theta[k]:
-            lam[b][pos[k]] = r[k]
-            if dp[k] == (0, 0):
-                lam[a][pos[k]] = r[k]
-    lam = [tuple(sorted(d.items())) for d in lam]
+def _order_keys(before, rules, theta_at, theta=None):
+    """The rule key of each k under one order.
 
-    weights = [segment_weight(rho, recs, m, levels)
-               for rho, recs in zip(an.interior, lam)]
-    generators = []
-    for k in range(n):
-        gens = {}
-        for p, rc in lam[k]:
-            gens[ix.line[p]] = (rc, (0, 0))
-        for _, j in upsilon[k]:
-            gens.setdefault(ix.line[pos[j]], (r[j], dp[k]))
-        generators.append(tuple(sorted(gens.items())))
-    return gamma, upsilon, theta, lam, weights, generators
+    rules is _rule_tables's list and theta_at _theta_at's. Owner k pairs a
+    with each b after a among theta's candidates when a qualifies, that is
+    when the partners earlier than both k and a cover the block; b then
+    gains k, and a does too unless k's line carries a step. The pairs are
+    appended to theta[k] when theta is given.
+    """
+    keys = [rule[b] for rule, b in zip(rules, before)]
+    for k, a, a_bit, k_in_a, seconds, qualifies in theta_at:
+        if not qualifies[before[k] & before[a]]:
+            continue
+        paired = False
+        for b, k_in_b in seconds:
+            if before[b] & a_bit:
+                keys[b] |= k_in_b
+                paired = True
+                if theta is not None:
+                    theta[k].append((a, b))
+        if paired:
+            keys[a] |= k_in_a
+    return keys
+
+
+class _Terms(dict):
+    """Segment k's term in the H0 upper bound at m by rule key, each
+    computed on first use."""
+
+    def __init__(self, an: SegmentAnalysis, k, m):
+        super().__init__()
+        self.an, self.k, self.m = an, k, m
+
+    def __missing__(self, key):
+        an, k, m = self.an, self.k, self.m
+        rho = an.interior[k]
+        _, weight, gens = _lam_weight_generators(an, k, key, m)
+        term = self[key] = _uncovered(
+            an.level.profile.levels, an.level.index, rho, weight,
+            _generator_form(an, rho, gens), m)
+        return term
+
+
+def _lam_weight_generators(an: SegmentAnalysis, k, key, m):
+    """Segment k's lam records ((position, r) pairs), weight, and
+    generators ((line rank, (r, extra shift)) pairs in line order) from
+    its rule key."""
+    ix = an.index
+    ups = key >> len(ix.crossers[k])
+    recs = tuple(c[1:3] for t, c in enumerate(ix.crossers[k]) if key >> t & 1)
+    weight = segment_weight(an.interior[k], recs, m, an.level.profile.levels)
+    gens = {ix.line[p]: (rc, (0, 0)) for p, rc in recs}
+    for j in _bits(ups):
+        gens.setdefault(ix.line[ix.pos[j]], (ix.r[j], ix.dp[k]))
+    return recs, weight, tuple(sorted(gens.items()))
 
 
 def _generator_form(an: SegmentAnalysis, rho: MaxSegment, gens):
     """(direction, knot, degree, extra shift) generators, as dim_power_sum_in
-    takes them, from _evaluate's (line rank, (r, extra shift)) pairs."""
+    takes them, from (line rank, (r, extra shift)) pairs."""
     direction = "s" if rho.axis == "h" else "t"
     return tuple((direction, an.index.lines[q], r2 + 1, extra)
                  for q, (r2, extra) in gens)
@@ -373,23 +474,34 @@ def _generator_form(an: SegmentAnalysis, rho: MaxSegment, gens):
 
 def contribution_sets(an: SegmentAnalysis, ordering: SegmentOrdering,
                       m) -> ContributionSets:
-    gamma, upsilon, theta, lam, weights, gens = _evaluate(
-        an, an.index.ranks(ordering.sequence), m)
-    keys = an.index.keys
+    ix = an.index
+    rank = ix.ranks(ordering.sequence)
+    before = _before(sorted(range(len(rank)), key=rank.__getitem__))
+    rules = _rule_tables(ix, [{b} | {b & before[a] for a in ix.icross[k]}
+                              for k, b in enumerate(before)])
+    theta = [[] for _ in before]
+    terms = [_lam_weight_generators(an, k, key, m)
+             for k, key in enumerate(_order_keys(
+                 before, rules, _theta_at(an, rules, m), theta))]
+    keys = ix.keys
 
     def by_key(values):
         return dict(zip(keys, values))
 
     return ContributionSets(
         an, ordering, tuple(m),
-        by_key(tuple(c[3] for c in g) for g in gamma),
-        by_key(tuple((keys[k1], keys[j]) for k1, j in u) for u in upsilon),
+        by_key(tuple(c[3] for t, c in enumerate(ix.crossers[k])
+                     if rules[k][b] >> t & 1)
+               for k, b in enumerate(before)),
+        by_key(tuple((keys[k1], keys[j])
+                     for k1, shared, _ in _upsilon(ix, k, b) for j in shared)
+               for k, b in enumerate(before)),
         by_key(tuple((keys[a], keys[b]) for a, b in t) for t in theta),
         by_key(tuple((an.segments[p].key, rc) for p, rc in recs)
-               for recs in lam),
-        by_key(weights),
-        by_key(_generator_form(an, rho, g)
-               for rho, g in zip(an.interior, gens)))
+               for recs, _, _ in terms),
+        by_key(weight for _, weight, _ in terms),
+        by_key(_generator_form(an, rho, gens)
+               for rho, (_, _, gens) in zip(an.interior, terms)))
 
 
 def _uncovered(levels, i, rho: MaxSegment, weight, gens, m) -> int:
@@ -421,10 +533,9 @@ def dim_D_contribution(rho, sets: ContributionSets, m=None) -> int:
 
 
 def h0_ideal_upper(an: SegmentAnalysis, ordering: SegmentOrdering, m,
-                   sets: Optional[ContributionSets] = None,
-                   _skip_assumption=False) -> int:
+                   sets: Optional[ContributionSets] = None) -> int:
     """Upper bound for the H0 dimension of the level's line ideal complex."""
-    if an.level.h != 0 and not _skip_assumption:
+    if an.level.h != 0:
         raise AssumptionViolated(
             f"level {an.level.index} has relative cycles (h = {an.level.h})")
     if sets is None:

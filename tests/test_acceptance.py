@@ -62,8 +62,9 @@ def _bounded_draw(rng):
 
 @pytest.fixture(scope="module")
 def random_suite():
-    # greedy ordering: levels here carry up to 8 interior segments, where
-    # the exhaustive search is prohibitive; every ordering gives valid bounds
+    # each case is reported under the greedy ordering, with the oracle, and
+    # under auto, whose exhaustive search on levels of up to 8 interior
+    # segments can only tighten the upper bound; the oracle is not rerun
     rng = random.Random(1729)
     t0 = time.monotonic()
     rows = []
@@ -75,7 +76,9 @@ def random_suite():
                              ordering="greedy", with_oracle=True)
                 cert = certify_stable(mesh, profile, smoothness, (m0, m1),
                                       ordering="greedy")
-                rows.append((rep, cert))
+                auto = bounds(mesh, profile, smoothness, (m0, m1),
+                              ordering="auto")
+                rows.append((rep, cert, auto))
     return rows, time.monotonic() - t0
 
 
@@ -111,26 +114,31 @@ def test_criterion_2_tensor_grid_degeneration(tensor_suite):
 
 def test_criterion_3_randomized_sandwich(random_suite):
     rows, dt = random_suite
-    skipped = sandwich_bad = config1_bad = 0
-    for rep, _ in rows:
+    skipped = sandwich_bad = auto_bad = config1_bad = tightened = 0
+    for rep, _, auto in rows:
         if not rep.assumption_ok:
             skipped += 1
             continue
         if not rep.lower_general <= rep.oracle <= rep.upper:
             sandwich_bad += 1
+        if not (auto.lower_general <= rep.oracle <= auto.upper <= rep.upper):
+            auto_bad += 1
+        tightened += auto.upper < rep.upper
         if rep.config1 and not rep.chi <= rep.oracle:
             config1_bad += 1
-    ok = (sandwich_bad == 0 and config1_bad == 0 and skipped == 0
-          and dt < 300.0)
+    ok = (sandwich_bad == 0 and auto_bad == 0 and config1_bad == 0
+          and skipped == 0 and dt < 300.0)
     verdict(3, ok, f"{len(rows)} bi-degree cases over 200 random meshes: "
-            f"{sandwich_bad} sandwich and {config1_bad} lower-bound "
-            f"violations, {skipped} diagnostics-only, {dt:.1f}s")
+            f"{sandwich_bad} greedy and {auto_bad} auto sandwich and "
+            f"{config1_bad} lower-bound violations, auto tightens the "
+            f"upper bound in {tightened}, {skipped} diagnostics-only, "
+            f"{dt:.1f}s")
 
 
 def test_criterion_4_certification_soundness(random_suite):
     rows, _ = random_suite
     certified = unsound = inconsistent = 0
-    for rep, (stable, value) in rows:
+    for rep, (stable, value), _ in rows:
         if stable != rep.certified:
             inconsistent += 1
         if not stable:
@@ -147,7 +155,7 @@ def test_criterion_5_chi_decomposition_identity(single_face_report,
                                                 tensor_suite, random_suite):
     reports = [single_face_report[0]]
     reports += [rep for _, _, rep in tensor_suite[0]]
-    reports += [rep for rep, _ in random_suite[0]]
+    reports += [rep for rep, _, _ in random_suite[0]]
     bad = sum(1 for rep in reports if rep.chi != rep.chi_direct)
     verdict(5, bad == 0, f"leveled chi equals direct chi on all "
             f"{len(reports)} reports, {bad} mismatches")

@@ -1,15 +1,17 @@
 """Mesh documents, report documents, CLI exit codes, fixture replay."""
 
+import gc
 import json
 import os
 
 import pytest
 from tmeshdim import OverlapError, bounds
 from tmeshdim.cli import main
-from tmeshdim.meshfile import (ParseError, mesh_to_dict, parse_mesh_dict,
-                               parse_mesh_file, parse_report_file,
-                               render_machine, report_from_dict,
-                               report_to_dict, write_text_atomic)
+from tmeshdim.meshfile import (ParseError, dump_machine, mesh_to_dict,
+                               parse_mesh_dict, parse_mesh_file,
+                               parse_report_file, render_machine,
+                               report_from_dict, report_to_dict,
+                               write_text_atomic)
 
 from .helpers import FIXTURES, fixture_path
 from .helpers.randmesh import ring_region_mesh
@@ -187,6 +189,29 @@ def test_reports_are_byte_deterministic(tmp_path):
     assert main(argv + ["--out", str(a)]) == 0
     assert main(argv + ["--out", str(b)]) == 0
     assert a.read_bytes() == b.read_bytes()
+
+
+def test_machine_text_is_json_dumps_text():
+    report = bounds(*parse_mesh_file(fixture_path("test3")), (4, 4))
+    docs = [{"command": "bounds", "rows": [report_to_dict(report)]},
+            {"b": [], "a": {},
+             "c": [None, True, False, -3, 0.5, "\u00e9\"/"],
+             "d": ({"z": [[1, 2], []], "y": {"x": "s"}},)},
+            [], {}, "x", 7]
+    for doc in docs:
+        assert dump_machine(doc) == \
+            json.dumps(doc, indent=2, sort_keys=True) + "\n"
+
+
+def test_machine_text_leaves_no_cyclic_garbage():
+    report = bounds(*parse_mesh_file(fixture_path("test3")), (4, 4))
+    gc.collect()
+    gc.disable()
+    try:
+        render_machine([report])
+        assert gc.collect() == 0
+    finally:
+        gc.enable()
 
 
 def test_fixture_replay_matches_shipped_reports(tmp_path):

@@ -7,7 +7,7 @@ segment_golden.json pins any rewrite of the ordering search or of the
 contribution rules to the values the original implementation produced.
 
 The fixtures give every line the same smoothness, which leaves the rules'
-comparisons of r values untested, so five of them also run with a seeded
+comparisons of r values untested, so six of them also run with a seeded
 random r in 0..2 on each interior line.
 
 Re-record (only after checking that a change of values is intended):
@@ -35,10 +35,11 @@ FIXTURES = ("test1", "test2", "test3", "new_relations_a", "new_relations_b",
             "counterexample", "nested")
 DEGREES = [(a, b) for a in range(2, 7) for b in range(2, 7)]
 STRATEGIES = ("input", "greedy", "auto")
-# fixtures rerun with mixed smoothness; test3 is left out because its
-# seven-segment level makes the search slow, new_relations_a because it
-# has a single interior segment
-MIXED_R = ("test1", "test2", "new_relations_b", "counterexample", "nested")
+# fixtures rerun with mixed smoothness (the seed is the place in this
+# tuple); new_relations_a is left out because it has a single interior
+# segment
+MIXED_R = ("test1", "test2", "new_relations_b", "counterexample", "nested",
+           "test3")
 
 
 def _plain(x):

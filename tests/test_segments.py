@@ -5,6 +5,7 @@ are pinned independently by the constraint-rank oracle in test_bounds and
 test_acceptance; here the focus is the segment calculus itself.
 """
 
+import random
 from fractions import Fraction as F
 from itertools import permutations
 
@@ -16,7 +17,9 @@ from tmeshdim import (AssumptionViolated, SegmentOrdering,
 from tmeshdim.meshfile import parse_mesh_file
 
 from .helpers import fixture_path
-from .helpers.randmesh import ring_region_mesh
+from .helpers.randmesh import (random_region_mesh, random_split_mesh,
+                               ring_region_mesh)
+from .test_segment_golden import mixed_r
 
 
 def level_analysis(name, index):
@@ -195,3 +198,80 @@ def test_sequences_with_int_coordinates_resolve_against_fraction_keys():
         h0_ideal_upper(an, SegmentOrdering("input", fracs), (4, 4))
     with pytest.raises(KeyError):
         contribution_sets(an, SegmentOrdering("input", ints[:3]), (4, 4))
+
+
+def reference_sets(an, sequence, m):
+    """gamma, upsilon, theta and lam under sequence, from the rules written
+    over segment keys: gamma maps crossers to r, upsilon and theta are sets
+    of key pairs, lam maps segments to r."""
+    level = an.level
+    levels, i = level.profile.levels, level.index
+    rank = {key: q for q, key in enumerate(sequence)}
+    seg = an.by_key
+    cross = {k: [c.key for c in an.crossers[k] if c.key in rank] for k in rank}
+    gamma = {k: {c.key: c.r for c in an.crossers[k]
+                 if rank.get(c.key, -1) < rank[k]} for k in rank}
+    lam = {k: dict(g) for k, g in gamma.items()}
+    upsilon = {k: set() for k in rank}
+    theta = {k: set() for k in rank}
+    if i > level.profile.top:
+        return gamma, upsilon, theta, lam
+    for k in rank:
+        ax = 0 if k[0] == "h" else 1
+        surplus = m[ax] - levels[i][ax]
+        upsilon[k] = {(k1, j) for k1 in rank
+                      if k1 != k and k1[0] == k[0] and rank[k1] < rank[k]
+                      and seg[k].r >= seg[k1].r
+                      for j in cross[k1] if j in cross[k]}
+        for a in cross[k]:
+            js = {j for k1, j in upsilon[k] if rank[k1] < rank[a]}
+            if sum(max(surplus - seg[j].r, 0) for j in js) <= surplus:
+                continue
+            for b in cross[k]:
+                if rank[b] > rank[a] and seg[b].r >= seg[a].r:
+                    theta[k].add((a, b))
+                    lam[b][k] = seg[k].r
+                    if seg[k].dp == (0, 0):
+                        lam[a][k] = seg[k].r
+    return gamma, upsilon, theta, lam
+
+
+def test_search_and_rules_on_random_mixed_r_levels():
+    # seeded random meshes with a seeded random r per line, so the rules'
+    # r[k] >= r[k1] (upsilon) and r[b] >= r[a] (theta) comparisons matter;
+    # every order's sets must match the key-level rules above, and the
+    # search must return the lex-first order minimizing h0_ideal_upper.
+    # The split meshes hold levels of 2 to 6 segments below the top level
+    # (a step on every line) and above it (no upsilon or theta); the grid
+    # region mesh holds a level where theta pairs segments of unequal r
+    draws = [random_split_mesh(random.Random(seed), max_faces=30)[:2] + (seed,)
+             for seed in (1, 7, 12, 15, 35)]
+    draws.append(random_region_mesh(random.Random(20))[:2] + (20,))
+    seen = {"below top": 0, "above top": 0, "upsilon": 0, "theta": 0}
+    for mesh, profile, seed in draws:
+        smoothness = mixed_r(mesh, seed)
+        for lv in all_levels(mesh, profile):
+            an = analyze_segments(lv, smoothness)
+            if lv.h != 0 or not 2 <= len(an.interior) <= 6:
+                continue
+            seen["below top" if lv.index <= profile.top else "above top"] += 1
+            keys = [s.key for s in an.interior]
+            perms = list(permutations(keys))
+            for m in ((3, 3), (4, 5), (6, 6)):
+                vals = []
+                for perm in perms:
+                    ordr = SegmentOrdering("input", perm)
+                    sets = contribution_sets(an, ordr, m)
+                    gamma, upsilon, theta, lam = reference_sets(an, perm, m)
+                    for k in keys:
+                        assert {c.key: c.r for c in sets.gamma[k]} == gamma[k]
+                        assert set(sets.upsilon[k]) == upsilon[k]
+                        assert set(sets.theta[k]) == theta[k]
+                        assert dict(sets.lam[k]) == lam[k]
+                    seen["upsilon"] += any(upsilon.values())
+                    seen["theta"] += any(theta.values())
+                    vals.append(h0_ideal_upper(an, ordr, m, sets=sets))
+                got = order_segments(an, "exhaustive", m)
+                assert got.sequence == perms[vals.index(min(vals))], \
+                    (seed, lv.index, m)
+    assert min(seen.values()) > 0, seen
