@@ -78,7 +78,11 @@ def _chi_terms(lvls, smoothness) -> _ChiTerms:
                 for v in mesh.interior_vertices))
 
 
-def _chi_at(terms: _ChiTerms, m):
+def euler_characteristic(mesh: TMesh, profile, smoothness, m):
+    """(chi, chi_direct) at m, summed once per level and once on the raw
+    cell data. The two agree on every valid input; a mismatch can only come
+    from an implementation bug and raises DecompositionMismatch."""
+    terms = _prepared(mesh, profile, smoothness).terms
     levels = terms.levels
     chi = 0
     for i, n_faces, edges, vertices in terms.per_level:
@@ -105,16 +109,6 @@ def _chi_at(terms: _ChiTerms, m):
         raise DecompositionMismatch(
             f"leveled chi {chi} != direct chi {direct} at m = {m}")
     return chi, direct
-
-
-def euler_characteristic(lvls, smoothness, m):
-    """Evaluate chi at m twice: once per level, once on the raw cell data.
-
-    lvls is the list all_levels returns. The two values agree on every
-    valid input; a mismatch can only come from an implementation bug and
-    raises DecompositionMismatch rather than returning silently.
-    """
-    return _chi_at(_chi_terms(lvls, smoothness), m)
 
 
 def constant_complex_dims(level, m):
@@ -144,25 +138,27 @@ class Config1Report:
         return self.holds
 
 
-def configuration1_holds(lvls, smoothness, m) -> Config1Report:
-    """Check practical smoothness on the levels all_levels returns."""
-    profile = lvls[0].profile
-    levels = profile.levels
-    top = profile.top
+def configuration1_holds(mesh: TMesh, profile, smoothness, m) -> Config1Report:
+    """Check practical smoothness at m once per distinct crossed pair
+    (r_h, r_v) of a level, read off the chi terms' vertex keys, where
+    e_h = (0, r_v + 1) and e_v = (r_h + 1, 0). A level's vertices are walked
+    only to list its failures when some pair fails."""
+    prep = _prepared(mesh, profile, smoothness)
+    levels, top = profile.levels, profile.top
     failures = []
     case_b = []
-    for lv in lvls:
-        gap = bd_sub(m, levels[min(lv.index, top)])
-        prev_gap = bd_sub(m, levels[lv.index - 1])
-        saturated = bool(lv.interior_vertices)
-        for v in lv.interior_vertices:
-            r_h, r_v = smoothness.vertex_pair[v]
-            if not (gap[0] >= r_h and gap[1] >= r_v):
-                failures.append((lv.index, v))
-            if not (prev_gap[0] <= r_h and prev_gap[1] <= r_v):
-                saturated = False
-        if saturated:
-            case_b.append(lv.index)
+    for lv, (i, _, _, vertices) in zip(prep.lvls, prep.terms.per_level):
+        gap = bd_sub(m, levels[min(i, top)])
+        prev_gap = bd_sub(m, levels[i - 1])
+        pairs = {(e_v[0] - 1, e_h[1] - 1) for e_h, e_v, _, _ in vertices}
+        bad = {(r_h, r_v) for r_h, r_v in pairs
+               if not (gap[0] >= r_h and gap[1] >= r_v)}
+        if bad:
+            failures.extend((i, v) for v in lv.interior_vertices
+                            if smoothness.vertex_pair[v] in bad)
+        if pairs and all(prev_gap[0] <= r_h and prev_gap[1] <= r_v
+                         for r_h, r_v in pairs):
+            case_b.append(i)
     return Config1Report(not failures, tuple(failures), tuple(case_b))
 
 
@@ -272,10 +268,9 @@ def _level_rows(prep: _Prepared, ordering, m):
         an = prep.analyses[k]
         ordr = order_segments(an, ordering, m)
         sets = contribution_sets(an, ordr, m)
-        h0i = h0_ideal_upper(an, ordr, m, sets=sets)
-        yield LevelRow(lv.index, lv.c, lv.h, dm0, h0c, h0i,
+        yield LevelRow(lv.index, lv.c, lv.h, dm0, h0c, h0_ideal_upper(sets),
                        len(an.interior), ordr.strategy, ordr.sequence,
-                       tuple(sorted(sets.weights.items())))
+                       tuple(sets.weights.items()))
 
 
 def bounds(mesh: TMesh, profile, smoothness, m, ordering="auto",
@@ -292,8 +287,8 @@ def bounds(mesh: TMesh, profile, smoothness, m, ordering="auto",
     m = (int(m[0]), int(m[1]))
     prep = _prepared(mesh, profile, smoothness)
     assumption = prep.assumption
-    chi, chi_direct = _chi_at(prep.terms, m)
-    config = configuration1_holds(prep.lvls, smoothness, m)
+    chi, chi_direct = euler_characteristic(mesh, profile, smoothness, m)
+    config = configuration1_holds(mesh, profile, smoothness, m)
     rows = tuple(_level_rows(prep, ordering, m))
 
     notes = []
@@ -350,9 +345,9 @@ def certify_stable(mesh: TMesh, profile, smoothness, m, ordering="auto"):
     m = (int(m[0]), int(m[1]))
     prep = _prepared(mesh, profile, smoothness)
     if not (prep.assumption.ok
-            and configuration1_holds(prep.lvls, smoothness, m)):
+            and configuration1_holds(mesh, profile, smoothness, m)):
         return False, None
     if any(r.h0_ideal != r.h0_constant
            for r in _level_rows(prep, ordering, m)):
         return False, None
-    return True, _chi_at(prep.terms, m)[0]
+    return True, euler_characteristic(mesh, profile, smoothness, m)[0]

@@ -1,9 +1,9 @@
-"""Exact rank computations over the rationals.
+"""Exact rank of sparse integer matrices.
 
-All ranks in this package are computed without floating point. Each row is
-scaled to a primitive integer row: a row of ints is only divided by the gcd
-of its entries, and a row holding a Fraction is first cleared of its
-denominators. Rows are eliminated with fraction-free cross-multiplication:
+All ranks in this package are computed without floating point, on integer
+matrices: every matrix the package ranks is assembled with integer entries,
+and a Fraction entry raises TypeError. Each row is divided by the gcd of its
+entries. Rows are eliminated with fraction-free cross-multiplication:
 a row holding the pivot column gets a * row - b * pivot row, where a and b
 are the two pivot-column entries divided by their gcd, and is divided by
 the gcd of its entries again.
@@ -15,30 +15,23 @@ and then on the column. A column -> rows index means a pivot touches only
 the rows that hold its column.
 """
 
-from fractions import Fraction
 from heapq import heapify, heappop, heappush
-from math import gcd, lcm
+from math import gcd
 
 
 def _clear_row(row):
-    """Convert a {col: Fraction|int} row to a primitive {col: int} row."""
+    """Convert a {col: int} row to a primitive {col: int} row."""
     out = {c: v for c, v in row.items() if v}
-    try:
-        g = gcd(*out.values())
-    except TypeError:
-        # a Fraction entry: clear the denominators first
-        items = [(c, Fraction(v)) for c, v in out.items()]
-        den = lcm(*(v.denominator for _, v in items))
-        out = {c: int(v * den) for c, v in items}
-        g = gcd(*out.values())
+    g = gcd(*out.values())
     if g > 1:
         out = {c: v // g for c, v in out.items()}
     return out
 
 
 def rank_sparse(rows):
-    """Rank of a sparse rational matrix given as an iterable of {col: value}
-    rows. The rows themselves are left unchanged."""
+    """Rank of a sparse integer matrix given as an iterable of {col: int}
+    rows; a Fraction entry raises TypeError. The rows themselves are left
+    unchanged."""
     work = {}
     holders = {}
     for row in rows:

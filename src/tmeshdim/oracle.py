@@ -22,7 +22,8 @@ def span_dim(generators, m) -> int:
     """Dimension of the span of {g * monomial} inside the bi-degree m box.
 
     generators is a list of (grid, bideg) pairs: grid maps exponent pairs to
-    coefficients, bideg bounds the multiplier box to m - bideg.
+    integer coefficients, bideg bounds the multiplier box to m - bideg; a
+    Fraction coefficient raises TypeError.
     """
     return span_quotient_dim(generators, m, None)
 
@@ -32,7 +33,7 @@ def span_quotient_dim(generators, ambient, lbox) -> int:
 
     Rows are generator translates inside the ambient box together with all
     monomials of the sub-box; the result is rank minus the sub-box size.
-    lbox = None means no quotient.
+    lbox = None means no quotient; a Fraction coefficient raises TypeError.
     """
     if ambient[0] < 0 or ambient[1] < 0:
         return 0
@@ -54,11 +55,12 @@ def span_quotient_dim(generators, ambient, lbox) -> int:
 
 
 def power_grid(direction, knot, degree, extra=(0, 0)):
-    """Coefficient grid and effective bi-degree of (x - knot)^degree u^extra."""
-    knot = Fraction(knot)
+    """Coefficient grid and effective bi-degree of (q x - p)^degree u^extra
+    for the knot p/q: q^degree times (x - knot)^degree, in integers."""
+    p, q = Fraction(knot).as_integer_ratio()
     grid = {}
     for k in range(degree + 1):
-        c = comb(degree, k) * (-knot) ** (degree - k)
+        c = comb(degree, k) * q ** k * (-p) ** (degree - k)
         if c:
             grid[(0, k) if direction == "t" else (k, 0)] = c
     bideg = (extra[0], degree + extra[1]) if direction == "t" \

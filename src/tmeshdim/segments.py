@@ -307,6 +307,9 @@ def order_segments(an: SegmentAnalysis, strategy="auto",
 
 @dataclass
 class ContributionSets:
+    """One level's rule records under an ordering at bi-degree m; each dict
+    is keyed by the interior segment keys, listed in key order."""
+
     analysis: SegmentAnalysis
     ordering: SegmentOrdering
     m: tuple
@@ -521,25 +524,20 @@ def _covered(levels, i, rho: MaxSegment, weight, gens, m) -> int:
     return dim_power_sum_in(levels, i, gens, bd_sub(m, rho.e))
 
 
-def dim_D_contribution(rho, sets: ContributionSets, m=None) -> int:
-    """Dimension of the covered part of one segment's block at bi-degree m."""
-    if not isinstance(rho, MaxSegment):
-        rho = sets.analysis.by_key[rho]
-    if m is None:
-        m = sets.m
+def dim_D_contribution(rho: MaxSegment, sets: ContributionSets) -> int:
+    """Dimension of the covered part of one segment's block at sets.m."""
     level = sets.analysis.level
     return _covered(level.profile.levels, level.index, rho,
-                    sets.weights[rho.key], sets.generators[rho.key], m)
+                    sets.weights[rho.key], sets.generators[rho.key], sets.m)
 
 
-def h0_ideal_upper(an: SegmentAnalysis, ordering: SegmentOrdering, m,
-                   sets: Optional[ContributionSets] = None) -> int:
-    """Upper bound for the H0 dimension of the level's line ideal complex."""
+def h0_ideal_upper(sets: ContributionSets) -> int:
+    """Upper bound for the H0 dimension of the level's line ideal complex
+    under the ordering and at the bi-degree of sets."""
+    an, m = sets.analysis, sets.m
     if an.level.h != 0:
         raise AssumptionViolated(
             f"level {an.level.index} has relative cycles (h = {an.level.h})")
-    if sets is None:
-        sets = contribution_sets(an, ordering, m)
     levels, i = an.level.profile.levels, an.level.index
     return sum(_uncovered(levels, i, rho, sets.weights[rho.key],
                           sets.generators[rho.key], m)
@@ -593,6 +591,10 @@ def h0_ideal_oracle(an: SegmentAnalysis, m) -> int:
             r_v = rho.r if rho.axis == "v" else rec.r
             e_gamma = (r_v + 1, r_h + 1)
             x0, y0 = rec.vertex
+            # power_grid multiplies each part by q^(r+1) of the other
+            # segment's line and r, constant along a segment: a row scaling
+            # times a column scaling by each block's own factor, so the
+            # rank is unchanged
             terms = []
             if h_seg.interior:
                 terms.append((h_seg, power_grid("s", x0, r_v + 1)[0], 1))

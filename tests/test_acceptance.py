@@ -344,9 +344,9 @@ def _block_table(name, m, which_level):
     ordr = order_segments(an, "auto", m)
     sets = contribution_sets(an, ordr, m)
     table = sorted((dim_M(profile.levels, lv.index, rho.e, m),
-                    dim_D_contribution(rho, sets, m)) for rho in an.interior)
+                    dim_D_contribution(rho, sets)) for rho in an.interior)
     # fully covered segments pair each block with itself and contribute 0
-    return [p for p in table if p[0] > p[1]], h0_ideal_upper(an, ordr, m)
+    return [p for p in table if p[0] > p[1]], h0_ideal_upper(sets)
 
 
 def test_criterion_8_segment_spot_checks():

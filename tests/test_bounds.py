@@ -1,17 +1,21 @@
 """End-to-end dimension reports: chi, bounds, certification."""
 
+import random
 import sys
 
 import pytest
-from tmeshdim import (DecompositionMismatch, bounds, certify_stable,
-                      configuration1_holds, constant_complex_dims,
-                      euler_characteristic, all_levels, dim_M)
+from tmeshdim import (DecompositionMismatch, SmoothnessProfile, bounds,
+                      certify_stable, configuration1_holds,
+                      constant_complex_dims, euler_characteristic,
+                      all_levels, dim_M)
 from tmeshdim.cli import main
+from tmeshdim.mesh import bd_sub
 from tmeshdim.meshfile import (parse_mesh_file, render_certify_text,
                                render_machine)
 
 from .helpers import fixture_path, grid, make, single_face
-from .helpers.randmesh import island_region_mesh, ring_region_mesh
+from .helpers.randmesh import (island_region_mesh, random_split_mesh,
+                               ring_region_mesh)
 from .helpers.univariate import tensor_grid_dim
 
 CANONICAL = [("test1", (3, 3)), ("test2", (4, 4)), ("test3", (6, 6)),
@@ -152,16 +156,84 @@ def test_constant_complex_dims_track_c():
 
 def test_config1_report_is_boolean():
     mesh, profile, smoothness = _tight_island()
-    lvls = all_levels(mesh, profile)
-    report = configuration1_holds(lvls, smoothness, (2, 2))
+    report = configuration1_holds(mesh, profile, smoothness, (2, 2))
     assert not report and report.failures
-    assert configuration1_holds(lvls, smoothness, (4, 4))
+    assert configuration1_holds(mesh, profile, smoothness, (4, 4))
+
+
+def config1_reference(mesh, profile, smoothness, m):
+    """(holds, failures, case_b_levels) from every vertex's own pair."""
+    levels, top = profile.levels, profile.top
+    failures = []
+    case_b = []
+    for lv in all_levels(mesh, profile):
+        gap = bd_sub(m, levels[min(lv.index, top)])
+        prev_gap = bd_sub(m, levels[lv.index - 1])
+        saturated = bool(lv.interior_vertices)
+        for v in lv.interior_vertices:
+            r_h, r_v = smoothness.vertex_pair[v]
+            if not (gap[0] >= r_h and gap[1] >= r_v):
+                failures.append((lv.index, v))
+            if not (prev_gap[0] <= r_h and prev_gap[1] <= r_v):
+                saturated = False
+        if saturated:
+            case_b.append(lv.index)
+    return not failures, tuple(failures), tuple(case_b)
+
+
+def test_config1_by_pair_classes_matches_the_per_vertex_check():
+    triples = [(parse_mesh_file(fixture_path(name)),
+                [(a, b) for a in range(2, 7) for b in range(2, 7)])
+               for name, _ in CANONICAL]
+    # the meshes of the random axis-swap test, from m = 0 so that
+    # configuration 1 also fails on them
+    rng = random.Random(7)
+    triples += [(random_split_mesh(rng)[:3],
+                 [(a, b) for a in range(6) for b in range(6)])
+                for _ in range(60)]
+    seen = {"holds": 0, "fails": 0, "case b": 0}
+    for triple, degrees in triples:
+        for m in degrees:
+            rep = configuration1_holds(*triple, m)
+            want = config1_reference(*triple, m)
+            assert (rep.holds, rep.failures, rep.case_b_levels) == want, m
+            seen["holds" if rep.holds else "fails"] += 1
+            seen["case b"] += bool(rep.case_b_levels)
+    assert min(seen.values()) > 0, seen
+
+
+class CountingDict(dict):
+    def __init__(self, *args):
+        super().__init__(*args)
+        self.lookups = 0
+
+    def __getitem__(self, key):
+        self.lookups += 1
+        return super().__getitem__(key)
+
+
+def test_config1_looks_up_no_vertex_where_it_holds():
+    mesh, profile, smoothness = parse_mesh_file(fixture_path("test2"))
+    pairs = CountingDict(smoothness.vertex_pair)
+    counting = SmoothnessProfile(smoothness.edge_r, pairs)
+    bounds(mesh, profile, counting, (2, 2))
+    held = failed = 0
+    for m in [(a, b) for a in range(2, 7) for b in range(2, 7)]:
+        pairs.lookups = 0
+        rep = bounds(mesh, profile, counting, m)
+        if rep.config1:
+            assert pairs.lookups == 0, m
+            held += 1
+        else:
+            # the failures are listed vertex by vertex
+            assert pairs.lookups > 0, m
+            failed += 1
+    assert held and failed
 
 
 def test_euler_characteristic_matches_certified_oracle():
     mesh, profile, smoothness = parse_mesh_file(fixture_path("new_relations_a"))
-    chi, direct = euler_characteristic(all_levels(mesh, profile), smoothness,
-                                       (3, 3))
+    chi, direct = euler_characteristic(mesh, profile, smoothness, (3, 3))
     assert chi == direct == 17
 
 
@@ -192,7 +264,7 @@ def test_chi_cross_check_catches_a_broken_term(monkeypatch):
                        match="leveled chi 1 != direct chi 37"):
         bounds(mesh, profile, smoothness, (3, 3))
     with pytest.raises(DecompositionMismatch):
-        euler_characteristic(all_levels(mesh, profile), smoothness, (3, 3))
+        euler_characteristic(mesh, profile, smoothness, (3, 3))
 
 
 # the sweep of --degrees 2,2:4,4, in the CLI's colex order
@@ -231,6 +303,22 @@ def test_degree_sweep_builds_the_levels_once(monkeypatch, capsys):
     assert len(calls) == 1 + len(DEGREES)
     assert render_machine(reports, "bounds") == render_machine(fresh,
                                                                 "bounds")
+
+
+def test_degree_sweep_evaluates_chi_and_config1_once_per_degree(
+        monkeypatch, capsys):
+    module = sys.modules["tmeshdim.bounds"]
+    calls = {"euler_characteristic": [], "configuration1_holds": []}
+    for name, seen in calls.items():
+        def counted(*args, real=getattr(module, name), seen=seen):
+            seen.append(args[3])
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+    assert main(["bounds", fixture_path("test1"),
+                 "--degrees", "2,2:4,4"]) == 0
+    capsys.readouterr()
+    assert calls == {name: DEGREES for name in calls}
 
 
 def test_prepared_memo_is_bounded():

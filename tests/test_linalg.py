@@ -3,7 +3,9 @@
 import copy
 import random
 from fractions import Fraction
+from math import lcm
 
+import pytest
 from tmeshdim.linalg import rank_sparse
 
 
@@ -30,6 +32,16 @@ def _entry(rng, fractions):
     if fractions and rng.random() < 0.3:
         return Fraction(v, rng.randint(2, 9))
     return v
+
+
+def integer_rows(rows):
+    """Each row times the lcm of its entries' denominators: the same rank,
+    in the integer form rank_sparse takes."""
+    out = []
+    for row in rows:
+        den = lcm(*(Fraction(v).denominator for v in row.values()))
+        out.append({c: int(v * den) for c, v in row.items()})
+    return out
 
 
 def random_matrix(rng):
@@ -76,7 +88,7 @@ def test_rank_matches_dense_elimination():
     rng = random.Random(11)
     for _ in range(600):
         rows = random_matrix(rng)
-        assert rank_sparse(rows) == dense_rank(rows), rows
+        assert rank_sparse(integer_rows(rows)) == dense_rank(rows), rows
 
 
 def test_rank_of_incidence_matrices():
@@ -110,7 +122,7 @@ def test_rank_of_large_dependent_integer_matrices():
 def test_rank_does_not_depend_on_row_order_and_leaves_rows_alone():
     rng = random.Random(14)
     for _ in range(200):
-        rows = random_matrix(rng) + incidence_matrix(rng)
+        rows = integer_rows(random_matrix(rng)) + incidence_matrix(rng)
         before = copy.deepcopy(rows)
         want = rank_sparse(rows)
         assert rows == before
@@ -122,6 +134,8 @@ def test_rank_does_not_depend_on_row_order_and_leaves_rows_alone():
 def test_rank_of_small_cases():
     assert rank_sparse([]) == 0
     assert rank_sparse([{}, {3: 0}]) == 0
-    assert rank_sparse([{0: Fraction(1, 3), 1: 2}, {0: 1, 1: 6}]) == 1
+    assert rank_sparse([{0: 1, 1: 6}, {0: 1, 1: 6}]) == 1
+    with pytest.raises(TypeError):
+        rank_sparse([{0: Fraction(1, 3), 1: 2}, {0: 1, 1: 6}])
     assert rank_sparse([{0: 2, 1: -4}, {0: -3, 1: 6}, {1: 5}]) == 2
     assert rank_sparse(iter([{0: 1}, {1: 1}, {0: 1, 1: 1}])) == 2

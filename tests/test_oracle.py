@@ -1,7 +1,9 @@
 """The exact constraint-rank oracle and the polynomial span oracle."""
 
 import json
+import random
 from fractions import Fraction as F
+from math import comb
 
 from tmeshdim import oracle_spline_dim, span_dim, span_quotient_dim
 from tmeshdim.meshfile import parse_mesh_dict
@@ -28,6 +30,25 @@ def test_span_of_nothing():
 def test_span_quotient_degenerate_boxes():
     assert span_quotient_dim([power_grid("t", F(1), 1)], (-1, 3), (0, 0)) == 0
     assert span_quotient_dim([({(0, 0): 1}, (0, 0))], (2, 2), (-1, 2)) == 9
+
+
+def test_power_grid_is_an_integer_multiple_of_the_rational_expansion():
+    # (q x - p)^d is q^d (x - p/q)^d, so the two grids span the same space
+    rng = random.Random(5)
+    for _ in range(40):
+        knot = F(rng.randint(-30, 30), rng.randint(1, 9))
+        q = knot.denominator
+        for degree in range(7):
+            for direction in ("s", "t"):
+                grid, _ = power_grid(direction, knot, degree)
+                assert all(type(c) is int for c in grid.values())
+                want = {}
+                for k in range(degree + 1):
+                    c = comb(degree, k) * (-knot) ** (degree - k)
+                    if c:
+                        exps = (0, k) if direction == "t" else (k, 0)
+                        want[exps] = q ** degree * c
+                assert grid == want, (knot, degree, direction)
 
 
 def test_single_face_dimension_is_the_full_box():

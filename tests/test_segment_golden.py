@@ -61,7 +61,7 @@ def case_digest(an, strategy, m):
     ordr = order_segments(an, strategy, m)
     sets = contribution_sets(an, ordr, m)
     try:
-        h0 = h0_ideal_upper(an, ordr, m)
+        h0 = h0_ideal_upper(sets)
     except AssumptionViolated:
         h0 = None
     doc = {"strategy": ordr.strategy, "sequence": _plain(ordr.sequence),

@@ -105,7 +105,7 @@ def test_weight_threshold_covers_the_whole_block():
     levels = an.level.profile.levels
     for rho in an.interior:
         block = dim_M(levels, 1, rho.e, m)
-        covered = dim_D_contribution(rho, sets, m)
+        covered = dim_D_contribution(rho, sets)
         if sets.weights[rho.key] >= m[0] - levels[1][0] + 1:
             assert covered == block
         else:
@@ -120,11 +120,13 @@ def test_upper_bound_dominates_the_exact_h0_for_every_ordering():
     keys = [s.key for s in an.interior]
     uppers = set()
     for perm in permutations(keys):
-        val = h0_ideal_upper(an, SegmentOrdering("input", perm), m)
+        val = h0_ideal_upper(
+            contribution_sets(an, SegmentOrdering("input", perm), m))
         assert val >= exact
         uppers.add(val)
     # the exhaustive strategy picks the best of them
-    best = h0_ideal_upper(an, order_segments(an, "exhaustive", m), m)
+    best = h0_ideal_upper(
+        contribution_sets(an, order_segments(an, "exhaustive", m), m))
     assert best == min(uppers) == 9
 
 
@@ -136,7 +138,7 @@ def test_exact_h0_values_on_the_fixtures():
         an = level_analysis(name, index)
         assert h0_ideal_oracle(an, m) == want
         ordr = order_segments(an, "auto", m)
-        assert h0_ideal_upper(an, ordr, m) == want
+        assert h0_ideal_upper(contribution_sets(an, ordr, m)) == want
 
 
 def test_stub_weights_count_every_transversal_line():
@@ -152,7 +154,8 @@ def test_h0_upper_requires_acyclic_levels():
     lv = all_levels(mesh, profile)[0]
     an = analyze_segments(lv, smoothness)
     with pytest.raises(AssumptionViolated):
-        h0_ideal_upper(an, order_segments(an, "input", (3, 3)), (3, 3))
+        h0_ideal_upper(contribution_sets(
+            an, order_segments(an, "input", (3, 3)), (3, 3)))
 
 
 def test_exhaustive_search_returns_the_lex_first_minimizer():
@@ -171,13 +174,14 @@ def test_exhaustive_search_returns_the_lex_first_minimizer():
             keys = [s.key for s in an.interior]
             perms = list(permutations(keys))
             for m in degrees:
-                vals = [h0_ideal_upper(an, SegmentOrdering("input", perm), m)
+                vals = [h0_ideal_upper(contribution_sets(
+                            an, SegmentOrdering("input", perm), m))
                         for perm in perms]
                 best = min(vals)
                 first = perms[vals.index(best)]
                 got = order_segments(an, "exhaustive", m)
                 assert got.sequence == first, (name, lv.index, m)
-                assert h0_ideal_upper(an, got, m) == best
+                assert h0_ideal_upper(contribution_sets(an, got, m)) == best
                 tied += vals.count(best) > 1
     # ties are common, so the tie-break is exercised
     assert tied > 0
@@ -194,8 +198,7 @@ def test_sequences_with_int_coordinates_resolve_against_fraction_keys():
         assert getattr(a, field) == getattr(b, field)
     # the sets are keyed by the analysis's own keys, whatever the caller used
     assert all(isinstance(k[1], F) for k in a.weights)
-    assert h0_ideal_upper(an, SegmentOrdering("input", ints), (4, 4)) == \
-        h0_ideal_upper(an, SegmentOrdering("input", fracs), (4, 4))
+    assert h0_ideal_upper(a) == h0_ideal_upper(b)
     with pytest.raises(KeyError):
         contribution_sets(an, SegmentOrdering("input", ints[:3]), (4, 4))
 
@@ -270,7 +273,7 @@ def test_search_and_rules_on_random_mixed_r_levels():
                         assert dict(sets.lam[k]) == lam[k]
                     seen["upsilon"] += any(upsilon.values())
                     seen["theta"] += any(theta.values())
-                    vals.append(h0_ideal_upper(an, ordr, m, sets=sets))
+                    vals.append(h0_ideal_upper(sets))
                 got = order_segments(an, "exhaustive", m)
                 assert got.sequence == perms[vals.index(min(vals))], \
                     (seed, lv.index, m)
