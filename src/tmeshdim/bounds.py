@@ -268,9 +268,10 @@ def _level_rows(prep: _Prepared, ordering, m):
         an = prep.analyses[k]
         ordr = order_segments(an, ordering, m)
         sets = contribution_sets(an, ordr, m)
+        weights = (weight for _, weight, _ in sets.terms)
         yield LevelRow(lv.index, lv.c, lv.h, dm0, h0c, h0_ideal_upper(sets),
                        len(an.interior), ordr.strategy, ordr.sequence,
-                       tuple(sets.weights.items()))
+                       tuple(zip(an.index.keys, weights)))
 
 
 def bounds(mesh: TMesh, profile, smoothness, m, ordering="auto",

@@ -214,6 +214,8 @@ def build_tmesh(rects) -> TMesh:
         cuts = [c for c in coords if lo <= c <= hi]
         return [Edge(axis, line, a, b) for a, b in zip(cuts, cuts[1:])]
 
+    # edge_faces[e] starts with e itself, so a side two faces share is one
+    # Edge object, the first one built for it
     edge_faces = {}
     face_edges = {}
     for f in faces:
@@ -223,11 +225,12 @@ def build_tmesh(rects) -> TMesh:
                                    ("v", f.x0, f.y0, f.y1),
                                    ("v", f.x1, f.y0, f.y1)):
             for e in side_edges(axis, line, lo, hi):
-                mine.append(e)
-                edge_faces.setdefault(e, []).append(f)
+                known = edge_faces.setdefault(e, [e])
+                known.append(f)
+                mine.append(known[0])
         face_edges[f] = tuple(mine)
     edges = sorted(edge_faces)
-    for e, fs in edge_faces.items():
+    for e, (_, *fs) in edge_faces.items():
         if len(fs) > 2:
             raise MalformedError(f"edge {e} bounds {len(fs)} faces")
         edge_faces[e] = tuple(sorted(fs))

@@ -246,12 +246,14 @@ class SegmentIndex:
         return _rule_tables(self, [range(1 << n)] * n)
 
     def ranks(self, sequence):
-        """rank[k]: the place of interior segment k in sequence."""
+        """rank[k]: the place of interior segment k in sequence. A key that
+        is missing, repeated or not an interior segment raises KeyError."""
         rank = [None] * len(self.axis)
         for q, key in enumerate(sequence):
-            k = self.of.get(key)
-            if k is not None:
-                rank[k] = q
+            k = self.of[key]
+            if rank[k] is not None:
+                raise KeyError(key)
+            rank[k] = q
         if None in rank:
             raise KeyError(self.keys[rank.index(None)])
         return rank
@@ -307,18 +309,62 @@ def order_segments(an: SegmentAnalysis, strategy="auto",
 
 @dataclass
 class ContributionSets:
-    """One level's rule records under an ordering at bi-degree m; each dict
-    is keyed by the interior segment keys, listed in key order."""
+    """One level's rule records under an ordering at bi-degree m.
+
+    terms[k] holds interior segment k's lam records ((position, r) pairs),
+    weight and generators (as dim_power_sum_in takes them); before, rules
+    and theta_pairs are the order's before masks, its rule tables and, per
+    owner k, theta's (a, b) pairs. The dicts gamma, upsilon, theta, lam,
+    weights and generators, keyed by the interior segment keys in key
+    order, are built on first read.
+    """
 
     analysis: SegmentAnalysis
     ordering: SegmentOrdering
     m: tuple
-    gamma: dict
-    upsilon: dict
-    theta: dict
-    lam: dict
-    weights: dict
-    generators: dict
+    terms: tuple
+    before: list
+    rules: list
+    theta_pairs: tuple
+
+    def _by_key(self, values):
+        return dict(zip(self.analysis.index.keys, values))
+
+    @cached_property
+    def gamma(self):
+        ix = self.analysis.index
+        return self._by_key(
+            tuple(c[3] for t, c in enumerate(ix.crossers[k])
+                  if self.rules[k][b] >> t & 1)
+            for k, b in enumerate(self.before))
+
+    @cached_property
+    def upsilon(self):
+        ix = self.analysis.index
+        return self._by_key(
+            tuple((ix.keys[k1], ix.keys[j])
+                  for k1, shared, _ in _upsilon(ix, k, b) for j in shared)
+            for k, b in enumerate(self.before))
+
+    @cached_property
+    def theta(self):
+        keys = self.analysis.index.keys
+        return self._by_key(tuple((keys[a], keys[b]) for a, b in pairs)
+                            for pairs in self.theta_pairs)
+
+    @cached_property
+    def lam(self):
+        segs = self.analysis.segments
+        return self._by_key(tuple((segs[p].key, rc) for p, rc in recs)
+                            for recs, _, _ in self.terms)
+
+    @cached_property
+    def weights(self):
+        return self._by_key(weight for _, weight, _ in self.terms)
+
+    @cached_property
+    def generators(self):
+        return self._by_key(gens for _, _, gens in self.terms)
 
 
 def _axis_index(axis: str) -> int:
@@ -445,34 +491,28 @@ class _Terms(dict):
 
     def __missing__(self, key):
         an, k, m = self.an, self.k, self.m
-        rho = an.interior[k]
         _, weight, gens = _lam_weight_generators(an, k, key, m)
         term = self[key] = _uncovered(
-            an.level.profile.levels, an.level.index, rho, weight,
-            _generator_form(an, rho, gens), m)
+            an.level.profile.levels, an.level.index, an.interior[k], weight,
+            gens, m)
         return term
 
 
 def _lam_weight_generators(an: SegmentAnalysis, k, key, m):
     """Segment k's lam records ((position, r) pairs), weight, and
-    generators ((line rank, (r, extra shift)) pairs in line order) from
-    its rule key."""
+    generators ((direction, knot, degree, extra shift) in line order, as
+    dim_power_sum_in takes them) from its rule key."""
     ix = an.index
+    rho = an.interior[k]
     ups = key >> len(ix.crossers[k])
     recs = tuple(c[1:3] for t, c in enumerate(ix.crossers[k]) if key >> t & 1)
-    weight = segment_weight(an.interior[k], recs, m, an.level.profile.levels)
+    weight = segment_weight(rho, recs, m, an.level.profile.levels)
     gens = {ix.line[p]: (rc, (0, 0)) for p, rc in recs}
     for j in _bits(ups):
         gens.setdefault(ix.line[ix.pos[j]], (ix.r[j], ix.dp[k]))
-    return recs, weight, tuple(sorted(gens.items()))
-
-
-def _generator_form(an: SegmentAnalysis, rho: MaxSegment, gens):
-    """(direction, knot, degree, extra shift) generators, as dim_power_sum_in
-    takes them, from (line rank, (r, extra shift)) pairs."""
     direction = "s" if rho.axis == "h" else "t"
-    return tuple((direction, an.index.lines[q], r2 + 1, extra)
-                 for q, (r2, extra) in gens)
+    return recs, weight, tuple((direction, ix.lines[q], r2 + 1, extra)
+                               for q, (r2, extra) in sorted(gens.items()))
 
 
 def contribution_sets(an: SegmentAnalysis, ordering: SegmentOrdering,
@@ -483,28 +523,11 @@ def contribution_sets(an: SegmentAnalysis, ordering: SegmentOrdering,
     rules = _rule_tables(ix, [{b} | {b & before[a] for a in ix.icross[k]}
                               for k, b in enumerate(before)])
     theta = [[] for _ in before]
-    terms = [_lam_weight_generators(an, k, key, m)
-             for k, key in enumerate(_order_keys(
-                 before, rules, _theta_at(an, rules, m), theta))]
-    keys = ix.keys
-
-    def by_key(values):
-        return dict(zip(keys, values))
-
-    return ContributionSets(
-        an, ordering, tuple(m),
-        by_key(tuple(c[3] for t, c in enumerate(ix.crossers[k])
-                     if rules[k][b] >> t & 1)
-               for k, b in enumerate(before)),
-        by_key(tuple((keys[k1], keys[j])
-                     for k1, shared, _ in _upsilon(ix, k, b) for j in shared)
-               for k, b in enumerate(before)),
-        by_key(tuple((keys[a], keys[b]) for a, b in t) for t in theta),
-        by_key(tuple((an.segments[p].key, rc) for p, rc in recs)
-               for recs, _, _ in terms),
-        by_key(weight for _, weight, _ in terms),
-        by_key(_generator_form(an, rho, gens)
-               for rho, (_, _, gens) in zip(an.interior, terms)))
+    keys = _order_keys(before, rules, _theta_at(an, rules, m), theta)
+    terms = tuple(_lam_weight_generators(an, k, key, m)
+                  for k, key in enumerate(keys))
+    return ContributionSets(an, ordering, tuple(m), terms, before, rules,
+                            tuple(map(tuple, theta)))
 
 
 def _uncovered(levels, i, rho: MaxSegment, weight, gens, m) -> int:
@@ -526,9 +549,10 @@ def _covered(levels, i, rho: MaxSegment, weight, gens, m) -> int:
 
 def dim_D_contribution(rho: MaxSegment, sets: ContributionSets) -> int:
     """Dimension of the covered part of one segment's block at sets.m."""
-    level = sets.analysis.level
-    return _covered(level.profile.levels, level.index, rho,
-                    sets.weights[rho.key], sets.generators[rho.key], sets.m)
+    an = sets.analysis
+    _, weight, gens = sets.terms[an.index.of[rho.key]]
+    return _covered(an.level.profile.levels, an.level.index, rho,
+                    weight, gens, sets.m)
 
 
 def h0_ideal_upper(sets: ContributionSets) -> int:
@@ -539,9 +563,8 @@ def h0_ideal_upper(sets: ContributionSets) -> int:
         raise AssumptionViolated(
             f"level {an.level.index} has relative cycles (h = {an.level.h})")
     levels, i = an.level.profile.levels, an.level.index
-    return sum(_uncovered(levels, i, rho, sets.weights[rho.key],
-                          sets.generators[rho.key], m)
-               for rho in an.interior)
+    return sum(_uncovered(levels, i, rho, weight, gens, m)
+               for rho, (_, weight, gens) in zip(an.interior, sets.terms))
 
 
 def h0_ideal_oracle(an: SegmentAnalysis, m) -> int:

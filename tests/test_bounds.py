@@ -331,3 +331,32 @@ def test_prepared_memo_is_bounded():
     keys = [tuple(id(x) for x in triple) for triple in triples]
     assert keys[0] not in module._memo
     assert keys[-1] in module._memo
+
+
+KEYED_RECORDS = ("gamma", "upsilon", "theta", "lam", "weights", "generators")
+
+
+def _unread(name):
+    """A field that may be set but not read."""
+    def read(self):
+        raise AssertionError(f"the bounds path read ContributionSets.{name}")
+    return property(read, lambda self, value: None)
+
+
+def test_bounds_path_reads_no_keyed_contribution_record(monkeypatch):
+    # bounds and certify_stable take the per-segment terms by position;
+    # building the Fraction-keyed dicts is left to callers that read them
+    segments = sys.modules["tmeshdim.segments"]
+    unread = type("Unread", (segments.ContributionSets,),
+                  {name: _unread(name) for name in KEYED_RECORDS})
+    monkeypatch.setattr(segments, "ContributionSets", unread)
+    degrees = [(a, b) for a in range(2, 7) for b in range(2, 7)]
+    for name, _ in CANONICAL:
+        triple = parse_mesh_file(fixture_path(name))
+        for m in degrees:
+            rep = bounds(*triple, m, with_oracle=True)
+            assert all(row.weights for row in rep.rows
+                       if row.segment_count)
+            bounds(*triple, m, ordering="greedy")
+            exact = rep.exact if rep.certified else None
+            assert certify_stable(*triple, m) == (rep.certified, exact)

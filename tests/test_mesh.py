@@ -8,8 +8,9 @@ from tmeshdim import (ChainConflictError, DanglingOverrideError,
                       OverlapError, UnorderedDeficitsError, build_profile,
                       build_smoothness, build_tmesh)
 from tmeshdim.mesh import Rect
+from tmeshdim.meshfile import parse_mesh_file
 
-from .helpers import make
+from .helpers import fixture_path, grid, make
 
 
 def test_single_face_counts():
@@ -201,3 +202,15 @@ def test_rational_coordinates_stay_exact():
     mesh, _, _ = make([(0, 0, Fraction(1, 3), 1), (Fraction(1, 3), 0, 1, 1)])
     xs = sorted({v[0] for v in mesh.vertices})
     assert xs == [0, Fraction(1, 3), 1]
+
+
+def test_faces_list_the_mesh_edge_objects():
+    # an edge shared by two faces is one object, the one in mesh.edges
+    meshes = [parse_mesh_file(fixture_path(name))[0]
+              for name in ("test1", "test2", "test3", "new_relations_a",
+                           "new_relations_b", "counterexample", "nested")]
+    meshes.append(grid(20)[0])
+    for mesh in meshes:
+        ids = {id(e) for e in mesh.edges}
+        assert all(id(e) in ids
+                   for es in mesh.face_edges.values() for e in es)

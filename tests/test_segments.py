@@ -199,8 +199,10 @@ def test_sequences_with_int_coordinates_resolve_against_fraction_keys():
     # the sets are keyed by the analysis's own keys, whatever the caller used
     assert all(isinstance(k[1], F) for k in a.weights)
     assert h0_ideal_upper(a) == h0_ideal_upper(b)
-    with pytest.raises(KeyError):
-        contribution_sets(an, SegmentOrdering("input", ints[:3]), (4, 4))
+    # a missing, a foreign or a repeated key is not an order of the level
+    for bad in (ints[:3], ints + (("h", 99, 0),), ints + ints[:1]):
+        with pytest.raises(KeyError):
+            contribution_sets(an, SegmentOrdering("input", bad), (4, 4))
 
 
 def reference_sets(an, sequence, m):
