@@ -7,6 +7,7 @@ M(i) = L(i-1)/L(i) the successive quotients. All functions return exact
 integers.
 """
 
+from fractions import Fraction
 from functools import lru_cache
 
 from .mesh import bd_add, bd_max, bd_sub
@@ -136,7 +137,9 @@ def _power_sum_in_cached(levels, i, gens, m):
     # among three coprime forms, so the rank is computed, not guessed
     ambient = bd_sub(m, levels[i - 1])
     lbox = bd_sub(m, levels[i]) if i <= top else None
-    return span_quotient_dim([power_grid(*g) for g in gens], ambient, lbox)
+    return span_quotient_dim([power_grid(direction, Fraction(*knot), d, extra)
+                              for direction, knot, d, extra in gens],
+                             ambient, lbox)
 
 
 def dim_power_sum_in(levels, i, gens, m) -> int:
@@ -147,6 +150,8 @@ def dim_power_sum_in(levels, i, gens, m) -> int:
     i runs 1..top+1; at top+1 the quotient is by zero.
     """
     _check_level(levels, i, lowest=1)
-    key = tuple(sorted((g[0], g[1], int(g[2]), (int(g[3][0]), int(g[3][1])))
-                       for g in gens))
+    # the cache key holds each knot as its (numerator, denominator) pair, so
+    # building it sorts and hashes ints only
+    key = tuple(sorted((g[0], (g[1].numerator, g[1].denominator), int(g[2]),
+                        (int(g[3][0]), int(g[3][1]))) for g in gens))
     return _power_sum_in_cached(tuple(levels), i, key, (m[0], m[1]))

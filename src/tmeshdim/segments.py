@@ -10,8 +10,6 @@ boundary, and by relations manufactured from parallel neighbors.
 
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import permutations
-from operator import getitem
 from typing import Optional
 
 from .graded import dim_M, dim_power_sum_in
@@ -126,6 +124,12 @@ class SegmentAnalysis:
     @cached_property
     def greedy_sequence(self):
         """The greedy order's keys; it does not depend on the bi-degree."""
+        return tuple(self.index.keys[k] for k in self.greedy_order)
+
+    @cached_property
+    def greedy_order(self):
+        """The greedy order's segment numbers, which contribution_sets
+        takes in place of ranking greedy_sequence's keys."""
         ix = self.index
         left = set(range(len(self.interior)))
         comps = []
@@ -153,7 +157,7 @@ class SegmentAnalysis:
             seq.extend(k for k in comp if ix.axis[k] != ix.axis[hub])
             seq.extend(k for k in comp if ix.axis[k] == ix.axis[hub]
                        and k != hub)
-        return tuple(ix.keys[k] for k in seq)
+        return tuple(seq)
 
 
 class SegmentIndex:
@@ -291,20 +295,78 @@ def order_segments(an: SegmentAnalysis, strategy="auto",
             f"{n} interior segments exceed the exhaustive limit {EXHAUSTIVE_LIMIT}")
     if m is None:
         raise ValueError("exhaustive ordering needs a bi-degree")
+    if n <= 1:
+        return SegmentOrdering("exhaustive", tuple(an.index.keys))
     # The objective is h0_ideal_upper. The rules are looked up in tables
     # indexed by before masks, and a segment's term depends only on its rule
     # key, which many orders share, so each term is computed once per search.
     rules = an.index.search_tables
-    theta_at = _theta_at(an, rules, m)
     terms = [_Terms(an, k, m) for k in range(n)]
-    best = best_perm = None
-    for perm in permutations(range(n)):
-        val = sum(map(getitem, terms,
-                      _order_keys(_before(perm), rules, theta_at)))
-        if best is None or val < best:
-            best, best_perm = val, perm
+    best_order = _walk(rules, _theta_at(an, rules, m), terms)
     return SegmentOrdering("exhaustive",
-                           tuple(an.index.keys[k] for k in best_perm))
+                           tuple(an.index.keys[k] for k in best_order))
+
+
+def _walk(rules, theta_at, terms):
+    """The lex-first order of least total term, by a depth-first walk.
+
+    The walk places segment numbers in increasing order, so it meets the
+    orders in lex order. A segment's rule key is fixed when it is placed
+    after the segments of mask P: rules[x][P], plus theta's bits, which
+    _order_keys would set as follows. Each such bit is the bit of owner k
+    among x's crossers, which gamma has set already when k is in P; when
+    k comes after x, before[k] & before[a] is before[a].
+      - As b of owner k and first a: the bit of k when a is in P and a
+        qualifies at its own before mask.
+      - As a: the bit of k when some second b is not in P and a qualifies
+        at P.
+    Terms are at least 0, so a branch whose partial sum reaches the best
+    total so far holds no order better than that one, and is skipped.
+    """
+    n = len(rules)
+    as_a = [[] for _ in range(n)]
+    as_b = [[] for _ in range(n)]
+    for k, a, _, k_in_a, seconds, qualifies in theta_at:
+        if k_in_a:
+            as_a[a].append((sum(1 << b for b, _ in seconds), k_in_a,
+                            qualifies))
+        for b, k_in_b in seconds:
+            as_b[b].append((a, k_in_b, qualifies))
+    before = [0] * n      # before[x] for each x placed on the current path
+    order = [0] * n       # order[d]: the segment at place d
+    total = [0] * n       # total[d]: the sum of the terms ahead of place d
+    placed = [0] * n      # placed[d]: the mask of the segments ahead of d
+    best = best_order = None
+    d = x = 0
+    while True:
+        done = placed[d]      # P
+        while x < n and done >> x & 1:
+            x += 1
+        if x == n:
+            if d == 0:
+                return best_order
+            d -= 1
+            x = order[d] + 1
+            continue
+        key = rules[x][done]
+        for a, k_in_b, qualifies in as_b[x]:
+            if done >> a & 1 and qualifies[before[a]]:
+                key |= k_in_b
+        for b_bits, k_in_a, qualifies in as_a[x]:
+            if b_bits & ~done and qualifies[done]:
+                key |= k_in_a
+        partial = total[d] + terms[x][key]
+        if best is not None and partial >= best:
+            x += 1
+        elif d == n - 1:
+            order[d] = x
+            best, best_order = partial, order[:]
+            x += 1
+        else:
+            order[d], before[x] = x, done
+            d += 1
+            total[d], placed[d] = partial, done | 1 << x
+            x = 0
 
 
 @dataclass
@@ -518,8 +580,13 @@ def _lam_weight_generators(an: SegmentAnalysis, k, key, m):
 def contribution_sets(an: SegmentAnalysis, ordering: SegmentOrdering,
                       m) -> ContributionSets:
     ix = an.index
-    rank = ix.ranks(ordering.sequence)
-    before = _before(sorted(range(len(rank)), key=rank.__getitem__))
+    if ordering.strategy == "greedy" and \
+            ordering.sequence is an.greedy_sequence:
+        order = an.greedy_order
+    else:
+        rank = ix.ranks(ordering.sequence)
+        order = sorted(range(len(rank)), key=rank.__getitem__)
+    before = _before(order)
     rules = _rule_tables(ix, [{b} | {b & before[a] for a in ix.icross[k]}
                               for k, b in enumerate(before)])
     theta = [[] for _ in before]

@@ -1,12 +1,14 @@
 """Closed-form graded dimensions against the rational span oracle."""
 
 from fractions import Fraction
+from itertools import permutations
 
 import pytest
 from tmeshdim import (IndexOutOfRange, MixedDirectionError, dim_L, dim_M,
                       dim_edge_increment, dim_power_sum, dim_power_sum_in,
                       dim_shift, dim_vertex_increment, span_dim,
                       span_quotient_dim)
+from tmeshdim.graded import _power_sum_in_cached
 from tmeshdim.mesh import bd_add, bd_max, bd_sub
 from tmeshdim.oracle import power_grid
 
@@ -184,3 +186,24 @@ def test_power_sum_in_rejects_mixed_directions_and_repeats():
     with pytest.raises(ValueError):
         dim_power_sum_in(levels, 1, [("s", Fraction(1), 2, (0, 0)),
                                      ("s", Fraction(1), 1, (0, 0))], (4, 4))
+
+
+def test_power_sum_in_caches_knots_by_value_in_any_order():
+    # an int knot and the equal Fraction, and the generators in any order,
+    # are one cache entry: the key holds (numerator, denominator) pairs
+    levels = ((0, 0), (1, 1), (2, 2))
+    m = (7, 6)
+    gens = [("t", Fraction(1, 3), 2, (0, 0)), ("t", Fraction(2), 3, (1, 0)),
+            ("t", Fraction(5, 2), 2, (0, 0))]
+    want = _in_oracle(levels, 1, gens, m)
+    assert dim_power_sum_in(levels, 1, gens, m) == want
+    before = _power_sum_in_cached.cache_info()
+    as_int = [g[:1] + (2,) + g[2:] if g[1] == 2 else g for g in gens]
+    variants = [list(p) for p in permutations(gens)]
+    variants += [list(p) for p in permutations(as_int)]
+    for variant in variants:
+        assert dim_power_sum_in(levels, 1, variant, m) == want
+    after = _power_sum_in_cached.cache_info()
+    assert after.currsize == before.currsize
+    assert after.hits - before.hits == len(variants)
+    assert after.misses == before.misses

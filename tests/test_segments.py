@@ -5,9 +5,11 @@ are pinned independently by the constraint-rank oracle in test_bounds and
 test_acceptance; here the focus is the segment calculus itself.
 """
 
+import gc
 import random
 from fractions import Fraction as F
 from itertools import permutations
+from operator import getitem
 
 import pytest
 from tmeshdim import (AssumptionViolated, SegmentOrdering,
@@ -15,8 +17,10 @@ from tmeshdim import (AssumptionViolated, SegmentOrdering,
                       contribution_sets, dim_D_contribution, dim_M,
                       h0_ideal_oracle, h0_ideal_upper, order_segments)
 from tmeshdim.meshfile import parse_mesh_file
+from tmeshdim.segments import (_before, _order_keys, _Terms, _theta_at,
+                                _walk)
 
-from .helpers import fixture_path
+from .helpers import fixture_path, make
 from .helpers.randmesh import (random_region_mesh, random_split_mesh,
                                ring_region_mesh)
 from .test_segment_golden import mixed_r
@@ -280,3 +284,129 @@ def test_search_and_rules_on_random_mixed_r_levels():
                 assert got.sequence == perms[vals.index(min(vals))], \
                     (seed, lv.index, m)
     assert min(seen.values()) > 0, seen
+
+
+def enumerated_best(rules, theta_at, terms):
+    """The exhaustive search as a plain enumeration: every order of the
+    segment numbers in lex order, each segment's rule key taken from the
+    whole order (_order_keys), the first strict minimum of the terms' sum
+    kept."""
+    best = best_perm = None
+    for perm in permutations(range(len(rules))):
+        val = sum(map(getitem, terms,
+                      _order_keys(_before(perm), rules, theta_at)))
+        if best is None or val < best:
+            best, best_perm = val, perm
+    return list(best_perm)
+
+
+def enumerated_order(an, m):
+    rules = an.index.search_tables
+    best = enumerated_best(rules, _theta_at(an, rules, m),
+                           [_Terms(an, k, m) for k in range(len(rules))])
+    return tuple(an.index.keys[k] for k in best)
+
+
+def test_pruned_search_matches_the_enumeration_up_to_eight_segments():
+    # every fixture level the search takes (test3's has 7 segments), the
+    # 8-segment level 1 of Random(29) and seeded mixed-r split-mesh levels
+    # of 7 and 8 segments, below the top level (with theta candidates) and
+    # above it
+    degrees = [(a, b) for a in range(2, 7) for b in range(2, 7)]
+    runs = []
+    for name in ("test1", "test2", "test3", "new_relations_a",
+                 "new_relations_b", "counterexample", "nested"):
+        mesh, profile, smoothness = parse_mesh_file(fixture_path(name))
+        runs += [(analyze_segments(lv, smoothness), degrees)
+                 for lv in all_levels(mesh, profile)]
+    mesh, profile, smoothness, _ = random_split_mesh(random.Random(29),
+                                                     max_faces=30)
+    runs.append((analyze_segments(all_levels(mesh, profile)[0], smoothness),
+                 [(3, 3), (4, 5), (6, 6)]))
+    for seed in (9, 12, 29, 33, 40):
+        mesh, profile, _, _ = random_split_mesh(random.Random(seed),
+                                                max_faces=30)
+        smoothness = mixed_r(mesh, seed)
+        ans = [analyze_segments(lv, smoothness)
+               for lv in all_levels(mesh, profile)]
+        runs += [(an, [(3, 3), (6, 6)]) for an in ans
+                 if 7 <= len(an.interior)]
+    sizes = []
+    for an, ms in runs:
+        if len(an.interior) > 8:
+            continue
+        sizes.append(len(an.interior))
+        for m in ms:
+            assert order_segments(an, "exhaustive", m).sequence \
+                == enumerated_order(an, m), (an.level.index, sizes[-1], m)
+    assert (sizes.count(7), sizes.count(8)) == (4, 4), sizes
+
+
+class RandomTerms(dict):
+    """Seeded random terms in 0..49 by rule key, so that the least order
+    turns on every segment's key."""
+
+    def __init__(self, seed, k):
+        super().__init__()
+        self.seed, self.k = seed, k
+
+    def __missing__(self, key):
+        rng = random.Random(hash((self.seed, self.k, key)))
+        term = self[key] = rng.randrange(50)
+        return term
+
+
+def test_walk_fixes_each_rule_key_when_the_segment_is_placed():
+    # split meshes whose deficits step in x alone, so vertical owners carry
+    # no step and theta's first segment a gains its owner too; random terms
+    # per rule key make the least order depend on each key the walk reads
+    # at placement, which must be the key the whole order gives
+    levels = []
+    for seed in (3, 44, 60):
+        rng = random.Random(seed)
+        base = random_split_mesh(rng, max_faces=30)[0]
+        rects = [(f.x0, f.y0, f.x1, f.y1) for f in base.faces]
+        deficits = [rng.choice(((1, 0), (2, 0), (2, 1)))
+                    if rng.random() < 0.4 else (0, 0) for _ in rects]
+        deficits[0] = (0, 0)
+        mesh, profile, _ = make(rects, deficits=deficits, r=1)
+        smoothness = mixed_r(mesh, seed)
+        for lv in all_levels(mesh, profile):
+            an = analyze_segments(lv, smoothness)
+            if any(k_in_a for _, _, _, k_in_a, _ in an.index.theta):
+                levels.append(an)
+    assert sorted(len(an.interior) for an in levels) == [3, 3, 5, 6, 7]
+    for an in levels:
+        rules = an.index.search_tables
+        for m in ((3, 3), (4, 5), (6, 6)):
+            theta_at = _theta_at(an, rules, m)
+            for seed in range(6):
+                terms = [RandomTerms(seed, k) for k in range(len(rules))]
+                assert _walk(rules, theta_at, terms) \
+                    == enumerated_best(rules, theta_at, terms)
+
+
+def test_exhaustive_search_leaves_no_cyclic_garbage():
+    for name, m in (("counterexample", (4, 4)), ("test3", (6, 6))):
+        an = level_analysis(name, 1)
+        gc.collect()
+        gc.disable()
+        try:
+            order_segments(an, "exhaustive", m)
+            assert gc.collect() == 0, name
+        finally:
+            gc.enable()
+
+
+def test_greedy_order_and_an_equal_sequence_give_the_same_sets():
+    # contribution_sets takes the analysis's own greedy sequence by its
+    # cached segment numbers; an equal sequence built by the caller is
+    # ranked key by key to the same masks
+    an = level_analysis("test1", 1)
+    m = (3, 3)
+    greedy = order_segments(an, "greedy")
+    copy = SegmentOrdering("greedy", tuple(list(greedy.sequence)))
+    assert copy.sequence is not greedy.sequence
+    a, b = contribution_sets(an, greedy, m), contribution_sets(an, copy, m)
+    assert a.before == b.before and a.terms == b.terms
+    assert h0_ideal_upper(a) == h0_ideal_upper(b)
