@@ -8,8 +8,10 @@ meet at most in a shared vertex, and a vertex interior to the domain has
 exactly three (T-junction) or four (crossing) incident edges.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import attrgetter
 
 
 class MeshError(Exception):
@@ -77,12 +79,28 @@ def bd_sub(a, b):
 
 @dataclass(frozen=True, order=True)
 class Rect:
-    """Closed axis-aligned rectangle [x0, x1] x [y0, y1]."""
+    """Closed axis-aligned rectangle [x0, x1] x [y0, y1].
+
+    Faces key most of the mesh's dicts, so the hash of the field tuple, the
+    value the dataclass would compute, is taken once at construction.
+    Pickling and copying go through the constructor, so a copy takes the
+    hash afresh, as a new process must.
+    """
 
     x0: Fraction
     y0: Fraction
     x1: Fraction
     y1: Fraction
+
+    def __post_init__(self):
+        object.__setattr__(self, "_hash",
+                           hash((self.x0, self.y0, self.x1, self.y1)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return Rect, (self.x0, self.y0, self.x1, self.y1)
 
 
 @dataclass(frozen=True, order=True)
@@ -98,6 +116,18 @@ class Edge:
     lo: Fraction
     hi: Fraction
 
+    # the hash is taken once, as for Rect; it covers the str axis, whose
+    # hash is salted per process
+    def __post_init__(self):
+        object.__setattr__(self, "_hash",
+                           hash((self.axis, self.line, self.lo, self.hi)))
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return Edge, (self.axis, self.line, self.lo, self.hi)
+
     def endpoints(self):
         if self.axis == "h":
             return (self.lo, self.line), (self.hi, self.line)
@@ -107,7 +137,8 @@ class Edge:
 class TMesh:
     """Validated cell complex with face/edge/vertex incidence.
 
-    Instances are immutable after construction and safe to share.
+    Instances are immutable after construction and safe to share. faces,
+    edges and vertices come sorted, as build_tmesh makes them.
     """
 
     def __init__(self, faces, edges, vertices, edge_faces, face_edges,
@@ -122,15 +153,20 @@ class TMesh:
             e for e in edges if len(edge_faces[e]) == 1)
         self.interior_edges = tuple(
             e for e in edges if e not in self.boundary_edges)
+        # a vertex is a tuple of Fractions, whose hash is not kept, so each
+        # vertex is looked up once here
+        stars = [vertex_edges[v] for v in vertices]
+        on_boundary = [any(e in self.boundary_edges for e in es)
+                       for es in stars]
         self.boundary_vertices = frozenset(
-            v for v in vertices
-            if any(e in self.boundary_edges for e in vertex_edges[v]))
+            v for v, b in zip(vertices, on_boundary) if b)
         self.interior_vertices = tuple(
-            v for v in vertices if v not in self.boundary_vertices)
+            v for v, b in zip(vertices, on_boundary) if not b)
+        place = {f: i for i, f in enumerate(faces)}
         self.vertex_faces = {
-            v: tuple(sorted({f for e in vertex_edges[v]
-                             for f in edge_faces[e]}))
-            for v in vertices}
+            v: tuple(sorted({f for e in es for f in edge_faces[e]},
+                            key=place.__getitem__))
+            for v, es in zip(vertices, stars)}
 
     def vertex_class(self, v) -> str:
         if v in self.boundary_vertices:
@@ -158,21 +194,36 @@ def _as_rect(spec) -> Rect:
     return r
 
 
-def _overlapping_pairs(rects):
-    """Input-position pairs (i, j), i < j, of rectangles whose interiors
-    meet.
+# a coordinate as its (numerator, denominator) pair, which hashes and
+# compares in C where a Fraction does both in Python
+_exact = attrgetter("numerator", "denominator")
 
-    A sweep in order of x0 keeps the rectangles whose x1 lies strictly
-    beyond the current x0 and tests y-overlap against those only, so the
-    cost follows the pairs of faces whose x-ranges overlap, not all pairs.
+
+def _ranked(values):
+    """The distinct values in increasing order, and each one's rank keyed
+    by its _exact pair."""
+    ordered = sorted({_exact(c): c for c in values}.values())
+    return ordered, {_exact(c): i for i, c in enumerate(ordered)}
+
+
+def _overlapping_pairs(boxes):
+    """Input-position pairs (i, j), i < j, of boxes whose interiors meet.
+
+    A box is an (x0, y0, x1, y1) tuple of coordinate ranks. A sweep in
+    order of x0 keeps the boxes whose x1 lies strictly beyond the current
+    x0 and tests y-overlap against those only, so the cost follows the
+    pairs of faces whose x-ranges overlap, not all pairs.
     """
     active = []
-    for k in sorted(range(len(rects)), key=lambda k: rects[k].x0):
-        a = rects[k]
-        active = [j for j in active if rects[j].x1 > a.x0]
+    at = None
+    for k in sorted(range(len(boxes)), key=lambda k: boxes[k][0]):
+        x0, y0, _, y1 = boxes[k]
+        if x0 != at:
+            at = x0
+            active = [j for j in active if boxes[j][2] > x0]
         for j in active:
-            b = rects[j]
-            if max(a.y0, b.y0) < min(a.y1, b.y1):
+            b = boxes[j]
+            if y0 < b[3] and b[1] < y1:
                 yield min(j, k), max(j, k)
         active.append(k)
 
@@ -185,92 +236,122 @@ def build_tmesh(rects) -> TMesh:
     input does not describe a valid simply connected T-mesh. The overlap
     message names the first overlapping pair by input position, as
     "faces[i] and faces[j] overlap: ...".
+
+    The complex is built on coordinate ranks: the distinct x and the
+    distinct y values are sorted once, every rectangle becomes a box of
+    four ints, and vertices, edges and their incidences are int tuples
+    until the Edge and vertex values are made, once each, at the end.
+    Ranks order as the coordinates do, so every sort gives the order of
+    the values.
     """
     rects = [_as_rect(r) for r in rects]
     if not rects:
         raise MalformedError("no rectangles given")
-    pair = min(_overlapping_pairs(rects), default=None)
+    xs, x_rank = _ranked(c for r in rects for c in (r.x0, r.x1))
+    ys, y_rank = _ranked(c for r in rects for c in (r.y0, r.y1))
+    boxes = [(x_rank[_exact(r.x0)], y_rank[_exact(r.y0)],
+              x_rank[_exact(r.x1)], y_rank[_exact(r.y1)]) for r in rects]
+    pair = min(_overlapping_pairs(boxes), default=None)
     if pair is not None:
         i, j = pair
         raise OverlapError(
             f"faces[{i}] and faces[{j}] overlap: {rects[i]} and {rects[j]}")
-    faces = sorted(rects)
+    order = sorted(range(len(rects)), key=boxes.__getitem__)
+    faces = tuple(rects[k] for k in order)
+    boxes = [boxes[k] for k in order]
 
-    vertices = sorted({p for f in faces
-                       for p in ((f.x0, f.y0), (f.x1, f.y0),
-                                 (f.x0, f.y1), (f.x1, f.y1))})
-    on_vline = {}
-    on_hline = {}
-    for (x, y) in vertices:
-        on_vline.setdefault(x, []).append(y)
-        on_hline.setdefault(y, []).append(x)
-    for ys in on_vline.values():
-        ys.sort()
-    for xs in on_hline.values():
-        xs.sort()
+    corners = sorted({p for x0, y0, x1, y1 in boxes
+                      for p in ((x0, y0), (x1, y0), (x0, y1), (x1, y1))})
+    on_vline = [[] for _ in xs]
+    on_hline = [[] for _ in ys]
+    for x, y in corners:
+        on_vline[x].append(y)
+        on_hline[y].append(x)
 
-    def side_edges(axis, line, lo, hi):
-        coords = on_hline[line] if axis == "h" else on_vline[line]
-        cuts = [c for c in coords if lo <= c <= hi]
-        return [Edge(axis, line, a, b) for a, b in zip(cuts, cuts[1:])]
-
-    # edge_faces[e] starts with e itself, so a side two faces share is one
-    # Edge object, the first one built for it
+    # an edge is (axis, line, lo, hi) with axis 0 for "h" and 1 for "v",
+    # so int edges sort as their Edge values do; edge_faces keeps the order
+    # in which the faces, taken in sorted order, first meet each edge
     edge_faces = {}
-    face_edges = {}
-    for f in faces:
+    face_sides = []
+    for f, (x0, y0, x1, y1) in enumerate(boxes):
         mine = []
-        for axis, line, lo, hi in (("h", f.y0, f.x0, f.x1),
-                                   ("h", f.y1, f.x0, f.x1),
-                                   ("v", f.x0, f.y0, f.y1),
-                                   ("v", f.x1, f.y0, f.y1)):
-            for e in side_edges(axis, line, lo, hi):
-                known = edge_faces.setdefault(e, [e])
-                known.append(f)
-                mine.append(known[0])
-        face_edges[f] = tuple(mine)
-    edges = sorted(edge_faces)
-    for e, (_, *fs) in edge_faces.items():
-        if len(fs) > 2:
-            raise MalformedError(f"edge {e} bounds {len(fs)} faces")
-        edge_faces[e] = tuple(sorted(fs))
+        for axis, line, lo, hi, cuts in ((0, y0, x0, x1, on_hline[y0]),
+                                         (0, y1, x0, x1, on_hline[y1]),
+                                         (1, x0, y0, y1, on_vline[x0]),
+                                         (1, x1, y0, y1, on_vline[x1])):
+            a = bisect_left(cuts, lo)
+            b = bisect_left(cuts, hi, a)
+            for c0, c1 in zip(cuts[a:b], cuts[a + 1:b + 1]):
+                e = (axis, line, c0, c1)
+                fs = edge_faces.get(e)
+                if fs is None:
+                    edge_faces[e] = [f]
+                else:
+                    fs.append(f)
+                mine.append(e)
+        face_sides.append(mine)
 
-    vertex_edges = {v: [] for v in vertices}
-    for e in edges:
-        for p in e.endpoints():
-            vertex_edges[p].append(e)
-    vertex_edges = {v: tuple(sorted(es)) for v, es in vertex_edges.items()}
+    def edge(e):
+        axis, line, lo, hi = e
+        if axis == 0:
+            return Edge("h", ys[line], xs[lo], xs[hi])
+        return Edge("v", xs[line], ys[lo], ys[hi])
+
+    for e, fs in edge_faces.items():
+        if len(fs) > 2:
+            raise MalformedError(f"edge {edge(e)} bounds {len(fs)} faces")
+    sorted_edges = sorted(edge_faces)
+
+    corner_edges = {p: [] for p in corners}
+    for e in sorted_edges:
+        axis, line, lo, hi = e
+        ends = ((lo, line), (hi, line)) if axis == 0 else \
+            ((line, lo), (line, hi))
+        for p in ends:
+            corner_edges[p].append(e)
 
     # connectivity of the face-adjacency graph through shared edges
-    adj = {f: set() for f in faces}
+    adj = [[] for _ in faces]
     for fs in edge_faces.values():
         if len(fs) == 2:
-            adj[fs[0]].add(fs[1])
-            adj[fs[1]].add(fs[0])
-    seen = {faces[0]}
-    stack = [faces[0]]
+            adj[fs[0]].append(fs[1])
+            adj[fs[1]].append(fs[0])
+    seen = [False] * len(faces)
+    seen[0] = True
+    stack = [0]
+    reached = 1
     while stack:
         for g in adj[stack.pop()]:
-            if g not in seen:
-                seen.add(g)
+            if not seen[g]:
+                seen[g] = True
+                reached += 1
                 stack.append(g)
-    if len(seen) != len(faces):
+    if reached != len(faces):
         raise DisconnectedError(
-            f"{len(faces) - len(seen)} faces unreachable through shared edges")
+            f"{len(faces) - reached} faces unreachable through shared edges")
 
-    if len(vertices) - len(edges) + len(faces) != 1:
-        raise NotSimplyConnectedError(
-            f"V - E + F = {len(vertices) - len(edges) + len(faces)}, expected 1")
+    euler = len(corners) - len(sorted_edges) + len(faces)
+    if euler != 1:
+        raise NotSimplyConnectedError(f"V - E + F = {euler}, expected 1")
 
-    mesh = TMesh(tuple(faces), tuple(edges), tuple(vertices),
-                 edge_faces, face_edges, vertex_edges)
-    for v in mesh.interior_vertices:
-        es = mesh.vertex_edges[v]
-        axes = {e.axis for e in es}
-        if len(es) not in (3, 4) or axes != {"h", "v"}:
+    for p, es in corner_edges.items():
+        if any(len(edge_faces[e]) == 1 for e in es):
+            continue  # a boundary vertex
+        if len(es) not in (3, 4) or {e[0] for e in es} != {0, 1}:
             raise MalformedError(
-                f"interior vertex {v} has irregular star of {len(es)} edges")
-    return mesh
+                f"interior vertex {(xs[p[0]], ys[p[1]])} has irregular "
+                f"star of {len(es)} edges")
+
+    made = {e: edge(e) for e in sorted_edges}
+    vertices = tuple((xs[x], ys[y]) for x, y in corners)
+    return TMesh(
+        faces, tuple(made.values()), vertices,
+        {made[e]: tuple(faces[f] for f in fs)
+         for e, fs in edge_faces.items()},
+        {f: tuple(made[e] for e in mine)
+         for f, mine in zip(faces, face_sides)},
+        {v: tuple(made[e] for e in corner_edges[p])
+         for v, p in zip(vertices, corners)})
 
 
 def _diagonal_first_steps(a, b):
@@ -351,8 +432,8 @@ def build_profile(mesh: TMesh, face_deficits,
             d = bd_min(d, fd[f])
         ed[e] = d
     vd = {}
-    for v in mesh.vertices:
-        ds = [fd[f] for f in mesh.vertex_faces[v]]
+    for v, faces in mesh.vertex_faces.items():
+        ds = [fd[f] for f in faces]
         d = ds[0]
         for x in ds[1:]:
             d = bd_min(d, x)
@@ -379,6 +460,11 @@ def build_smoothness(mesh: TMesh, default_r: int,
     if default_r < 0:
         raise MalformedError(f"negative smoothness {default_r}")
     edge_r = {e: int(default_r) for e in mesh.interior_edges}
+    # an override matches the interior edges of its own line only
+    on_line = {}
+    if overrides:
+        for e in mesh.interior_edges:
+            on_line.setdefault((e.axis, e.line), []).append(e)
     for ov in overrides:
         axis, line, span, r = ov
         line = Fraction(line)
@@ -386,8 +472,8 @@ def build_smoothness(mesh: TMesh, default_r: int,
         if int(r) < 0:
             raise MalformedError(f"negative smoothness {r} in override")
         hit = False
-        for e in mesh.interior_edges:
-            if e.axis == axis and e.line == line and lo <= e.lo and e.hi <= hi:
+        for e in on_line.get((axis, line), ()):
+            if lo <= e.lo and e.hi <= hi:
                 edge_r[e] = int(r)
                 hit = True
         if not hit:

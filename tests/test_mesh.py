@@ -1,16 +1,26 @@
+import copy
+import dataclasses
+import json
+import os
+import pickle
 import random
+import subprocess
+import sys
 from fractions import Fraction
 
 import pytest
+import tmeshdim
 from tmeshdim import (ChainConflictError, DanglingOverrideError,
                       DisconnectedError, InvalidSequenceError, MalformedError,
                       MeshError, MissingZeroError, NotSimplyConnectedError,
                       OverlapError, UnorderedDeficitsError, build_profile,
                       build_smoothness, build_tmesh)
-from tmeshdim.mesh import Rect
+from tmeshdim.mesh import Edge, Rect
 from tmeshdim.meshfile import parse_mesh_file
 
 from .helpers import fixture_path, grid, make
+from .helpers.randmesh import random_split_mesh
+from .helpers.refmesh import reference_build_tmesh
 
 
 def test_single_face_counts():
@@ -214,3 +224,253 @@ def test_faces_list_the_mesh_edge_objects():
         ids = {id(e) for e in mesh.edges}
         assert all(id(e) in ids
                    for es in mesh.face_edges.values() for e in es)
+
+
+# --- the rank-based builder against the Fraction-keyed reference ---------
+
+FIXTURE_NAMES = ("test1", "test2", "test3", "new_relations_a",
+                 "new_relations_b", "counterexample", "nested")
+
+
+def fixture_rects(name):
+    with open(fixture_path(name)) as f:
+        doc = json.load(f)
+    return [Rect(*(Fraction(c) for c in face["rect"])) for face in doc["faces"]]
+
+
+def snapshot(mesh):
+    """Every value of the mesh and every incidence dict with its order, as
+    text; the boundary sets iterate in an order set by the cell hashes."""
+    return {name: repr(value) for name, value in (
+        ("faces", mesh.faces), ("edges", mesh.edges),
+        ("vertices", mesh.vertices),
+        ("edge_faces", list(mesh.edge_faces.items())),
+        ("face_edges", list(mesh.face_edges.items())),
+        ("vertex_edges", list(mesh.vertex_edges.items())),
+        ("vertex_faces", list(mesh.vertex_faces.items())),
+        ("boundary_edges", list(mesh.boundary_edges)),
+        ("interior_edges", mesh.interior_edges),
+        ("boundary_vertices", list(mesh.boundary_vertices)),
+        ("interior_vertices", mesh.interior_vertices))}
+
+
+def outcome(build, rects):
+    try:
+        return snapshot(build(rects))
+    except MeshError as exc:
+        return type(exc), str(exc)
+
+
+def rational_grid(rng, k):
+    """Grid of up to k x k cells on random rational cuts, some cells split
+    once more (T-junctions), in shuffled order."""
+    def cuts():
+        inner = {Fraction(c, rng.choice((1, 3, 8)))
+                 for c in rng.sample(range(1, 8 * k), k - 1)}
+        return sorted(inner | {Fraction(0), Fraction(8 * k)})
+    xs, ys = cuts(), cuts()
+    rects = []
+    for x0, x1 in zip(xs, xs[1:]):
+        for y0, y1 in zip(ys, ys[1:]):
+            if rng.random() < 0.3:
+                c = (x0 + x1) / 2
+                rects += [Rect(x0, y0, c, y1), Rect(c, y0, x1, y1)]
+            else:
+                rects.append(Rect(x0, y0, x1, y1))
+    rng.shuffle(rects)
+    return rects
+
+
+def test_rank_build_matches_the_reference_builder():
+    inputs = [fixture_rects(name) for name in FIXTURE_NAMES]
+    rng = random.Random(5)
+    for _ in range(40):
+        faces = list(random_split_mesh(rng, max_faces=30)[0].faces)
+        rng.shuffle(faces)
+        inputs.append(faces)
+    inputs += [rational_grid(rng, k) for k in (1, 2, 3, 5, 8, 8)]
+    for rects in inputs:
+        want = outcome(reference_build_tmesh, rects)
+        assert isinstance(want, dict)
+        assert outcome(build_tmesh, rects) == want
+
+
+def test_rank_build_fails_as_the_reference_builder():
+    ring = [(0, 0, 1, 1), (1, 0, 2, 1), (2, 0, 3, 1),
+            (0, 1, 1, 2), (2, 1, 3, 2),
+            (0, 2, 1, 3), (1, 2, 2, 3), (2, 2, 3, 3)]
+    bad = [
+        [],
+        [(0, 0, 0, 1)],                                  # degenerate
+        [(0, 0, 1, 1), (1, 0, 1, 1)],
+        [(3, 0, 4, 1), (0, 0, 2, 2), (1, 1, 3, 3)],      # overlapping
+        [(0, 0, 1, 1), (0, 0, 1, 1)],
+        [(0, 0, 2, 2), (Fraction(1, 2), Fraction(1, 2), 1, 1)],
+        [(0, 0, 1, 1), (2, 0, 3, 1)],                    # disconnected
+        [(0, 0, 1, 1), (1, 1, 2, 2)],
+        [(0, 0, 1, 1), (1, 0, 2, 1), (5, 5, 6, 6), (6, 5, 7, 6)],
+        ring,                                            # holed
+        ring + [(10, 0, 11, 3), (3, 0, 10, 1)],
+    ]
+    rng = random.Random(3)
+    for _ in range(60):
+        rects = [tuple(Fraction(c) for c in (i, j, i + 1, j + 1))
+                 for i in range(3) for j in range(3)]
+        for _ in range(rng.randint(1, 3)):
+            rects.pop(rng.randrange(len(rects)))
+        x0, y0 = Fraction(rng.randint(0, 5), 2), Fraction(rng.randint(0, 5), 2)
+        rects.insert(rng.randrange(len(rects) + 1),
+                     (x0, y0, x0 + Fraction(rng.randint(1, 3), 2),
+                      y0 + Fraction(rng.randint(1, 3), 2)))
+        bad.append(rects)
+    kinds = set()
+    for rects in bad:
+        want = outcome(reference_build_tmesh, rects)
+        assert outcome(build_tmesh, rects) == want, rects
+        kinds.add(want[0] if isinstance(want, tuple) else "valid")
+    assert {MalformedError, OverlapError, DisconnectedError,
+            NotSimplyConnectedError} <= kinds
+
+
+# --- cell hashes ----------------------------------------------------------
+
+def test_cell_hash_is_the_field_tuple_hash():
+    mesh = grid(3)[0]
+    for e in mesh.edges:
+        assert hash(e) == hash((e.axis, e.line, e.lo, e.hi))
+        fresh = Edge(e.axis, Fraction(e.line), Fraction(e.lo), Fraction(e.hi))
+        assert fresh == e and hash(fresh) == hash(e) and fresh is not e
+        assert mesh.edge_faces[fresh] == mesh.edge_faces[e]
+    for f in mesh.faces:
+        assert hash(f) == hash((f.x0, f.y0, f.x1, f.y1))
+        assert mesh.face_edges[Rect(*(Fraction(c) for c in (
+            f.x0, f.y0, f.x1, f.y1)))] == mesh.face_edges[f]
+    one = Fraction(1)
+    assert mesh.edge_faces[Edge("v", one, Fraction(0), one)] == (
+        Rect(Fraction(0), Fraction(0), one, one),
+        Rect(one, Fraction(0), Fraction(2), one))
+    # int and Fraction fields are equal values with equal hashes
+    assert hash(Edge("v", 1, 0, 1)) == hash(Edge("v", one, Fraction(0), one))
+    moved = dataclasses.replace(mesh.edges[0], hi=Fraction(7))
+    assert hash(moved) == hash((moved.axis, moved.line, moved.lo, 7))
+    # the cached hash is no field: repr, equality and order are unchanged
+    e = mesh.edges[0]
+    assert repr(e) == (f"Edge(axis={e.axis!r}, line={e.line!r}, "
+                       f"lo={e.lo!r}, hi={e.hi!r})")
+    assert [f.name for f in dataclasses.fields(Edge)] == [
+        "axis", "line", "lo", "hi"]
+    assert sorted(mesh.edges, key=lambda e: (e.axis, e.line, e.lo, e.hi)) \
+        == sorted(mesh.edges) == list(mesh.edges)
+
+
+def test_copied_and_pickled_cells_hash_afresh():
+    mesh = grid(2)[0]
+    cells = list(mesh.edges) + list(mesh.faces)
+    for cell in cells:
+        for twin in (copy.copy(cell), copy.deepcopy(cell),
+                     pickle.loads(pickle.dumps(cell))):
+            assert twin == cell and hash(twin) == hash(cell)
+    # a process with another string-hash salt must hash what it unpickles
+    # with its own salt: Edge's hash covers the str axis
+    probe = (
+        "import pickle, sys\n"
+        "cells = pickle.loads(sys.stdin.buffer.read())\n"
+        "fields = [(c.axis, c.line, c.lo, c.hi) if hasattr(c, 'axis') "
+        "else (c.x0, c.y0, c.x1, c.y1) for c in cells]\n"
+        "assert [hash(c) for c in cells] == [hash(t) for t in fields]\n"
+        "table = {c: k for k, c in enumerate(cells)}\n"
+        "assert all(table[c] == k for k, c in enumerate(pickle.loads("
+        "pickle.dumps(cells))))\n"
+        "print(hash('h'))\n")
+    src = os.path.dirname(os.path.dirname(os.path.abspath(
+        tmeshdim.__file__)))
+    seen = set()
+    for salt in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=salt,
+                   PYTHONPATH=os.pathsep.join(
+                       [src, os.environ.get("PYTHONPATH", "")]))
+        out = subprocess.run([sys.executable, "-c", probe], env=env,
+                             input=pickle.dumps(cells), capture_output=True,
+                             check=True)
+        seen.add(out.stdout)
+    assert len(seen) == 2  # the two salts do hash "h" differently
+
+
+# --- smoothness overrides against the all-edge matcher ---------------------
+
+def reference_override_match(mesh, default_r, overrides):
+    """edge_r as the override matcher before the per-line index set it:
+    each override scans every interior edge."""
+    edge_r = {e: int(default_r) for e in mesh.interior_edges}
+    for axis, line, span, r in overrides:
+        line = Fraction(line)
+        lo, hi = Fraction(span[0]), Fraction(span[1])
+        hit = False
+        for e in mesh.interior_edges:
+            if e.axis == axis and e.line == line and lo <= e.lo and e.hi <= hi:
+                edge_r[e] = int(r)
+                hit = True
+        if not hit:
+            raise DanglingOverrideError(
+                f"override ({axis}, {line}, [{lo}, {hi}]) matches no "
+                "interior edge")
+    return edge_r
+
+
+def random_overrides(rng, mesh):
+    """Whole-line spans, spans over part of a line and spans off every
+    interior edge, some with int coordinates."""
+    lines = sorted({(e.axis, e.line) for e in mesh.interior_edges})
+    coords = sorted({c for v in mesh.vertices for c in v})
+    out = []
+    for _ in range(rng.randint(1, 6)):
+        axis, line = rng.choice(lines)
+        lo, hi = sorted(rng.sample(coords, 2))
+        kind = rng.random()
+        if kind < 0.5:
+            lo, hi = coords[0], coords[-1]
+        elif kind < 0.7:
+            line = rng.choice(coords)
+        out.append((axis, int(line) if line.denominator == 1 else line,
+                    (lo, hi), rng.randint(0, 3)))
+    return out
+
+
+def test_overrides_match_the_edges_the_all_edge_scan_matches():
+    rng = random.Random(17)
+    meshes = [grid(k)[0] for k in (2, 3, 6)]
+    meshes += [random_split_mesh(rng, max_faces=30)[0] for _ in range(20)]
+    seen = {"ok": 0, "dangling": 0, "chain": 0}
+    for mesh in meshes:
+        for _ in range(10):
+            overrides = random_overrides(rng, mesh)
+            try:
+                want = reference_override_match(mesh, 1, overrides)
+            except DanglingOverrideError as exc:
+                with pytest.raises(DanglingOverrideError) as got:
+                    build_smoothness(mesh, 1, overrides)
+                assert str(got.value) == str(exc)
+                seen["dangling"] += 1
+                continue
+            try:
+                got = build_smoothness(mesh, 1, overrides)
+            except ChainConflictError:
+                # raised after matching: the reference's edge_r must
+                # conflict too
+                assert any(len({want[e] for e in es
+                                if e.axis == axis and e in want}) > 1
+                           for es in mesh.vertex_edges.values()
+                           for axis in "hv")
+                seen["chain"] += 1
+                continue
+            assert list(got.edge_r.items()) == list(want.items())
+            seen["ok"] += 1
+    # an override on every interior line of a grid
+    mesh = grid(12)[0]
+    overrides = [(axis, line, (0, 12), (k * 7) % 4) for k, (axis, line) in
+                 enumerate(sorted({(e.axis, e.line)
+                                   for e in mesh.interior_edges}))]
+    assert len(overrides) == 22
+    assert list(build_smoothness(mesh, 1, overrides).edge_r.items()) == list(
+        reference_override_match(mesh, 1, overrides).items())
+    assert min(seen.values()) > 20, seen

@@ -16,7 +16,7 @@ from tmeshdim import (AssumptionViolated, SegmentOrdering,
                       TooManyForExhaustive, all_levels, analyze_segments,
                       contribution_sets, dim_D_contribution, dim_M,
                       h0_ideal_oracle, h0_ideal_upper, order_segments)
-from tmeshdim.meshfile import parse_mesh_file
+from tmeshdim.meshfile import parse_mesh_dict, parse_mesh_file
 from tmeshdim.segments import (_before, _order_keys, _Terms, _theta_at,
                                 _walk)
 
@@ -24,6 +24,7 @@ from .helpers import fixture_path, make
 from .helpers.randmesh import (random_region_mesh, random_split_mesh,
                                ring_region_mesh)
 from .test_segment_golden import mixed_r
+from .test_symmetry import unequal_deficits_doc
 
 
 def level_analysis(name, index):
@@ -284,6 +285,32 @@ def test_search_and_rules_on_random_mixed_r_levels():
                 assert got.sequence == perms[vals.index(min(vals))], \
                     (seed, lv.index, m)
     assert min(seen.values()) > 0, seen
+
+
+def test_rules_when_theta_gives_the_first_segment_its_owner():
+    # theta's owner k joins lam[a] as well as lam[b] when k's line carries
+    # no step (SegmentIndex.theta's k_in_a). Every step of the fixtures and
+    # of the random split and region meshes is (1, 1), so only a mixed
+    # level path has such owners: level 1 here steps in y alone
+    mesh, profile, smoothness = parse_mesh_dict(unequal_deficits_doc())
+    an = analyze_segments(all_levels(mesh, profile)[0], smoothness)
+    assert any(cand[3] for cand in an.index.theta)
+    keys = [s.key for s in an.interior]
+    assert len(keys) == 6
+    seg = an.by_key
+    gained = 0
+    for m in ((4, 2), (3, 3)):
+        for perm in permutations(keys):
+            sets = contribution_sets(an, SegmentOrdering("input", perm), m)
+            gamma, upsilon, theta, lam = reference_sets(an, perm, m)
+            for k in keys:
+                assert {c.key: c.r for c in sets.gamma[k]} == gamma[k]
+                assert set(sets.upsilon[k]) == upsilon[k]
+                assert set(sets.theta[k]) == theta[k]
+                assert dict(sets.lam[k]) == lam[k], (m, perm, k)
+            # orders where some a gains its owner k through that rule
+            gained += any(seg[k].dp == (0, 0) for k in keys if theta[k])
+    assert gained == 1008  # of the 1440 (order, m) pairs
 
 
 def enumerated_best(rules, theta_at, terms):

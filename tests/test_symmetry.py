@@ -71,9 +71,9 @@ def test_axis_swap_leaves_fixture_reports_unchanged():
             assert upper_part(a) == upper_part(b), (name, m)
 
 
-def test_axis_swap_with_unequal_deficits_and_an_override():
-    # 4x4 grid: a zero-deficit 2x2 island, (0,1) around it, (1,2) in one
-    # corner, an explicit level path and a C^2 vertical line
+def unequal_deficits_doc():
+    """4x4 grid: a zero-deficit 2x2 island, (0,1) around it, (1,2) in one
+    corner, an explicit level path and a C^2 vertical line."""
     faces = []
     for j in range(4):
         for i in range(4):
@@ -83,10 +83,14 @@ def test_axis_swap_with_unequal_deficits_and_an_override():
             elif not (1 <= i <= 2 and 1 <= j <= 2):
                 face["deficit"] = [0, 1]
             faces.append(face)
-    doc = {"faces": faces,
-           "smoothness": {"default": 1, "overrides": [
-               {"orientation": "v", "line": 2, "span": [0, 4], "r": 2}]},
-           "levels": [[0, 0], [0, 1], [1, 1], [1, 2]]}
+    return {"faces": faces,
+            "smoothness": {"default": 1, "overrides": [
+                {"orientation": "v", "line": 2, "span": [0, 4], "r": 2}]},
+            "levels": [[0, 0], [0, 1], [1, 1], [1, 2]]}
+
+
+def test_axis_swap_with_unequal_deficits_and_an_override():
+    doc = unequal_deficits_doc()
     mesh = parse_mesh_dict(doc)
     swapped = parse_mesh_dict(transpose(doc))
     for m in [(1, 2), (4, 2), (3, 3)]:
