@@ -297,6 +297,8 @@ def build_tmesh(rects) -> TMesh:
             return Edge("h", ys[line], xs[lo], xs[hi])
         return Edge("v", xs[line], ys[lo], ys[hi])
 
+    # two faces on one side of an edge would overlap, so after the overlap
+    # check no edge bounds more than two faces; this check is a guard
     for e, fs in edge_faces.items():
         if len(fs) > 2:
             raise MalformedError(f"edge {edge(e)} bounds {len(fs)} faces")
@@ -334,6 +336,10 @@ def build_tmesh(rects) -> TMesh:
     if euler != 1:
         raise NotSimplyConnectedError(f"V - E + F = {euler}, expected 1")
 
+    # a guard too: after the overlap check an edge's two faces lie one on
+    # each side of it, and then a vertex whose edges all bound two faces
+    # has 3 or 4 edges of both axes (see test_mesh.py's
+    # test_an_irregular_interior_star_is_an_overlap for the argument)
     for p, es in corner_edges.items():
         if any(len(edge_faces[e]) == 1 for e in es):
             continue  # a boundary vertex

@@ -10,6 +10,7 @@ boundary, and by relations manufactured from parallel neighbors.
 
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import count
 from typing import Optional
 
 from .graded import dim_M, dim_power_sum_in
@@ -60,6 +61,15 @@ class SegmentAnalysis:
 
     index holds the same crossing structure in integer form (SegmentIndex);
     the contribution rules and the ordering search run on it.
+
+    An analysis serves every bi-degree. Besides the greedy order and the
+    search tables, it keeps two records into which no bi-degree enters,
+    each entry made when it is first asked for: lam_records, per (k, rule
+    key) segment k's lam records and generators, and cover_thresholds, per
+    mask of theta's j's the least surplus at which they cover a block.
+    Their keys are rule keys and masks of the level's own segments, so
+    they are bounded by the level, not by the number of bi-degrees asked,
+    and they hold no reference back to the analysis.
     """
 
     def __init__(self, level: ActiveLevel, smoothness):
@@ -103,6 +113,8 @@ class SegmentAnalysis:
                                      self._r_at(sig, rho.line), sig.interior))
             self.crossers[rho.key] = tuple(recs)
         self.index = SegmentIndex(self)
+        self.lam_records = _LamRecords(self.index)
+        self.cover_thresholds = _CoverThresholds(self.index)
 
     def _mk(self, i, axis, line, run, step):
         mesh = self.level.mesh
@@ -482,6 +494,31 @@ def _covers(ix: SegmentIndex, js, surplus):
     return sum(max(surplus - ix.r[j], 0) for j in _bits(js)) > surplus
 
 
+class _CoverThresholds(dict):
+    """Per mask js of theta's j's, the least surplus at or above 0 at which
+    _covers holds, or None when it holds at none, computed on first use.
+
+    _covers holds at every surplus below 0. At or above 0 it needs two j's
+    with r below the surplus, since every r is at least 0; then raising the
+    surplus by 1 raises the sum by at least 2, so from the threshold on it
+    holds at every surplus.
+    """
+
+    def __init__(self, ix: SegmentIndex):
+        super().__init__()
+        self.ix = ix
+
+    def __missing__(self, js):
+        found = self[js] = None if js & (js - 1) == 0 else next(
+            s for s in count() if _covers(self.ix, js, s))
+        return found
+
+    def covers(self, js, surplus):
+        """_covers(ix, js, surplus), read from the threshold of js."""
+        least = self[js]
+        return surplus < 0 or least is not None and least <= surplus
+
+
 def _rule_tables(ix: SegmentIndex, masks):
     """Per k, a dict from each mask of masks[k] to k's rule key before
     theta: the lam mask of gamma and the j's of upsilon."""
@@ -502,6 +539,7 @@ def _theta_at(an: SegmentAnalysis, rules, m):
     upsilon j's of some entry of its rule table, each with that test as a
     table over the same masks."""
     ix = an.index
+    covers = an.cover_thresholds.covers
     live = []
     tests = {}
     for k, *cand in ix.theta:
@@ -509,9 +547,7 @@ def _theta_at(an: SegmentAnalysis, rules, m):
             need = an.level.profile.levels[an.level.index][ix.axis[k]]
             surplus = m[ix.axis[k]] - need
             width = len(ix.crossers[k])
-            covers = {js: _covers(ix, js, surplus)
-                      for js in {key >> width for key in rules[k].values()}}
-            tests[k] = {b: covers[key >> width]
+            tests[k] = {b: covers(key >> width, surplus)
                         for b, key in rules[k].items()}
         if any(tests[k].values()):
             live.append((k, *cand, tests[k]))
@@ -560,21 +596,36 @@ class _Terms(dict):
         return term
 
 
-def _lam_weight_generators(an: SegmentAnalysis, k, key, m):
-    """Segment k's lam records ((position, r) pairs), weight, and
+class _LamRecords(dict):
+    """Per (k, rule key), segment k's lam records ((position, r) pairs) and
     generators ((direction, knot, degree, extra shift) in line order, as
-    dim_power_sum_in takes them) from its rule key."""
-    ix = an.index
-    rho = an.interior[k]
-    ups = key >> len(ix.crossers[k])
-    recs = tuple(c[1:3] for t, c in enumerate(ix.crossers[k]) if key >> t & 1)
-    weight = segment_weight(rho, recs, m, an.level.profile.levels)
-    gens = {ix.line[p]: (rc, (0, 0)) for p, rc in recs}
-    for j in _bits(ups):
-        gens.setdefault(ix.line[ix.pos[j]], (ix.r[j], ix.dp[k]))
-    direction = "s" if rho.axis == "h" else "t"
-    return recs, weight, tuple((direction, ix.lines[q], r2 + 1, extra)
-                               for q, (r2, extra) in sorted(gens.items()))
+    dim_power_sum_in takes them), computed on first use."""
+
+    def __init__(self, ix: SegmentIndex):
+        super().__init__()
+        self.ix = ix
+
+    def __missing__(self, k_key):
+        ix = self.ix
+        k, key = k_key
+        recs = tuple(c[1:3] for t, c in enumerate(ix.crossers[k])
+                     if key >> t & 1)
+        gens = {ix.line[p]: (rc, (0, 0)) for p, rc in recs}
+        for j in _bits(key >> len(ix.crossers[k])):
+            gens.setdefault(ix.line[ix.pos[j]], (ix.r[j], ix.dp[k]))
+        direction = "s" if ix.axis[k] == 0 else "t"
+        found = self[k_key] = (recs, tuple(
+            (direction, ix.lines[q], r2 + 1, extra)
+            for q, (r2, extra) in sorted(gens.items())))
+        return found
+
+
+def _lam_weight_generators(an: SegmentAnalysis, k, key, m):
+    """Segment k's lam records, weight at m and generators from its rule
+    key."""
+    recs, gens = an.lam_records[k, key]
+    return recs, segment_weight(an.interior[k], recs, m,
+                                an.level.profile.levels), gens
 
 
 def contribution_sets(an: SegmentAnalysis, ordering: SegmentOrdering,

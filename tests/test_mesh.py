@@ -7,6 +7,7 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
 import tmeshdim
@@ -15,6 +16,7 @@ from tmeshdim import (ChainConflictError, DanglingOverrideError,
                       MeshError, MissingZeroError, NotSimplyConnectedError,
                       OverlapError, UnorderedDeficitsError, build_profile,
                       build_smoothness, build_tmesh)
+import tmeshdim.mesh
 from tmeshdim.mesh import Edge, Rect
 from tmeshdim.meshfile import parse_mesh_file
 
@@ -136,6 +138,100 @@ def test_hole_rejected():
 def test_degenerate_rectangle_rejected():
     with pytest.raises(MalformedError):
         build_tmesh([(0, 0, 0, 1)])
+
+
+def injected_grids(seed, draws):
+    """Grids of up to 4 x 4 unit cells, a few of them dropped, with up to
+    three half-unit-aligned rectangles injected at random places."""
+    rng = random.Random(seed)
+    for _ in range(draws):
+        k = rng.randint(1, 4)
+        rects = [(i, j, i + 1, j + 1) for i in range(k) for j in range(k)]
+        for _ in range(rng.randint(0, k * k // 3)):
+            rects.pop(rng.randrange(len(rects)))
+        for _ in range(rng.randint(1, 3)):
+            x0 = Fraction(rng.randint(0, 2 * k), 2)
+            y0 = Fraction(rng.randint(0, 2 * k), 2)
+            rects.insert(rng.randint(0, len(rects)),
+                         (x0, y0, x0 + Fraction(rng.randint(1, 4), 2),
+                          y0 + Fraction(rng.randint(1, 4), 2)))
+        yield rects
+
+
+def without_the_overlap_check(monkeypatch, inputs, message):
+    """The inputs that build_tmesh rejects with a MalformedError naming
+    message once its overlap check is taken out."""
+    reached = []
+    with monkeypatch.context() as patched:
+        patched.setattr(tmeshdim.mesh, "_overlapping_pairs",
+                        lambda boxes: iter(()))
+        for rects in inputs:
+            try:
+                build_tmesh(rects)
+            except MalformedError as exc:
+                if message in str(exc):
+                    reached.append(rects)
+            except MeshError:
+                pass
+    return reached
+
+
+def test_an_edge_of_three_faces_is_an_overlap(monkeypatch):
+    # two faces on one side of an edge share the strip beside it, so the
+    # overlap check rejects every input whose edge would bound more than
+    # two faces before build_tmesh counts them; with the overlap check
+    # taken out, the count is what rejects them
+    stack = [(0, 0, 1, 1), (0, 1, 1, 2), (0, 1, 1, 3)]
+    with pytest.raises(OverlapError, match=r"faces\[1\] and faces\[2\]"):
+        build_tmesh(stack)
+    assert without_the_overlap_check(monkeypatch, [stack],
+                                     "bounds 3 faces") == [stack]
+    crowded = without_the_overlap_check(
+        monkeypatch, list(injected_grids(8, 400)), "bounds")
+    assert len(crowded) > 100
+    for rects in crowded:
+        with pytest.raises(OverlapError):
+            build_tmesh(rects)
+
+
+def test_an_irregular_interior_star_is_an_overlap(monkeypatch):
+    # Once no faces overlap, the two faces of an edge lie one on each side
+    # of it. A face corner has an edge along each axis, so every vertex has
+    # both. Take a vertex p whose edges all bound two faces, with only two
+    # edges, say rightward and upward. The face left of the upward edge
+    # has it on its right side: if that side runs on below p, it gives p a
+    # downward edge; if it ends at p, the face's bottom side gives p a
+    # leftward one. So the overlap check leaves every such vertex 3 or 4
+    # edges, and the star check in build_tmesh is a guard behind it. Here:
+    # every set of up to three rectangles with corners in 0..3 and 400
+    # injected grids
+    cells = [(x0, y0, x1, y1) for x0, x1 in combinations(range(4), 2)
+             for y0, y1 in combinations(range(4), 2)]
+    inputs = [list(c) for n in (1, 2, 3) for c in combinations(cells, n)]
+    inputs += injected_grids(9, 400)
+    built = 0
+    for rects in inputs:
+        try:
+            mesh = build_tmesh(rects)
+        except MeshError as exc:
+            assert "irregular star" not in str(exc), rects
+            continue
+        built += 1
+        for v in mesh.interior_vertices:
+            es = mesh.vertex_edges[v]
+            assert len(es) in (3, 4) and {e.axis for e in es} == {"h", "v"}
+    assert built > 1000
+    # faces stacked on one side of both edges at (0, 0) count them as
+    # interior; the overlap check rejects every input that gets there
+    stacked = [(0, 0, 1, 1), (0, 0, 1, 2)]
+    assert without_the_overlap_check(monkeypatch, [stacked],
+                                     "irregular star of 2 edges") == [stacked]
+    irregular = without_the_overlap_check(monkeypatch, inputs,
+                                          "irregular star")
+    assert len(irregular) > 100
+    for rects in irregular:
+        with pytest.raises(OverlapError):
+            build_tmesh(rects)
 
 
 def test_profile_requires_a_zero_face():

@@ -7,9 +7,11 @@ test_acceptance; here the focus is the segment calculus itself.
 
 import gc
 import random
+import weakref
 from fractions import Fraction as F
-from itertools import permutations
+from itertools import permutations, product
 from operator import getitem
+from types import SimpleNamespace
 
 import pytest
 from tmeshdim import (AssumptionViolated, SegmentOrdering,
@@ -17,13 +19,13 @@ from tmeshdim import (AssumptionViolated, SegmentOrdering,
                       contribution_sets, dim_D_contribution, dim_M,
                       h0_ideal_oracle, h0_ideal_upper, order_segments)
 from tmeshdim.meshfile import parse_mesh_dict, parse_mesh_file
-from tmeshdim.segments import (_before, _order_keys, _Terms, _theta_at,
-                                _walk)
+from tmeshdim.segments import (EXHAUSTIVE_LIMIT, _before, _CoverThresholds,
+                                _covers, _order_keys, _Terms, _theta_at, _walk)
 
 from .helpers import fixture_path, make
 from .helpers.randmesh import (random_region_mesh, random_split_mesh,
                                ring_region_mesh)
-from .test_segment_golden import mixed_r
+from .test_segment_golden import FIXTURES, MIXED_R, mixed_r
 from .test_symmetry import unequal_deficits_doc
 
 
@@ -414,6 +416,9 @@ def test_walk_fixes_each_rule_key_when_the_segment_is_placed():
 
 
 def test_exhaustive_search_leaves_no_cyclic_garbage():
+    # neither a search nor contribution_sets makes cycles, on a cold
+    # analysis or on one whose records are filled; the records hold no
+    # reference back to the analysis, so dropping it frees it at once
     for name, m in (("counterexample", (4, 4)), ("test3", (6, 6))):
         an = level_analysis(name, 1)
         gc.collect()
@@ -421,6 +426,15 @@ def test_exhaustive_search_leaves_no_cyclic_garbage():
         try:
             order_segments(an, "exhaustive", m)
             assert gc.collect() == 0, name
+            assert an.lam_records and an.cover_thresholds
+            for m2 in ((3, 3), m, (5, 2)):
+                order_segments(an, "exhaustive", m2)
+                for strategy in ("greedy", "input"):
+                    contribution_sets(an, order_segments(an, strategy), m2)
+            assert gc.collect() == 0, name
+            alive = weakref.ref(an)
+            del an
+            assert alive() is None, name
         finally:
             gc.enable()
 
@@ -437,3 +451,106 @@ def test_greedy_order_and_an_equal_sequence_give_the_same_sets():
     a, b = contribution_sets(an, greedy, m), contribution_sets(an, copy, m)
     assert a.before == b.before and a.terms == b.terms
     assert h0_ideal_upper(a) == h0_ideal_upper(b)
+
+
+def sweep_levels():
+    """(label, level, smoothness) for every level of the fixtures and of
+    their seeded mixed-r reruns."""
+    for label, name, seed in ([(name, name, None) for name in FIXTURES]
+                              + [(name + " mixed-r", name, seed)
+                                 for seed, name in enumerate(MIXED_R)]):
+        mesh, profile, smoothness = parse_mesh_file(fixture_path(name))
+        if seed is not None:
+            smoothness = mixed_r(mesh, seed)
+        for lv in all_levels(mesh, profile):
+            yield f"{label} L{lv.index}", lv, smoothness
+
+
+def sweep_strategies(an):
+    return ("greedy", "input") + (
+        ("exhaustive",) if len(an.interior) <= EXHAUSTIVE_LIMIT else ())
+
+
+def sweep_case(an, strategy, m):
+    sets = contribution_sets(an, order_segments(an, strategy, m), m)
+    try:
+        h0 = h0_ideal_upper(sets)
+    except AssumptionViolated:
+        h0 = None
+    return sets.ordering.sequence, sets.terms, h0
+
+
+def test_a_warm_analysis_gives_what_a_fresh_one_gives():
+    # one analysis per level serves a whole degree sweep under every
+    # strategy, its records filled by the earlier bi-degrees; each case
+    # must equal the same case on an analysis built for it alone
+    levels = list(sweep_levels())
+    assert len(levels) == 28
+    for label, lv, smoothness in levels:
+        warm = analyze_segments(lv, smoothness)
+        for m in product(range(2, 9), repeat=2):
+            for strategy in sweep_strategies(warm):
+                fresh = analyze_segments(lv, smoothness)
+                assert sweep_case(warm, strategy, m) \
+                    == sweep_case(fresh, strategy, m), (label, strategy, m)
+
+
+def test_the_records_do_not_grow_with_the_degrees_asked():
+    # the records are keyed by rule keys and masks of the level's own
+    # segments, so a sweep to 40 adds none to a sweep to 20. The search's
+    # terms cost graded ranks at high degree, so it sweeps 2..8 square and
+    # then a few rows and columns further out
+    def sweep(an, ms):
+        for m in ms:
+            for strategy in ("greedy", "input"):
+                contribution_sets(an, order_segments(an, strategy, m), m)
+            if m in searched and "exhaustive" in sweep_strategies(an):
+                order_segments(an, "exhaustive", m)
+        return len(an.lam_records), len(an.cover_thresholds)
+
+    def reach(top):
+        return set(product(range(2, top + 1), repeat=2))
+
+    # past 20, every value of each coordinate once with a few of the other
+    further = {m for a in range(21, 41) for b in (2, 5, 20, 40)
+               for m in ((a, b), (b, a))}
+    searched = reach(8) | {m for a in (20, 40)
+                           for m in ((a, a), (a, 2), (2, a))}
+    filled = 0
+    for label, lv, smoothness in sweep_levels():
+        an = analyze_segments(lv, smoothness)
+        to20 = sweep(an, sorted(reach(20)))
+        assert sweep(an, sorted(further)) == to20, label
+        filled += to20[1] > 0
+    assert filled == 14
+
+
+def test_cover_thresholds_give_theta_covering_test():
+    # theta's test read from a mask's threshold agrees with the test summed
+    # afresh at every surplus: on every mask that the fixture and mixed-r
+    # levels' rule tables hold for an owner, and on every mask of up to
+    # three j's with r in 0..5
+    def agree(ix, js):
+        thresholds = _CoverThresholds(ix)
+        for s in range(-3, 41):
+            assert thresholds.covers(js, s) == _covers(ix, js, s), \
+                (ix.r, js, s)
+        return thresholds[js]
+
+    found = set()
+    for _, lv, smoothness in sweep_levels():
+        an = analyze_segments(lv, smoothness)
+        ix = an.index
+        tables = ix.search_tables if len(an.interior) <= EXHAUSTIVE_LIMIT \
+            else contribution_sets(an, order_segments(an, "greedy"),
+                                   (3, 3)).rules
+        for k in {cand[0] for cand in ix.theta}:
+            width = len(ix.crossers[k])
+            for key in set(tables[k].values()):
+                found.add(agree(ix, key >> width))
+    assert found == {None, 1, 2, 3, 4, 5}
+    for n in range(4):
+        for rs in product(range(6), repeat=n):
+            ix = SimpleNamespace(r=list(rs))
+            for js in range(1 << n):
+                agree(ix, js)
