@@ -15,8 +15,8 @@ from typing import Optional
 from .graded import dim_L, dim_M, dim_shift, dim_vertex_increment
 from .levels import AssumptionReport, all_levels, check_assumptions
 from .mesh import TMesh, bd_add, bd_max, bd_min, bd_sub
-from .segments import (analyze_segments, contribution_sets, h0_ideal_upper,
-                       order_segments)
+from .segments import (analyze_segments, check_strategy, contribution_sets,
+                       h0_ideal_upper, order_segments)
 
 
 class DecompositionMismatch(Exception):
@@ -270,7 +270,8 @@ def _level_rows(prep: _Prepared, ordering, m):
         sets = contribution_sets(an, ordr, m)
         weights = (weight for _, weight, _ in sets.terms)
         yield LevelRow(lv.index, lv.c, lv.h, dm0, h0c, h0_ideal_upper(sets),
-                       len(an.interior), ordr.strategy, ordr.sequence,
+                       len(an.interior), ordr.strategy,
+                       tuple(map(an.index.keys.__getitem__, ordr.order)),
                        tuple(zip(an.index.keys, weights)))
 
 
@@ -286,6 +287,7 @@ def bounds(mesh: TMesh, profile, smoothness, m, ordering="auto",
     once. The triple is treated as immutable, as TMesh documents.
     """
     m = (int(m[0]), int(m[1]))
+    check_strategy(ordering)
     prep = _prepared(mesh, profile, smoothness)
     assumption = prep.assumption
     chi, chi_direct = euler_characteristic(mesh, profile, smoothness, m)
@@ -344,6 +346,7 @@ def certify_stable(mesh: TMesh, profile, smoothness, m, ordering="auto"):
     no level, topology or segment analysis.
     """
     m = (int(m[0]), int(m[1]))
+    check_strategy(ordering)
     prep = _prepared(mesh, profile, smoothness)
     if not (prep.assumption.ok
             and configuration1_holds(mesh, profile, smoothness, m)):

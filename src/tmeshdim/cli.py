@@ -17,7 +17,7 @@ from .meshfile import (ParseError, _rat_str, dump_machine, parse_mesh_file,
                        render_certify_text, render_machine, render_text,
                        write_text_atomic)
 from .oracle import oracle_spline_dim
-from .segments import TooManyForExhaustive, analyze_segments
+from .segments import STRATEGIES, TooManyForExhaustive, analyze_segments
 
 
 class _CliError(Exception):
@@ -174,7 +174,7 @@ def _build_parser() -> _Parser:
                                  "m1,m2:M1,M2 swept in colex order")
         if ordering:
             sp.add_argument("--ordering", default="auto",
-                            choices=["auto", "input", "greedy", "exhaustive"],
+                            choices=STRATEGIES,
                             help="segment ordering strategy per level")
         if oracle:
             sp.add_argument("--with-oracle", action="store_true",

@@ -9,6 +9,7 @@ parse back to equal objects.
 
 import json
 import os
+import stat
 import tempfile
 from fractions import Fraction
 
@@ -170,12 +171,21 @@ def mesh_to_dict(mesh, profile, smoothness):
 
 
 def write_text_atomic(path, text: str):
-    """Write via a temporary file in the same directory, then rename."""
+    """Write via a temporary file in the same directory, then rename. The
+    file gets the mode open(path, "w") would leave: the old file's, or
+    0666 less the umask for a new one, where mkstemp gives 0600."""
     target = os.path.abspath(path)
     fd, tmp = tempfile.mkstemp(dir=os.path.dirname(target), prefix=".tmp-")
     try:
         with os.fdopen(fd, "w") as f:
             f.write(text)
+        try:
+            mode = stat.S_IMODE(os.stat(target).st_mode)
+        except FileNotFoundError:
+            umask = os.umask(0)
+            os.umask(umask)
+            mode = 0o666 & ~umask
+        os.chmod(tmp, mode)
         os.replace(tmp, target)
     except BaseException:
         try:

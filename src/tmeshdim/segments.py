@@ -21,6 +21,7 @@ from .oracle import power_grid
 
 
 EXHAUSTIVE_LIMIT = 8
+STRATEGIES = ("auto", "input", "greedy", "exhaustive")
 
 
 class TooManyForExhaustive(Exception):
@@ -134,14 +135,9 @@ class SegmentAnalysis:
         return seg.r
 
     @cached_property
-    def greedy_sequence(self):
-        """The greedy order's keys; it does not depend on the bi-degree."""
-        return tuple(self.index.keys[k] for k in self.greedy_order)
-
-    @cached_property
     def greedy_order(self):
-        """The greedy order's segment numbers, which contribution_sets
-        takes in place of ranking greedy_sequence's keys."""
+        """The greedy order's segment numbers; it does not depend on the
+        bi-degree."""
         ix = self.index
         left = set(range(len(self.interior)))
         comps = []
@@ -255,68 +251,57 @@ class SegmentIndex:
 
     @cached_property
     def search_tables(self):
-        """The rule keys at every before mask (_rule_tables); the exhaustive
-        search builds them for levels of at most EXHAUSTIVE_LIMIT segments
-        only."""
+        """Per k, its rule key before theta (_rule_key) at every before
+        mask; the exhaustive search builds them for levels of at most
+        EXHAUSTIVE_LIMIT segments only."""
         n = len(self.keys)
-        return _rule_tables(self, [range(1 << n)] * n)
-
-    def ranks(self, sequence):
-        """rank[k]: the place of interior segment k in sequence. A key that
-        is missing, repeated or not an interior segment raises KeyError."""
-        rank = [None] * len(self.axis)
-        for q, key in enumerate(sequence):
-            k = self.of[key]
-            if rank[k] is not None:
-                raise KeyError(key)
-            rank[k] = q
-        if None in rank:
-            raise KeyError(self.keys[rank.index(None)])
-        return rank
+        return [[_rule_key(self, k, b) for b in range(1 << n)]
+                for k in range(n)]
 
 
 def analyze_segments(level: ActiveLevel, smoothness) -> SegmentAnalysis:
     return SegmentAnalysis(level, smoothness)
 
 
+def check_strategy(strategy):
+    """Raise ValueError unless strategy is one of STRATEGIES."""
+    if strategy not in STRATEGIES:
+        raise ValueError(f"unknown ordering strategy {strategy!r}")
+
+
 @dataclass(frozen=True)
 class SegmentOrdering:
     strategy: str
-    sequence: tuple       # interior segment keys; position + 1 = rank
-
-    def ranks(self):
-        return {k: n + 1 for n, k in enumerate(self.sequence)}
+    order: tuple          # interior segment numbers, the first placed first
 
 
 def order_segments(an: SegmentAnalysis, strategy="auto",
                    m=None) -> SegmentOrdering:
-    """Rank the interior segments. greedy needs no bi-degree; exhaustive
+    """Order the interior segments. greedy needs no bi-degree; exhaustive
     minimizes the resulting upper bound at m over all orders."""
+    check_strategy(strategy)
     n = len(an.interior)
     if strategy == "auto":
         strategy = "exhaustive" if n <= EXHAUSTIVE_LIMIT and m is not None \
             else "greedy"
     if strategy == "input":
-        return SegmentOrdering("input", tuple(an.index.keys))
+        return SegmentOrdering("input", tuple(range(n)))
     if strategy == "greedy":
-        return SegmentOrdering("greedy", an.greedy_sequence)
-    if strategy != "exhaustive":
-        raise ValueError(f"unknown ordering strategy {strategy!r}")
+        return SegmentOrdering("greedy", an.greedy_order)
     if n > EXHAUSTIVE_LIMIT:
         raise TooManyForExhaustive(
             f"{n} interior segments exceed the exhaustive limit {EXHAUSTIVE_LIMIT}")
     if m is None:
         raise ValueError("exhaustive ordering needs a bi-degree")
     if n <= 1:
-        return SegmentOrdering("exhaustive", tuple(an.index.keys))
+        return SegmentOrdering("exhaustive", tuple(range(n)))
     # The objective is h0_ideal_upper. The rules are looked up in tables
     # indexed by before masks, and a segment's term depends only on its rule
     # key, which many orders share, so each term is computed once per search.
     rules = an.index.search_tables
     terms = [_Terms(an, k, m) for k in range(n)]
-    best_order = _walk(rules, _theta_at(an, rules, m), terms)
     return SegmentOrdering("exhaustive",
-                           tuple(an.index.keys[k] for k in best_order))
+                           _walk(rules, _theta_at(an, rules, m), terms))
 
 
 def _walk(rules, theta_at, terms):
@@ -372,7 +357,7 @@ def _walk(rules, theta_at, terms):
             x += 1
         elif d == n - 1:
             order[d] = x
-            best, best_order = partial, order[:]
+            best, best_order = partial, tuple(order)
             x += 1
         else:
             order[d], before[x] = x, done
@@ -386,11 +371,11 @@ class ContributionSets:
     """One level's rule records under an ordering at bi-degree m.
 
     terms[k] holds interior segment k's lam records ((position, r) pairs),
-    weight and generators (as dim_power_sum_in takes them); before, rules
-    and theta_pairs are the order's before masks, its rule tables and, per
-    owner k, theta's (a, b) pairs. The dicts gamma, upsilon, theta, lam,
-    weights and generators, keyed by the interior segment keys in key
-    order, are built on first read.
+    weight and generators (as dim_power_sum_in takes them); before and
+    theta_pairs are the order's before masks and, per owner k, theta's
+    (a, b) pairs. The dicts gamma, upsilon, theta, lam, weights and
+    generators, keyed by the interior segment keys in key order, are
+    built on first read.
     """
 
     analysis: SegmentAnalysis
@@ -398,7 +383,6 @@ class ContributionSets:
     m: tuple
     terms: tuple
     before: list
-    rules: list
     theta_pairs: tuple
 
     def _by_key(self, values):
@@ -408,8 +392,7 @@ class ContributionSets:
     def gamma(self):
         ix = self.analysis.index
         return self._by_key(
-            tuple(c[3] for t, c in enumerate(ix.crossers[k])
-                  if self.rules[k][b] >> t & 1)
+            tuple(ix.crossers[k][t][3] for t in _bits(_gamma(ix, k, b)))
             for k, b in enumerate(self.before))
 
     @cached_property
@@ -488,6 +471,21 @@ def _upsilon(ix: SegmentIndex, k, before):
     return [c for c in ix.common[k] if before >> c[0] & 1 and r[k] >= r[c[0]]]
 
 
+def _upsilon_js(ix: SegmentIndex, k, before):
+    """The mask of upsilon's j's."""
+    js = 0
+    for _, _, shared in _upsilon(ix, k, before):
+        js |= shared
+    return js
+
+
+def _rule_key(ix: SegmentIndex, k, before):
+    """k's rule key before theta: the lam mask of gamma and the j's of
+    upsilon."""
+    return _gamma(ix, k, before) | _upsilon_js(ix, k, before) << len(
+        ix.crossers[k])
+
+
 def _covers(ix: SegmentIndex, js, surplus):
     """Theta's test on a mask of j's: alone they would cover the whole
     block."""
@@ -519,25 +517,10 @@ class _CoverThresholds(dict):
         return surplus < 0 or least is not None and least <= surplus
 
 
-def _rule_tables(ix: SegmentIndex, masks):
-    """Per k, a dict from each mask of masks[k] to k's rule key before
-    theta: the lam mask of gamma and the j's of upsilon."""
-    tables = []
-    for k, ms in enumerate(masks):
-        table = {}
-        for b in ms:
-            js = 0
-            for _, _, shared in _upsilon(ix, k, b):
-                js |= shared
-            table[b] = _gamma(ix, k, b) | js << len(ix.crossers[k])
-        tables.append(table)
-    return tables
-
-
 def _theta_at(an: SegmentAnalysis, rules, m):
     """Theta's candidates whose owner passes the surplus test at m on the
-    upsilon j's of some entry of its rule table, each with that test as a
-    table over the same masks."""
+    upsilon j's of some entry of its row of the search tables, each with
+    that test as a list over the same masks."""
     ix = an.index
     covers = an.cover_thresholds.covers
     live = []
@@ -547,33 +530,34 @@ def _theta_at(an: SegmentAnalysis, rules, m):
             need = an.level.profile.levels[an.level.index][ix.axis[k]]
             surplus = m[ix.axis[k]] - need
             width = len(ix.crossers[k])
-            tests[k] = {b: covers(key >> width, surplus)
-                        for b, key in rules[k].items()}
-        if any(tests[k].values()):
+            tests[k] = [covers(key >> width, surplus) for key in rules[k]]
+        if any(tests[k]):
             live.append((k, *cand, tests[k]))
     return live
 
 
-def _order_keys(before, rules, theta_at, theta=None):
-    """The rule key of each k under one order.
+def _order_keys(an: SegmentAnalysis, before, m, theta):
+    """The rule key of each k under one order, given as before masks, at m.
 
-    rules is _rule_tables's list and theta_at _theta_at's. Owner k pairs a
-    with each b after a among theta's candidates when a qualifies, that is
-    when the partners earlier than both k and a cover the block; b then
-    gains k, and a does too unless k's line carries a step. The pairs are
-    appended to theta[k] when theta is given.
+    Owner k pairs a with each b after a among theta's candidates when a
+    qualifies, that is when the partners earlier than both k and a cover
+    the block; b then gains k, and a does too unless k's line carries a
+    step. The pairs are appended to theta[k].
     """
-    keys = [rule[b] for rule, b in zip(rules, before)]
-    for k, a, a_bit, k_in_a, seconds, qualifies in theta_at:
-        if not qualifies[before[k] & before[a]]:
+    ix = an.index
+    covers = an.cover_thresholds.covers
+    keys = [_rule_key(ix, k, b) for k, b in enumerate(before)]
+    for k, a, a_bit, k_in_a, seconds in ix.theta:
+        need = an.level.profile.levels[an.level.index][ix.axis[k]]
+        js = _upsilon_js(ix, k, before[k] & before[a])
+        if not covers(js, m[ix.axis[k]] - need):
             continue
         paired = False
         for b, k_in_b in seconds:
             if before[b] & a_bit:
                 keys[b] |= k_in_b
                 paired = True
-                if theta is not None:
-                    theta[k].append((a, b))
+                theta[k].append((a, b))
         if paired:
             keys[a] |= k_in_a
     return keys
@@ -630,21 +614,18 @@ def _lam_weight_generators(an: SegmentAnalysis, k, key, m):
 
 def contribution_sets(an: SegmentAnalysis, ordering: SegmentOrdering,
                       m) -> ContributionSets:
-    ix = an.index
-    if ordering.strategy == "greedy" and \
-            ordering.sequence is an.greedy_sequence:
-        order = an.greedy_order
-    else:
-        rank = ix.ranks(ordering.sequence)
-        order = sorted(range(len(rank)), key=rank.__getitem__)
+    """The sets of one level under ordering at m. ordering.order must hold
+    each interior segment number once; anything else raises ValueError."""
+    order = ordering.order
+    if not all(isinstance(k, int) for k in order) \
+            or sorted(order) != list(range(len(an.interior))):
+        raise ValueError(f"not an order of the segment numbers: {order!r}")
     before = _before(order)
-    rules = _rule_tables(ix, [{b} | {b & before[a] for a in ix.icross[k]}
-                              for k, b in enumerate(before)])
     theta = [[] for _ in before]
-    keys = _order_keys(before, rules, _theta_at(an, rules, m), theta)
+    keys = _order_keys(an, before, m, theta)
     terms = tuple(_lam_weight_generators(an, k, key, m)
                   for k, key in enumerate(keys))
-    return ContributionSets(an, ordering, tuple(m), terms, before, rules,
+    return ContributionSets(an, ordering, tuple(m), terms, before,
                             tuple(map(tuple, theta)))
 
 

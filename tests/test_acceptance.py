@@ -355,8 +355,8 @@ def test_criterion_8_segment_spot_checks():
         fixture_path("new_relations_b"))
     lv = all_levels(mesh, profile)[0]
     an = analyze_segments(lv, smoothness)
-    ordr = SegmentOrdering("input", (("h", 1, 1), ("v", 1, 1), ("v", 2, 1),
-                                     ("h", 2, 1)))
+    # the keys (h, 1, 1), (v, 1, 1), (v, 2, 1), (h, 2, 1) in that order
+    ordr = SegmentOrdering("input", (0, 2, 3, 1))
     weights = contribution_sets(an, ordr, (4, 4)).weights
     # the late vertical segment is crossed twice, each worth 4 - 1 - 1
     if weights[("v", 2, 1)] != 2 * (4 - 1 - 1):

@@ -140,6 +140,20 @@ def test_certify_stable_stops_at_the_first_failed_check(monkeypatch):
     assert certify_stable(*test1, (4, 4)) == (True, 121)
 
 
+def test_an_unknown_ordering_strategy_is_refused_where_the_call_enters():
+    # no level of the ring mesh reaches the ordering (it has relative
+    # cycles), and counterexample fails configuration 1 at (2, 2) before
+    # any level does, so only a check at entry sees the name
+    ring = ring_region_mesh()
+    counterexample = parse_mesh_file(fixture_path("counterexample"))
+    assert not bounds(*ring, (3, 3)).assumption_ok
+    assert certify_stable(*counterexample, (2, 2)) == (False, None)
+    with pytest.raises(ValueError, match="unknown ordering strategy 'typo'"):
+        bounds(*ring, (3, 3), ordering="typo")
+    with pytest.raises(ValueError, match="unknown ordering strategy 'typo'"):
+        certify_stable(*counterexample, (2, 2), ordering="typo")
+
+
 def test_ordering_strategy_is_recorded():
     rep = run("new_relations_b", (4, 4), ordering="input")
     assert rep.ordering_strategy == "input"

@@ -3,6 +3,7 @@
 import gc
 import json
 import os
+import stat
 
 import pytest
 from tmeshdim import OverlapError, bounds
@@ -97,6 +98,35 @@ def test_atomic_write(tmp_path):
     assert leftovers == []
 
 
+def test_atomic_write_leaves_the_mode_of_a_plain_write(tmp_path):
+    # mkstemp makes its file 0600; the written file must get the mode that
+    # open(path, "w") leaves, on a new file under each umask and on a file
+    # that is already there
+    def write_both(name, text):
+        write_text_atomic(str(tmp_path / ("atomic-" + name)), text)
+        with open(tmp_path / ("plain-" + name), "w") as f:
+            f.write(text)
+        return tuple(stat.S_IMODE((tmp_path / (side + name)).stat().st_mode)
+                     for side in ("atomic-", "plain-"))
+
+    saved = os.umask(0o022)
+    try:
+        for umask in (0o022, 0o027, 0o002):
+            os.umask(umask)
+            assert write_both(f"new{umask:o}", "new\n") \
+                == (0o666 & ~umask,) * 2
+        for mode in (0o640, 0o600, 0o664):
+            for side in ("atomic-", "plain-"):
+                old = tmp_path / f"{side}old{mode:o}"
+                old.write_text("old\n")
+                old.chmod(mode)
+            assert write_both(f"old{mode:o}", "new\n") == (mode, mode)
+    finally:
+        os.umask(saved)
+    assert all((tmp_path / p).read_text() == "new\n"
+               for p in os.listdir(tmp_path))
+
+
 def test_cli_bounds_exit_zero(tmp_path, capsys):
     rc = main(["bounds", fixture_path("test1"), "--degrees", "3,3"])
     out = capsys.readouterr().out
@@ -126,6 +156,8 @@ def test_cli_input_errors_exit_one(tmp_path, capsys):
     assert f"{latin1}: not UTF-8" in capsys.readouterr().err
     assert main(["bounds", fixture_path("test1"), "--degrees", "3"]) == 1
     assert main(["bounds", fixture_path("test1"), "--degrees", "5,5:3,3"]) == 1
+    assert main(["certify", fixture_path("test1"), "--degrees", "3,3",
+                 "--ordering", "typo"]) == 1
     capsys.readouterr()
 
 

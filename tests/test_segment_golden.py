@@ -64,7 +64,8 @@ def case_digest(an, strategy, m):
         h0 = h0_ideal_upper(sets)
     except AssumptionViolated:
         h0 = None
-    doc = {"strategy": ordr.strategy, "sequence": _plain(ordr.sequence),
+    sequence = [an.index.keys[k] for k in ordr.order]
+    doc = {"strategy": ordr.strategy, "sequence": _plain(sequence),
            "weights": _by_key(sets.weights), "gamma": _by_key(sets.gamma),
            "upsilon": _by_key(sets.upsilon), "theta": _by_key(sets.theta),
            "lam": _by_key(sets.lam), "generators": _by_key(sets.generators),

@@ -20,7 +20,8 @@ from tmeshdim import (AssumptionViolated, SegmentOrdering,
                       h0_ideal_oracle, h0_ideal_upper, order_segments)
 from tmeshdim.meshfile import parse_mesh_dict, parse_mesh_file
 from tmeshdim.segments import (EXHAUSTIVE_LIMIT, _before, _CoverThresholds,
-                                _covers, _order_keys, _Terms, _theta_at, _walk)
+                                _covers, _order_keys, _Terms, _theta_at,
+                                _upsilon_js, _walk)
 
 from .helpers import fixture_path, make
 from .helpers.randmesh import (random_region_mesh, random_split_mesh,
@@ -33,6 +34,11 @@ def level_analysis(name, index):
     mesh, profile, smoothness = parse_mesh_file(fixture_path(name))
     lv = all_levels(mesh, profile)[index - 1]
     return analyze_segments(lv, smoothness)
+
+
+def by_keys(an, keys):
+    """The order of the segment numbers of keys, first placed first."""
+    return SegmentOrdering("input", tuple(an.index.of[key] for key in keys))
 
 
 def test_island_boundary_chains_are_interior_segments():
@@ -73,10 +79,10 @@ def test_ordering_strategies():
     an = level_analysis("new_relations_b", 1)
     inp = order_segments(an, "input", (4, 4))
     assert inp.strategy == "input"
-    assert inp.sequence == tuple(sorted(s.key for s in an.interior))
+    assert inp.order == (0, 1, 2, 3)
     assert order_segments(an, "auto", (4, 4)).strategy == "exhaustive"
-    ranks = inp.ranks()
-    assert sorted(ranks.values()) == [1, 2, 3, 4]
+    with pytest.raises(ValueError, match="unknown ordering strategy"):
+        order_segments(an, "typo", (4, 4))
 
     big = level_analysis("test1", 1)
     with pytest.raises(TooManyForExhaustive):
@@ -88,7 +94,7 @@ def test_contribution_sets_on_the_four_segment_island():
     an = level_analysis("new_relations_b", 1)
     seq = (("h", F(1), F(1)), ("v", F(1), F(1)), ("v", F(2), F(1)),
            ("h", F(2), F(1)))
-    sets = contribution_sets(an, SegmentOrdering("input", seq), (4, 4))
+    sets = contribution_sets(an, by_keys(an, seq), (4, 4))
     h1, v1, v2, h2 = seq[0], seq[1], seq[2], seq[3]
 
     # the lowest segment collects nothing, each later one its predecessors
@@ -124,9 +130,8 @@ def test_upper_bound_dominates_the_exact_h0_for_every_ordering():
     m = (4, 4)
     exact = h0_ideal_oracle(an, m)
     assert exact == 9
-    keys = [s.key for s in an.interior]
     uppers = set()
-    for perm in permutations(keys):
+    for perm in permutations(range(len(an.interior))):
         val = h0_ideal_upper(
             contribution_sets(an, SegmentOrdering("input", perm), m))
         assert val >= exact
@@ -178,8 +183,7 @@ def test_exhaustive_search_returns_the_lex_first_minimizer():
             an = analyze_segments(lv, smoothness)
             if not 2 <= len(an.interior) <= 6:
                 continue
-            keys = [s.key for s in an.interior]
-            perms = list(permutations(keys))
+            perms = list(permutations(range(len(an.interior))))
             for m in degrees:
                 vals = [h0_ideal_upper(contribution_sets(
                             an, SegmentOrdering("input", perm), m))
@@ -187,35 +191,34 @@ def test_exhaustive_search_returns_the_lex_first_minimizer():
                 best = min(vals)
                 first = perms[vals.index(best)]
                 got = order_segments(an, "exhaustive", m)
-                assert got.sequence == first, (name, lv.index, m)
+                assert got.order == first, (name, lv.index, m)
                 assert h0_ideal_upper(contribution_sets(an, got, m)) == best
                 tied += vals.count(best) > 1
     # ties are common, so the tie-break is exercised
     assert tied > 0
 
 
-def test_sequences_with_int_coordinates_resolve_against_fraction_keys():
+def test_an_order_must_hold_each_segment_number_once():
     an = level_analysis("new_relations_b", 1)
-    ints = (("h", 1, 1), ("v", 1, 1), ("v", 2, 1), ("h", 2, 1))
-    fracs = tuple((a, F(x), F(y)) for a, x, y in ints)
-    a = contribution_sets(an, SegmentOrdering("input", ints), (4, 4))
-    b = contribution_sets(an, SegmentOrdering("input", fracs), (4, 4))
-    for field in ("gamma", "upsilon", "theta", "lam", "weights",
-                  "generators"):
-        assert getattr(a, field) == getattr(b, field)
-    # the sets are keyed by the analysis's own keys, whatever the caller used
-    assert all(isinstance(k[1], F) for k in a.weights)
-    assert h0_ideal_upper(a) == h0_ideal_upper(b)
-    # a missing, a foreign or a repeated key is not an order of the level
-    for bad in (ints[:3], ints + (("h", 99, 0),), ints + ints[:1]):
-        with pytest.raises(KeyError):
-            contribution_sets(an, SegmentOrdering("input", bad), (4, 4))
+    m = (4, 4)
+    good = (0, 2, 3, 1)
+    want = h0_ideal_upper(contribution_sets(
+        an, SegmentOrdering("input", good), m))
+    # a missing, a repeated, an out-of-range and a non-int entry, and the
+    # segment keys themselves
+    for bad in (good[:3], good + (0,), (0, 2, 2, 1), (0, 2, 4, 1),
+                (0, 2, 3, -1), (0, 2, 3, 1.0), (0, 2, 3, "1"),
+                tuple(an.index.keys)):
+        with pytest.raises(ValueError, match="not an order"):
+            contribution_sets(an, SegmentOrdering("input", bad), m)
+    assert h0_ideal_upper(contribution_sets(
+        an, SegmentOrdering("input", list(good)), m)) == want
 
 
 def reference_sets(an, sequence, m):
-    """gamma, upsilon, theta and lam under sequence, from the rules written
-    over segment keys: gamma maps crossers to r, upsilon and theta are sets
-    of key pairs, lam maps segments to r."""
+    """gamma, upsilon, theta and lam under sequence, a sequence of segment
+    keys, from the rules written over those keys: gamma maps crossers to r,
+    upsilon and theta are sets of key pairs, lam maps segments to r."""
     level = an.level
     levels, i = level.profile.levels, level.index
     rank = {key: q for q, key in enumerate(sequence)}
@@ -267,14 +270,15 @@ def test_search_and_rules_on_random_mixed_r_levels():
             if lv.h != 0 or not 2 <= len(an.interior) <= 6:
                 continue
             seen["below top" if lv.index <= profile.top else "above top"] += 1
-            keys = [s.key for s in an.interior]
-            perms = list(permutations(keys))
+            keys = an.index.keys
+            perms = list(permutations(range(len(keys))))
             for m in ((3, 3), (4, 5), (6, 6)):
                 vals = []
                 for perm in perms:
                     ordr = SegmentOrdering("input", perm)
                     sets = contribution_sets(an, ordr, m)
-                    gamma, upsilon, theta, lam = reference_sets(an, perm, m)
+                    gamma, upsilon, theta, lam = reference_sets(
+                        an, [keys[k] for k in perm], m)
                     for k in keys:
                         assert {c.key: c.r for c in sets.gamma[k]} == gamma[k]
                         assert set(sets.upsilon[k]) == upsilon[k]
@@ -284,7 +288,7 @@ def test_search_and_rules_on_random_mixed_r_levels():
                     seen["theta"] += any(theta.values())
                     vals.append(h0_ideal_upper(sets))
                 got = order_segments(an, "exhaustive", m)
-                assert got.sequence == perms[vals.index(min(vals))], \
+                assert got.order == perms[vals.index(min(vals))], \
                     (seed, lv.index, m)
     assert min(seen.values()) > 0, seen
 
@@ -297,14 +301,15 @@ def test_rules_when_theta_gives_the_first_segment_its_owner():
     mesh, profile, smoothness = parse_mesh_dict(unequal_deficits_doc())
     an = analyze_segments(all_levels(mesh, profile)[0], smoothness)
     assert any(cand[3] for cand in an.index.theta)
-    keys = [s.key for s in an.interior]
+    keys = an.index.keys
     assert len(keys) == 6
     seg = an.by_key
     gained = 0
     for m in ((4, 2), (3, 3)):
-        for perm in permutations(keys):
+        for perm in permutations(range(len(keys))):
             sets = contribution_sets(an, SegmentOrdering("input", perm), m)
-            gamma, upsilon, theta, lam = reference_sets(an, perm, m)
+            gamma, upsilon, theta, lam = reference_sets(
+                an, [keys[k] for k in perm], m)
             for k in keys:
                 assert {c.key: c.r for c in sets.gamma[k]} == gamma[k]
                 assert set(sets.upsilon[k]) == upsilon[k]
@@ -315,25 +320,24 @@ def test_rules_when_theta_gives_the_first_segment_its_owner():
     assert gained == 1008  # of the 1440 (order, m) pairs
 
 
-def enumerated_best(rules, theta_at, terms):
+def enumerated_best(an, m, terms):
     """The exhaustive search as a plain enumeration: every order of the
     segment numbers in lex order, each segment's rule key taken from the
-    whole order (_order_keys), the first strict minimum of the terms' sum
-    kept."""
+    whole order at m as contribution_sets takes it (_order_keys, which
+    shares no table with the search), the first strict minimum of the
+    terms' sum kept."""
     best = best_perm = None
-    for perm in permutations(range(len(rules))):
-        val = sum(map(getitem, terms,
-                      _order_keys(_before(perm), rules, theta_at)))
+    for perm in permutations(range(len(an.interior))):
+        keys = _order_keys(an, _before(perm), m, [[] for _ in perm])
+        val = sum(map(getitem, terms, keys))
         if best is None or val < best:
             best, best_perm = val, perm
-    return list(best_perm)
+    return best_perm
 
 
 def enumerated_order(an, m):
-    rules = an.index.search_tables
-    best = enumerated_best(rules, _theta_at(an, rules, m),
-                           [_Terms(an, k, m) for k in range(len(rules))])
-    return tuple(an.index.keys[k] for k in best)
+    return enumerated_best(an, m,
+                           [_Terms(an, k, m) for k in range(len(an.interior))])
 
 
 def test_pruned_search_matches_the_enumeration_up_to_eight_segments():
@@ -366,7 +370,7 @@ def test_pruned_search_matches_the_enumeration_up_to_eight_segments():
             continue
         sizes.append(len(an.interior))
         for m in ms:
-            assert order_segments(an, "exhaustive", m).sequence \
+            assert order_segments(an, "exhaustive", m).order \
                 == enumerated_order(an, m), (an.level.index, sizes[-1], m)
     assert (sizes.count(7), sizes.count(8)) == (4, 4), sizes
 
@@ -412,7 +416,7 @@ def test_walk_fixes_each_rule_key_when_the_segment_is_placed():
             for seed in range(6):
                 terms = [RandomTerms(seed, k) for k in range(len(rules))]
                 assert _walk(rules, theta_at, terms) \
-                    == enumerated_best(rules, theta_at, terms)
+                    == enumerated_best(an, m, terms)
 
 
 def test_exhaustive_search_leaves_no_cyclic_garbage():
@@ -439,20 +443,6 @@ def test_exhaustive_search_leaves_no_cyclic_garbage():
             gc.enable()
 
 
-def test_greedy_order_and_an_equal_sequence_give_the_same_sets():
-    # contribution_sets takes the analysis's own greedy sequence by its
-    # cached segment numbers; an equal sequence built by the caller is
-    # ranked key by key to the same masks
-    an = level_analysis("test1", 1)
-    m = (3, 3)
-    greedy = order_segments(an, "greedy")
-    copy = SegmentOrdering("greedy", tuple(list(greedy.sequence)))
-    assert copy.sequence is not greedy.sequence
-    a, b = contribution_sets(an, greedy, m), contribution_sets(an, copy, m)
-    assert a.before == b.before and a.terms == b.terms
-    assert h0_ideal_upper(a) == h0_ideal_upper(b)
-
-
 def sweep_levels():
     """(label, level, smoothness) for every level of the fixtures and of
     their seeded mixed-r reruns."""
@@ -477,7 +467,7 @@ def sweep_case(an, strategy, m):
         h0 = h0_ideal_upper(sets)
     except AssumptionViolated:
         h0 = None
-    return sets.ordering.sequence, sets.terms, h0
+    return sets.ordering.order, sets.terms, h0
 
 
 def test_a_warm_analysis_gives_what_a_fresh_one_gives():
@@ -527,8 +517,9 @@ def test_the_records_do_not_grow_with_the_degrees_asked():
 
 def test_cover_thresholds_give_theta_covering_test():
     # theta's test read from a mask's threshold agrees with the test summed
-    # afresh at every surplus: on every mask that the fixture and mixed-r
-    # levels' rule tables hold for an owner, and on every mask of up to
+    # afresh at every surplus: on the upsilon j's of an owner at every mask
+    # that the search (up to EXHAUSTIVE_LIMIT segments) or the greedy order
+    # of the fixture and mixed-r levels tests, and on every mask of up to
     # three j's with r in 0..5
     def agree(ix, js):
         thresholds = _CoverThresholds(ix)
@@ -540,14 +531,16 @@ def test_cover_thresholds_give_theta_covering_test():
     found = set()
     for _, lv, smoothness in sweep_levels():
         an = analyze_segments(lv, smoothness)
-        ix = an.index
-        tables = ix.search_tables if len(an.interior) <= EXHAUSTIVE_LIMIT \
-            else contribution_sets(an, order_segments(an, "greedy"),
-                                   (3, 3)).rules
+        ix, n = an.index, len(an.interior)
+        if n <= EXHAUSTIVE_LIMIT:
+            masks = [range(1 << n)] * n
+        else:
+            before = _before(an.greedy_order)
+            masks = [{b} | {b & before[a] for a in ix.icross[k]}
+                     for k, b in enumerate(before)]
         for k in {cand[0] for cand in ix.theta}:
-            width = len(ix.crossers[k])
-            for key in set(tables[k].values()):
-                found.add(agree(ix, key >> width))
+            for b in masks[k]:
+                found.add(agree(ix, _upsilon_js(ix, k, b)))
     assert found == {None, 1, 2, 3, 4, 5}
     for n in range(4):
         for rs in product(range(6), repeat=n):
