@@ -1,12 +1,20 @@
 """rank_sparse against a dense Fraction Gaussian elimination."""
 
 import copy
+import json
+import os
 import random
 from fractions import Fraction
 from math import lcm
 
 import pytest
+import tmeshdim.oracle
+from tmeshdim import oracle_spline_dim
 from tmeshdim.linalg import rank_sparse
+from tmeshdim.meshfile import parse_mesh_file
+
+from .helpers import FIXTURES, fixture_path
+from .helpers.randmesh import random_split_mesh
 
 
 def dense_rank(rows):
@@ -139,3 +147,55 @@ def test_rank_of_small_cases():
         rank_sparse([{0: Fraction(1, 3), 1: 2}, {0: 1, 1: 6}])
     assert rank_sparse([{0: 2, 1: -4}, {0: -3, 1: 6}, {1: 5}]) == 2
     assert rank_sparse(iter([{0: 1}, {1: 1}, {0: 1, 1: 1}])) == 2
+
+
+def test_fraction_in_a_row_that_cancels_raises():
+    # with the integer row as pivot the other row cancels to nothing, so
+    # only the check on the input rows sees its Fraction
+    rows = [{0: 1, 1: Fraction(1, 3)}, {0: 3, 1: 1}]
+    for order in (rows, rows[::-1]):
+        with pytest.raises(TypeError):
+            rank_sparse(order)
+
+
+def transpose(rows):
+    out = {}
+    for k, row in enumerate(rows):
+        for c, v in row.items():
+            out.setdefault(c, {})[k] = v
+    return list(out.values())
+
+
+def oracle_matrices(monkeypatch, meshes):
+    """The matrices oracle_spline_dim ranks for each (mesh triple, m)."""
+    seen = []
+
+    def keep(rows):
+        seen.append(rows)
+        return rank_sparse(rows)
+
+    monkeypatch.setattr(tmeshdim.oracle, "rank_sparse", keep)
+    for triple, m in meshes:
+        oracle_spline_dim(*triple, m)
+    monkeypatch.undo()
+    return seen
+
+
+def test_rank_of_oracle_matrices_equals_rank_of_their_transposes(
+        monkeypatch):
+    # the transpose is eliminated through other pivots, with other integer
+    # growth; the fixtures at their headline bi-degrees and degree (10,10)
+    # on random meshes reach well past the golden values' degree 7
+    meshes = []
+    for name in sorted(n[:-5] for n in os.listdir(FIXTURES)
+                       if n.endswith(".json")):
+        with open(os.path.join(FIXTURES, "expected", name + ".json")) as f:
+            m = tuple(json.load(f)["rows"][0]["m"])
+        meshes.append((parse_mesh_file(fixture_path(name)), m))
+    rng = random.Random(43)
+    meshes += [(random_split_mesh(rng)[:3], (10, 10)) for _ in range(3)]
+    mats = oracle_matrices(monkeypatch, meshes)
+    assert len(mats) == 10
+    assert max(len(rows) for rows in mats) > 900
+    for rows in mats:
+        assert rank_sparse(rows) == rank_sparse(transpose(rows))
