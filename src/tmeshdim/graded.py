@@ -114,9 +114,26 @@ def _closed_single(levels, i, top, gen, m):
     return val
 
 
+class _GeneratorKey(tuple):
+    __slots__ = ()
+
+
+def generator_key(gens):
+    """gens sorted, each knot as its (numerator, denominator) pair, so that
+    hashing and comparing them touch ints only; dim_power_sum_in takes the
+    result in place of gens and skips building it again."""
+    return _GeneratorKey(sorted(
+        (g[0], (g[1].numerator, g[1].denominator), int(g[2]),
+         (int(g[3][0]), int(g[3][1]))) for g in gens))
+
+
 @lru_cache(maxsize=4096)
 def _power_sum_in_cached(levels, i, gens, m):
-    from .oracle import power_grid, span_quotient_dim
+    """Its exact fallback ranks the generators' span modulo the low box. A
+    generator is a polynomial in one variable and the low box a product, so
+    the span is block-diagonal in the other variable's exponent:
+    oracle.sliced_quotient_dim ranks it one slice at a time."""
+    from .oracle import power_grid, sliced_quotient_dim
 
     top = len(levels) - 1
     if not gens:
@@ -137,21 +154,19 @@ def _power_sum_in_cached(levels, i, gens, m):
     # among three coprime forms, so the rank is computed, not guessed
     ambient = bd_sub(m, levels[i - 1])
     lbox = bd_sub(m, levels[i]) if i <= top else None
-    return span_quotient_dim([power_grid(direction, Fraction(*knot), d, extra)
-                              for direction, knot, d, extra in gens],
-                             ambient, lbox)
+    return sliced_quotient_dim(
+        [power_grid(direction, Fraction(*knot), d, extra)
+         for direction, knot, d, extra in gens], ambient, lbox)
 
 
 def dim_power_sum_in(levels, i, gens, m) -> int:
     """Dimension contributed inside the quotient M(i) by a sum of powers.
 
     gens is a list of (direction, knot, degree, extra_shift) with all
-    directions equal; the extra shift accommodates step-monomial factors.
-    i runs 1..top+1; at top+1 the quotient is by zero.
+    directions equal, or generator_key of such a list; the extra shift
+    accommodates step-monomial factors. i runs 1..top+1; at top+1 the
+    quotient is by zero.
     """
     _check_level(levels, i, lowest=1)
-    # the cache key holds each knot as its (numerator, denominator) pair, so
-    # building it sorts and hashes ints only
-    key = tuple(sorted((g[0], (g[1].numerator, g[1].denominator), int(g[2]),
-                        (int(g[3][0]), int(g[3][1]))) for g in gens))
+    key = gens if type(gens) is _GeneratorKey else generator_key(gens)
     return _power_sum_in_cached(tuple(levels), i, key, (m[0], m[1]))

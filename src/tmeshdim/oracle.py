@@ -4,9 +4,11 @@ oracle_spline_dim assembles the raw smoothness constraints of a spline space
 and counts solutions by exact rank, with no use of the combinatorial
 machinery. span_dim / span_quotient_dim measure subspaces spanned by
 polynomial generators in the monomial basis. Both exist to cross-check the
-closed formulas, so they stay deliberately naive.
+closed formulas, so they stay deliberately naive. sliced_quotient_dim is
+the exception: it serves the bounds, and span_quotient_dim checks it.
 """
 
+from collections import Counter
 from fractions import Fraction
 from math import comb
 
@@ -52,6 +54,40 @@ def span_quotient_dim(generators, ambient, lbox) -> int:
             for b in range(min(lbox[1], ambient[1]) + 1):
                 rows.append({a * width + b: 1})
     return rank_sparse(rows) - sub
+
+
+def sliced_quotient_dim(generators, ambient, lbox) -> int:
+    """span_quotient_dim for generators that are each a polynomial in one
+    and the same variable. It serves the bounds (graded's exact fallback),
+    and span_quotient_dim checks it.
+
+    The sub-box's monomials are the translates of 1 across it. Say the
+    variable is the second: a generator translated by (a, b) has all its
+    monomials at first exponent a, so the matrix span_quotient_dim ranks
+    is block-diagonal in the first exponent. Slice a holds the generators
+    with a <= ambient - bideg in the first exponent, each translated along
+    the second. Slices of the same generators have equal rank, so each is
+    ranked once, on at most ambient + 1 columns, and counted.
+    """
+    if ambient[0] < 0 or ambient[1] < 0:
+        return 0
+    if any(es for grid, _ in generators for es, _ in grid):
+        generators = [({(et, es): c for (es, et), c in grid.items()},
+                        bideg[::-1]) for grid, bideg in generators]
+        ambient, lbox = ambient[::-1], lbox and lbox[::-1]
+    if lbox is not None:
+        generators = [*generators, ({(0, 0): 1}, (
+            max(ambient[0] - lbox[0], 0), max(ambient[1] - lbox[1], 0)))]
+    slices = Counter(tuple(g for g, (_, bideg) in enumerate(generators)
+                           if a <= ambient[0] - bideg[0])
+                     for a in range(ambient[0] + 1))
+    rank = 0
+    for active, count in slices.items():
+        rows = [{b + et: c for (_, et), c in generators[g][0].items()}
+                for g in active
+                for b in range(ambient[1] - generators[g][1][1] + 1)]
+        rank += count * rank_sparse(rows)
+    return rank - (0 if lbox is None else _box(lbox))
 
 
 def power_grid(direction, knot, degree, extra=(0, 0)):

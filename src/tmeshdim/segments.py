@@ -13,7 +13,7 @@ from functools import cached_property
 from itertools import count
 from typing import Optional
 
-from .graded import dim_M, dim_power_sum_in
+from .graded import dim_M, dim_power_sum_in, generator_key
 from .levels import ActiveLevel, AssumptionViolated
 from .linalg import rank_sparse
 from .mesh import bd_sub
@@ -66,11 +66,15 @@ class SegmentAnalysis:
     An analysis serves every bi-degree. Besides the greedy order and the
     search tables, it keeps two records into which no bi-degree enters,
     each entry made when it is first asked for: lam_records, per (k, rule
-    key) segment k's lam records and generators, and cover_thresholds, per
-    mask of theta's j's the least surplus at which they cover a block.
-    Their keys are rule keys and masks of the level's own segments, so
-    they are bounded by the level, not by the number of bi-degrees asked,
-    and they hold no reference back to the analysis.
+    key) segment k's lam records, generators and their generator_key, and
+    cover_thresholds, per mask of theta's j's the least surplus at which
+    they cover a block. Their keys are rule keys and masks of the level's
+    own segments, so they are bounded by the level, not by the number of
+    bi-degrees asked, and they hold no reference back to the analysis.
+
+    theta_tables, built only for the levels the exhaustive search takes,
+    holds per owner of theta's candidates one such threshold per search
+    mask: at most 2^EXHAUSTIVE_LIMIT each, none of them per bi-degree.
     """
 
     def __init__(self, level: ActiveLevel, smoothness):
@@ -133,6 +137,19 @@ class SegmentAnalysis:
             if e.lo <= coord <= e.hi and e in self.smoothness.edge_r:
                 return self.smoothness.edge_r[e]
         return seg.r
+
+    @cached_property
+    def theta_tables(self):
+        """Per owner k of theta's candidates, the threshold of the upsilon
+        j's in k's search_tables row at each mask, and the least one that is
+        not None (None when there is none)."""
+        ix, tables = self.index, {}
+        for k in {cand[0] for cand in ix.theta}:
+            least = [self.cover_thresholds[key >> len(ix.crossers[k])]
+                     for key in ix.search_tables[k]]
+            tables[k] = least, min((t for t in least if t is not None),
+                                   default=None)
+        return tables
 
     @cached_property
     def greedy_order(self):
@@ -298,10 +315,9 @@ def order_segments(an: SegmentAnalysis, strategy="auto",
     # The objective is h0_ideal_upper. The rules are looked up in tables
     # indexed by before masks, and a segment's term depends only on its rule
     # key, which many orders share, so each term is computed once per search.
-    rules = an.index.search_tables
     terms = [_Terms(an, k, m) for k in range(n)]
-    return SegmentOrdering("exhaustive",
-                           _walk(rules, _theta_at(an, rules, m), terms))
+    return SegmentOrdering("exhaustive", _walk(an.index.search_tables,
+                                               _theta_at(an, m), terms))
 
 
 def _walk(rules, theta_at, terms):
@@ -323,12 +339,12 @@ def _walk(rules, theta_at, terms):
     n = len(rules)
     as_a = [[] for _ in range(n)]
     as_b = [[] for _ in range(n)]
-    for k, a, _, k_in_a, seconds, qualifies in theta_at:
+    for k, a, _, k_in_a, seconds, least, surplus in theta_at:
         if k_in_a:
             as_a[a].append((sum(1 << b for b, _ in seconds), k_in_a,
-                            qualifies))
+                            least, surplus))
         for b, k_in_b in seconds:
-            as_b[b].append((a, k_in_b, qualifies))
+            as_b[b].append((a, k_in_b, least, surplus))
     before = [0] * n      # before[x] for each x placed on the current path
     order = [0] * n       # order[d]: the segment at place d
     total = [0] * n       # total[d]: the sum of the terms ahead of place d
@@ -346,11 +362,11 @@ def _walk(rules, theta_at, terms):
             x = order[d] + 1
             continue
         key = rules[x][done]
-        for a, k_in_b, qualifies in as_b[x]:
-            if done >> a & 1 and qualifies[before[a]]:
+        for a, k_in_b, least, surplus in as_b[x]:
+            if done >> a & 1 and _reaches(least[before[a]], surplus):
                 key |= k_in_b
-        for b_bits, k_in_a, qualifies in as_a[x]:
-            if b_bits & ~done and qualifies[done]:
+        for b_bits, k_in_a, least, surplus in as_a[x]:
+            if b_bits & ~done and _reaches(least[done], surplus):
                 key |= k_in_a
         partial = total[d] + terms[x][key]
         if best is not None and partial >= best:
@@ -513,26 +529,27 @@ class _CoverThresholds(dict):
 
     def covers(self, js, surplus):
         """_covers(ix, js, surplus), read from the threshold of js."""
-        least = self[js]
-        return surplus < 0 or least is not None and least <= surplus
+        return _reaches(self[js], surplus)
 
 
-def _theta_at(an: SegmentAnalysis, rules, m):
-    """Theta's candidates whose owner passes the surplus test at m on the
-    upsilon j's of some entry of its row of the search tables, each with
-    that test as a list over the same masks."""
+def _reaches(least, surplus):
+    """Theta's covering test at surplus, given the least surplus at or above
+    0 at which it holds (None when it holds at none)."""
+    return surplus < 0 or least is not None and least <= surplus
+
+
+def _theta_at(an: SegmentAnalysis, m):
+    """Theta's candidates whose owner passes the surplus test at m at some
+    search mask, each with the owner's row of theta_tables and its surplus
+    at m."""
     ix = an.index
-    covers = an.cover_thresholds.covers
     live = []
-    tests = {}
     for k, *cand in ix.theta:
-        if k not in tests:
-            need = an.level.profile.levels[an.level.index][ix.axis[k]]
-            surplus = m[ix.axis[k]] - need
-            width = len(ix.crossers[k])
-            tests[k] = [covers(key >> width, surplus) for key in rules[k]]
-        if any(tests[k]):
-            live.append((k, *cand, tests[k]))
+        least, lowest = an.theta_tables[k]
+        need = an.level.profile.levels[an.level.index][ix.axis[k]]
+        surplus = m[ix.axis[k]] - need
+        if surplus < 0 or lowest is not None and lowest <= surplus:
+            live.append((k, *cand, least, surplus))
     return live
 
 
@@ -565,25 +582,39 @@ def _order_keys(an: SegmentAnalysis, before, m, theta):
 
 class _Terms(dict):
     """Segment k's term in the H0 upper bound at m by rule key, each
-    computed on first use."""
+    computed on first use as _uncovered computes it; the block, the largest
+    weight that leaves it uncovered and m less rho.e are computed once."""
 
     def __init__(self, an: SegmentAnalysis, k, m):
         super().__init__()
-        self.an, self.k, self.m = an, k, m
+        levels, i = an.level.profile.levels, an.level.index
+        rho = an.interior[k]
+        ax = _axis_index(rho.axis)
+        self.records, self.k = an.lam_records, k
+        self.levels, self.i = levels, i
+        self.block = dim_M(levels, i, rho.e, m)
+        self.cap = m[ax] - levels[min(i, len(levels) - 1)][ax]
+        self.sub = bd_sub(m, rho.e)
 
     def __missing__(self, key):
-        an, k, m = self.an, self.k, self.m
-        _, weight, gens = _lam_weight_generators(an, k, key, m)
-        term = self[key] = _uncovered(
-            an.level.profile.levels, an.level.index, an.interior[k], weight,
-            gens, m)
+        recs, gens, gen_key = self.records[self.k, key]
+        cap = self.cap
+        if sum(max(cap - r, 0) for _, r in recs) > cap:
+            covered = self.block
+        elif not gens:
+            covered = 0
+        else:
+            covered = dim_power_sum_in(self.levels, self.i, gen_key,
+                                       self.sub)
+        term = self[key] = max(self.block - covered, 0)
         return term
 
 
 class _LamRecords(dict):
-    """Per (k, rule key), segment k's lam records ((position, r) pairs) and
+    """Per (k, rule key), segment k's lam records ((position, r) pairs),
     generators ((direction, knot, degree, extra shift) in line order, as
-    dim_power_sum_in takes them), computed on first use."""
+    dim_power_sum_in takes them) and their generator_key, computed on first
+    use."""
 
     def __init__(self, ix: SegmentIndex):
         super().__init__()
@@ -594,20 +625,20 @@ class _LamRecords(dict):
         k, key = k_key
         recs = tuple(c[1:3] for t, c in enumerate(ix.crossers[k])
                      if key >> t & 1)
-        gens = {ix.line[p]: (rc, (0, 0)) for p, rc in recs}
+        by_line = {ix.line[p]: (rc, (0, 0)) for p, rc in recs}
         for j in _bits(key >> len(ix.crossers[k])):
-            gens.setdefault(ix.line[ix.pos[j]], (ix.r[j], ix.dp[k]))
+            by_line.setdefault(ix.line[ix.pos[j]], (ix.r[j], ix.dp[k]))
         direction = "s" if ix.axis[k] == 0 else "t"
-        found = self[k_key] = (recs, tuple(
-            (direction, ix.lines[q], r2 + 1, extra)
-            for q, (r2, extra) in sorted(gens.items())))
+        gens = tuple((direction, ix.lines[q], r2 + 1, extra)
+                     for q, (r2, extra) in sorted(by_line.items()))
+        found = self[k_key] = (recs, gens, generator_key(gens))
         return found
 
 
 def _lam_weight_generators(an: SegmentAnalysis, k, key, m):
     """Segment k's lam records, weight at m and generators from its rule
     key."""
-    recs, gens = an.lam_records[k, key]
+    recs, gens, _ = an.lam_records[k, key]
     return recs, segment_weight(an.interior[k], recs, m,
                                 an.level.profile.levels), gens
 

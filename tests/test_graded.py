@@ -1,16 +1,21 @@
 """Closed-form graded dimensions against the rational span oracle."""
 
+import random
 from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from tmeshdim import (IndexOutOfRange, MixedDirectionError, dim_L, dim_M,
-                      dim_edge_increment, dim_power_sum, dim_power_sum_in,
-                      dim_shift, dim_vertex_increment, span_dim,
-                      span_quotient_dim)
+from tmeshdim import (IndexOutOfRange, MixedDirectionError, bounds, dim_L,
+                      dim_M, dim_edge_increment, dim_power_sum,
+                      dim_power_sum_in, dim_shift, dim_vertex_increment,
+                      oracle, span_dim, span_quotient_dim)
 from tmeshdim.graded import _power_sum_in_cached
 from tmeshdim.mesh import bd_add, bd_max, bd_sub
-from tmeshdim.oracle import power_grid
+from tmeshdim.meshfile import parse_mesh_file
+from tmeshdim.oracle import power_grid, sliced_quotient_dim
+
+from .helpers import fixture_path
+from .test_segment_golden import FIXTURES
 
 MONO = ({(0, 0): 1}, (0, 0))
 
@@ -207,3 +212,82 @@ def test_power_sum_in_caches_knots_by_value_in_any_order():
     assert after.currsize == before.currsize
     assert after.hits - before.hits == len(variants)
     assert after.misses == before.misses
+
+
+def test_sliced_quotient_dim_matches_the_naive_span():
+    # the exact fallback's sliced rank against span_quotient_dim on seeded
+    # random generators: either direction, 1 to 4 knots, an extra shift of
+    # its own per generator, ambient boxes reaching below 0, and low boxes
+    # absent, below 0, inside or equal to the ambient box
+    rng = random.Random(1729)
+    knots = sorted({Fraction(p, q) for p in range(-4, 5) for q in (1, 2, 3)})
+    seen = set()
+    for _ in range(1500):
+        direction = rng.choice("st")
+        count = rng.randint(1, 4)
+        extras = [(rng.randint(0, 2), rng.randint(0, 2)) for _ in range(count)]
+        gens = [power_grid(direction, knot, rng.randint(1, 4), extra)
+                for knot, extra in zip(rng.sample(knots, count), extras)]
+        ambient = (rng.randint(-1, 7), rng.randint(-1, 7))
+        kind = rng.choice(("none", "below 0", "inside", "ambient"))
+        lbox = {"none": None,
+                "below 0": (rng.randint(-2, 0), rng.randint(-2, 6)),
+                "inside": (rng.randint(0, 6), rng.randint(0, 6)),
+                "ambient": ambient}[kind]
+        if kind == "below 0" and min(lbox) >= 0:
+            lbox = (-1, lbox[1])
+        assert sliced_quotient_dim(gens, ambient, lbox) \
+            == span_quotient_dim(gens, ambient, lbox), (gens, ambient, lbox)
+        seen |= {direction, count, kind}
+        if min(ambient) < 0:
+            seen.add("ambient below 0")
+        if len(set(extras)) > 1:
+            seen.add("extras differ")
+    assert seen == {"s", "t", 1, 2, 3, 4, "none", "below 0", "inside",
+                    "ambient", "ambient below 0", "extras differ"}
+
+
+def fallback_calls(monkeypatch, degrees):
+    """(generators, ambient box, low box, result, columns of each matrix
+    ranked) of every call bounds(..., ordering="auto") makes to graded's
+    exact fallback on the fixtures at degrees, from a cleared cache."""
+    calls = []
+    sliced, rank = oracle.sliced_quotient_dim, oracle.rank_sparse
+
+    def spy_sliced(generators, ambient, lbox):
+        calls.append([generators, ambient, lbox, None, []])
+        calls[-1][3] = sliced(generators, ambient, lbox)
+        return calls[-1][3]
+
+    def spy_rank(rows):
+        calls[-1][4].append(len({c for row in rows for c in row}))
+        return rank(rows)
+
+    monkeypatch.setattr(oracle, "sliced_quotient_dim", spy_sliced)
+    monkeypatch.setattr(oracle, "rank_sparse", spy_rank)
+    _power_sum_in_cached.cache_clear()
+    for name in FIXTURES:
+        triple = parse_mesh_file(fixture_path(name))
+        for m in degrees:
+            bounds(*triple, m, ordering="auto")
+    monkeypatch.undo()
+    return calls
+
+
+def test_the_fallback_of_the_fixtures_at_high_degree_matches_the_naive_span(
+        monkeypatch):
+    calls = fallback_calls(monkeypatch, [(20, 20), (12, 17), (20, 3)])
+    assert len(calls) > 50
+    for generators, ambient, lbox, got, _ in calls:
+        assert got == span_quotient_dim(generators, ambient, lbox), \
+            (generators, ambient, lbox)
+
+
+def test_the_fallback_ranks_no_matrix_wider_than_the_ambient_box(monkeypatch):
+    # a structural guard in place of a timing: at (20, 20) every slice the
+    # fallback ranks has at most max(ambient) + 1 columns, where the naive
+    # span has (ambient[0] + 1) * (ambient[1] + 1)
+    calls = fallback_calls(monkeypatch, [(20, 20)])
+    assert calls and all(columns for *_, columns in calls)
+    for _, ambient, _, _, columns in calls:
+        assert max(columns) <= max(ambient) + 1, (ambient, columns)

@@ -412,7 +412,7 @@ def test_walk_fixes_each_rule_key_when_the_segment_is_placed():
     for an in levels:
         rules = an.index.search_tables
         for m in ((3, 3), (4, 5), (6, 6)):
-            theta_at = _theta_at(an, rules, m)
+            theta_at = _theta_at(an, m)
             for seed in range(6):
                 terms = [RandomTerms(seed, k) for k in range(len(rules))]
                 assert _walk(rules, theta_at, terms) \
@@ -473,12 +473,15 @@ def sweep_case(an, strategy, m):
 def test_a_warm_analysis_gives_what_a_fresh_one_gives():
     # one analysis per level serves a whole degree sweep under every
     # strategy, its records filled by the earlier bi-degrees; each case
-    # must equal the same case on an analysis built for it alone
+    # must equal the same case on an analysis built for it alone, also at
+    # the high degrees where the search's terms take graded's exact rank
     levels = list(sweep_levels())
     assert len(levels) == 28
+    degrees = list(product(range(2, 9), repeat=2)) \
+        + [(20, 20), (12, 17), (20, 3), (2, 20)]
     for label, lv, smoothness in levels:
         warm = analyze_segments(lv, smoothness)
-        for m in product(range(2, 9), repeat=2):
+        for m in degrees:
             for strategy in sweep_strategies(warm):
                 fresh = analyze_segments(lv, smoothness)
                 assert sweep_case(warm, strategy, m) \
@@ -486,17 +489,19 @@ def test_a_warm_analysis_gives_what_a_fresh_one_gives():
 
 
 def test_the_records_do_not_grow_with_the_degrees_asked():
-    # the records are keyed by rule keys and masks of the level's own
-    # segments, so a sweep to 40 adds none to a sweep to 20. The search's
-    # terms cost graded ranks at high degree, so it sweeps 2..8 square and
-    # then a few rows and columns further out
+    # the records and theta's per-owner tables are keyed by rule keys and
+    # masks of the level's own segments, so a sweep to 40 adds none to a
+    # sweep to 20. The search runs on the whole 2..20 square and at three
+    # corners further out
     def sweep(an, ms):
         for m in ms:
             for strategy in ("greedy", "input"):
                 contribution_sets(an, order_segments(an, strategy, m), m)
             if m in searched and "exhaustive" in sweep_strategies(an):
                 order_segments(an, "exhaustive", m)
-        return len(an.lam_records), len(an.cover_thresholds)
+        tables = vars(an).get("theta_tables", {})
+        return (len(an.lam_records), len(an.cover_thresholds),
+                sum(len(least) for least, _ in tables.values()))
 
     def reach(top):
         return set(product(range(2, top + 1), repeat=2))
@@ -504,15 +509,15 @@ def test_the_records_do_not_grow_with_the_degrees_asked():
     # past 20, every value of each coordinate once with a few of the other
     further = {m for a in range(21, 41) for b in (2, 5, 20, 40)
                for m in ((a, b), (b, a))}
-    searched = reach(8) | {m for a in (20, 40)
-                           for m in ((a, a), (a, 2), (2, a))}
-    filled = 0
+    searched = reach(20) | {(40, 40), (40, 2), (2, 40)}
+    filled = tabled = 0
     for label, lv, smoothness in sweep_levels():
         an = analyze_segments(lv, smoothness)
         to20 = sweep(an, sorted(reach(20)))
         assert sweep(an, sorted(further)) == to20, label
         filled += to20[1] > 0
-    assert filled == 14
+        tabled += to20[2] > 0
+    assert (filled, tabled) == (14, 10)
 
 
 def test_cover_thresholds_give_theta_covering_test():
