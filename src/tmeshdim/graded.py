@@ -118,10 +118,10 @@ class _GeneratorKey(tuple):
     __slots__ = ()
 
 
-def generator_key(gens):
+def _generator_key(gens):
     """gens sorted, each knot as its (numerator, denominator) pair, so that
-    hashing and comparing them touch ints only; dim_power_sum_in takes the
-    result in place of gens and skips building it again."""
+    hashing and comparing them touch ints only: dim_power_sum_in's cache
+    key."""
     return _GeneratorKey(sorted(
         (g[0], (g[1].numerator, g[1].denominator), int(g[2]),
          (int(g[3][0]), int(g[3][1]))) for g in gens))
@@ -163,10 +163,11 @@ def dim_power_sum_in(levels, i, gens, m) -> int:
     """Dimension contributed inside the quotient M(i) by a sum of powers.
 
     gens is a list of (direction, knot, degree, extra_shift) with all
-    directions equal, or generator_key of such a list; the extra shift
-    accommodates step-monomial factors. i runs 1..top+1; at top+1 the
-    quotient is by zero.
+    directions equal; the extra shift accommodates step-monomial factors.
+    i runs 1..top+1; at top+1 the quotient is by zero. The segment search
+    passes _generator_key(gens) instead, an internal form that saves it
+    building the key once per call.
     """
     _check_level(levels, i, lowest=1)
-    key = gens if type(gens) is _GeneratorKey else generator_key(gens)
+    key = gens if type(gens) is _GeneratorKey else _generator_key(gens)
     return _power_sum_in_cached(tuple(levels), i, key, (m[0], m[1]))

@@ -13,7 +13,7 @@ from functools import cached_property
 from itertools import count
 from typing import Optional
 
-from .graded import dim_M, dim_power_sum_in, generator_key
+from .graded import _generator_key, dim_M, dim_power_sum_in
 from .levels import ActiveLevel, AssumptionViolated
 from .linalg import rank_sparse
 from .mesh import bd_sub
@@ -66,7 +66,7 @@ class SegmentAnalysis:
     An analysis serves every bi-degree. Besides the greedy order and the
     search tables, it keeps two records into which no bi-degree enters,
     each entry made when it is first asked for: lam_records, per (k, rule
-    key) segment k's lam records, generators and their generator_key, and
+    key) segment k's lam records, generators and their _generator_key, and
     cover_thresholds, per mask of theta's j's the least surplus at which
     they cover a block. Their keys are rule keys and masks of the level's
     own segments, so they are bounded by the level, not by the number of
@@ -548,7 +548,7 @@ def _theta_at(an: SegmentAnalysis, m):
         least, lowest = an.theta_tables[k]
         need = an.level.profile.levels[an.level.index][ix.axis[k]]
         surplus = m[ix.axis[k]] - need
-        if surplus < 0 or lowest is not None and lowest <= surplus:
+        if _reaches(lowest, surplus):
             live.append((k, *cand, least, surplus))
     return live
 
@@ -582,38 +582,28 @@ def _order_keys(an: SegmentAnalysis, before, m, theta):
 
 class _Terms(dict):
     """Segment k's term in the H0 upper bound at m by rule key, each
-    computed on first use as _uncovered computes it; the block, the largest
-    weight that leaves it uncovered and m less rho.e are computed once."""
+    computed on first use; its block is computed once."""
 
     def __init__(self, an: SegmentAnalysis, k, m):
         super().__init__()
-        levels, i = an.level.profile.levels, an.level.index
-        rho = an.interior[k]
-        ax = _axis_index(rho.axis)
-        self.records, self.k = an.lam_records, k
-        self.levels, self.i = levels, i
-        self.block = dim_M(levels, i, rho.e, m)
-        self.cap = m[ax] - levels[min(i, len(levels) - 1)][ax]
-        self.sub = bd_sub(m, rho.e)
+        self.an, self.k, self.m = an, k, m
+        self.block = _block(an.level.profile.levels, an.level.index,
+                            an.interior[k], m)
 
     def __missing__(self, key):
-        recs, gens, gen_key = self.records[self.k, key]
-        cap = self.cap
-        if sum(max(cap - r, 0) for _, r in recs) > cap:
-            covered = self.block
-        elif not gens:
-            covered = 0
-        else:
-            covered = dim_power_sum_in(self.levels, self.i, gen_key,
-                                       self.sub)
-        term = self[key] = max(self.block - covered, 0)
+        an, k = self.an, self.k
+        levels = an.level.profile.levels
+        recs, _, gen_key = an.lam_records[k, key]
+        weight = segment_weight(an.interior[k], recs, self.m, levels)
+        term = self[key] = _uncovered(levels, an.level.index, self.block,
+                                      weight, gen_key)
         return term
 
 
 class _LamRecords(dict):
     """Per (k, rule key), segment k's lam records ((position, r) pairs),
     generators ((direction, knot, degree, extra shift) in line order, as
-    dim_power_sum_in takes them) and their generator_key, computed on first
+    dim_power_sum_in takes them) and their _generator_key, computed on first
     use."""
 
     def __init__(self, ix: SegmentIndex):
@@ -631,7 +621,7 @@ class _LamRecords(dict):
         direction = "s" if ix.axis[k] == 0 else "t"
         gens = tuple((direction, ix.lines[q], r2 + 1, extra)
                      for q, (r2, extra) in sorted(by_line.items()))
-        found = self[k_key] = (recs, gens, generator_key(gens))
+        found = self[k_key] = (recs, gens, _generator_key(gens))
         return found
 
 
@@ -660,29 +650,35 @@ def contribution_sets(an: SegmentAnalysis, ordering: SegmentOrdering,
                             tuple(map(tuple, theta)))
 
 
-def _uncovered(levels, i, rho: MaxSegment, weight, gens, m) -> int:
-    """The part of rho's block at m that its weight and generators leave
-    uncovered: the segment's term in the H0 upper bound."""
-    block = dim_M(levels, i, rho.e, m)
-    return max(block - _covered(levels, i, rho, weight, gens, m), 0)
-
-
-def _covered(levels, i, rho: MaxSegment, weight, gens, m) -> int:
+def _block(levels, i, rho: MaxSegment, m):
+    """rho's block at m, the largest weight that leaves it uncovered and m
+    less rho.e: all that _covered needs of rho and m."""
     ax = _axis_index(rho.axis)
-    dm = levels[min(i, len(levels) - 1)][ax]
-    if weight >= m[ax] - dm + 1:
-        return dim_M(levels, i, rho.e, m)
+    return (dim_M(levels, i, rho.e, m),
+            m[ax] - levels[min(i, len(levels) - 1)][ax], bd_sub(m, rho.e))
+
+
+def _uncovered(levels, i, block, weight, gens) -> int:
+    """The part of a segment's block that its weight and generators leave
+    uncovered: the segment's term in the H0 upper bound."""
+    return max(block[0] - _covered(levels, i, block, weight, gens), 0)
+
+
+def _covered(levels, i, block, weight, gens) -> int:
+    size, cap, sub = block
+    if weight > cap:
+        return size
     if not gens:
         return 0
-    return dim_power_sum_in(levels, i, gens, bd_sub(m, rho.e))
+    return dim_power_sum_in(levels, i, gens, sub)
 
 
 def dim_D_contribution(rho: MaxSegment, sets: ContributionSets) -> int:
     """Dimension of the covered part of one segment's block at sets.m."""
     an = sets.analysis
     _, weight, gens = sets.terms[an.index.of[rho.key]]
-    return _covered(an.level.profile.levels, an.level.index, rho,
-                    weight, gens, sets.m)
+    levels, i = an.level.profile.levels, an.level.index
+    return _covered(levels, i, _block(levels, i, rho, sets.m), weight, gens)
 
 
 def h0_ideal_upper(sets: ContributionSets) -> int:
@@ -693,7 +689,7 @@ def h0_ideal_upper(sets: ContributionSets) -> int:
         raise AssumptionViolated(
             f"level {an.level.index} has relative cycles (h = {an.level.h})")
     levels, i = an.level.profile.levels, an.level.index
-    return sum(_uncovered(levels, i, rho, weight, gens, m)
+    return sum(_uncovered(levels, i, _block(levels, i, rho, m), weight, gens)
                for rho, (_, weight, gens) in zip(an.interior, sets.terms))
 
 
