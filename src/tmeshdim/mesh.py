@@ -134,11 +134,30 @@ class Edge:
         return (self.line, self.lo), (self.line, self.hi)
 
 
+class ReadOnlyDict(dict):
+    """A dict that refuses every change in place: the form of every map the
+    build functions below give, so that a triple cannot change under the
+    records bounds() keeps for it. Pickling and copying go through the
+    constructor."""
+
+    __slots__ = ()
+
+    def _refuse(self, *args, **kwargs):
+        raise TypeError(f"{type(self).__name__} does not change in place")
+
+    __setitem__ = __delitem__ = __ior__ = _refuse
+    clear = pop = popitem = setdefault = update = _refuse
+
+    def __reduce__(self):
+        return type(self), (dict(self),)
+
+
 class TMesh:
     """Validated cell complex with face/edge/vertex incidence.
 
-    Instances are immutable after construction and safe to share. faces,
-    edges and vertices come sorted, as build_tmesh makes them.
+    Instances are immutable after construction and safe to share; the maps
+    of one that build_tmesh makes are ReadOnlyDicts. faces, edges and
+    vertices come sorted, as build_tmesh makes them.
     """
 
     def __init__(self, faces, edges, vertices, edge_faces, face_edges,
@@ -163,10 +182,10 @@ class TMesh:
         self.interior_vertices = tuple(
             v for v, b in zip(vertices, on_boundary) if not b)
         place = {f: i for i, f in enumerate(faces)}
-        self.vertex_faces = {
+        self.vertex_faces = ReadOnlyDict({
             v: tuple(sorted({f for e in es for f in edge_faces[e]},
                             key=place.__getitem__))
-            for v, es in zip(vertices, stars)}
+            for v, es in zip(vertices, stars)})
 
     def vertex_class(self, v) -> str:
         if v in self.boundary_vertices:
@@ -352,12 +371,12 @@ def build_tmesh(rects) -> TMesh:
     vertices = tuple((xs[x], ys[y]) for x, y in corners)
     return TMesh(
         faces, tuple(made.values()), vertices,
-        {made[e]: tuple(faces[f] for f in fs)
-         for e, fs in edge_faces.items()},
-        {f: tuple(made[e] for e in mine)
-         for f, mine in zip(faces, face_sides)},
-        {v: tuple(made[e] for e in corner_edges[p])
-         for v, p in zip(vertices, corners)})
+        ReadOnlyDict({made[e]: tuple(faces[f] for f in fs)
+                      for e, fs in edge_faces.items()}),
+        ReadOnlyDict({f: tuple(made[e] for e in mine)
+                      for f, mine in zip(faces, face_sides)}),
+        ReadOnlyDict({v: tuple(made[e] for e in corner_edges[p])
+                      for v, p in zip(vertices, corners)}))
 
 
 def _diagonal_first_steps(a, b):
@@ -446,7 +465,8 @@ def build_profile(mesh: TMesh, face_deficits,
         vd[v] = d
 
     steps = tuple(bd_sub(b, a) for a, b in zip(levels, levels[1:]))
-    return LeveledProfile(fd, ed, vd, dset, tuple(levels), steps)
+    return LeveledProfile(ReadOnlyDict(fd), ReadOnlyDict(ed),
+                          ReadOnlyDict(vd), dset, tuple(levels), steps)
 
 
 @dataclass(frozen=True)
@@ -505,4 +525,4 @@ def build_smoothness(mesh: TMesh, default_r: int,
             else:
                 r_v = edge_r[e]
         vertex_pair[v] = (r_h, r_v)
-    return SmoothnessProfile(edge_r, vertex_pair)
+    return SmoothnessProfile(ReadOnlyDict(edge_r), ReadOnlyDict(vertex_pair))

@@ -315,12 +315,21 @@ def order_segments(an: SegmentAnalysis, strategy="auto",
     # The objective is h0_ideal_upper. The rules are looked up in tables
     # indexed by before masks, and a segment's term depends only on its rule
     # key, which many orders share, so each term is computed once per search.
+    rules = an.index.search_tables
     terms = [_Terms(an, k, m) for k in range(n)]
-    return SegmentOrdering("exhaustive", _walk(an.index.search_tables,
-                                               _theta_at(an, m), terms))
+    return SegmentOrdering("exhaustive", _walk(
+        rules, _theta_at(an, m), terms, _floors(rules, terms)))
 
 
-def _walk(rules, theta_at, terms):
+def _floors(rules, terms):
+    """Each segment's term at the largest rule key the walk can give it:
+    the key with every other segment placed before it (see _walk)."""
+    full = (1 << len(rules)) - 1
+    return [t[row[full ^ 1 << x]]
+            for x, (t, row) in enumerate(zip(terms, rules))]
+
+
+def _walk(rules, theta_at, terms, floor):
     """The lex-first order of least total term, by a depth-first walk.
 
     The walk places segment numbers in increasing order, so it meets the
@@ -333,8 +342,18 @@ def _walk(rules, theta_at, terms):
         qualifies at its own before mask.
       - As a: the bit of k when some second b is not in P and a qualifies
         at P.
-    Terms are at least 0, so a branch whose partial sum reaches the best
-    total so far holds no order better than that one, and is skipped.
+    A branch whose partial sum plus the floors of the segments not yet
+    placed reaches the best total so far holds no better order, and is
+    skipped. So the walk returns the order a zero floor gives whenever
+    floor[x] is at most every term of x it reads, as _floors' floor is:
+    rules[x][P] only gains bits as P grows, theta's bits are crossers'
+    bits, which rules[x] holds at the full mask, and a term never grows
+    when its key gains a bit. A lam bit does not lower the weight, and a weight above
+    the cap covers the whole block; a generator bit adds a line, or
+    replaces upsilon's (r[j] + 1, shifted by dp[k]) with the lam generator
+    of the same crossing, whose span contains it. That needs an interior
+    crosser's r at the crossing to be its segment's r, which holds as r is
+    constant along a chain (build_smoothness).
     """
     n = len(rules)
     as_a = [[] for _ in range(n)]
@@ -347,7 +366,7 @@ def _walk(rules, theta_at, terms):
             as_b[b].append((a, k_in_b, least, surplus))
     before = [0] * n      # before[x] for each x placed on the current path
     order = [0] * n       # order[d]: the segment at place d
-    total = [0] * n       # total[d]: the sum of the terms ahead of place d
+    total = [sum(floor)] * n  # total[d]: terms ahead of d + floors of rest
     placed = [0] * n      # placed[d]: the mask of the segments ahead of d
     best = best_order = None
     d = x = 0
@@ -368,7 +387,7 @@ def _walk(rules, theta_at, terms):
         for b_bits, k_in_a, least, surplus in as_a[x]:
             if b_bits & ~done and _reaches(least[done], surplus):
                 key |= k_in_a
-        partial = total[d] + terms[x][key]
+        partial = total[d] - floor[x] + terms[x][key]
         if best is not None and partial >= best:
             x += 1
         elif d == n - 1:

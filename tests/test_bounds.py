@@ -1,5 +1,8 @@
 """End-to-end dimension reports: chi, bounds, certification."""
 
+import copy
+import operator
+import pickle
 import random
 import sys
 
@@ -9,7 +12,7 @@ from tmeshdim import (DecompositionMismatch, SmoothnessProfile, bounds,
                       constant_complex_dims, euler_characteristic,
                       all_levels, dim_M)
 from tmeshdim.cli import main
-from tmeshdim.mesh import bd_sub
+from tmeshdim.mesh import ReadOnlyDict, bd_sub
 from tmeshdim.meshfile import (parse_mesh_file, render_certify_text,
                                render_machine)
 
@@ -345,6 +348,39 @@ def test_prepared_memo_is_bounded():
     keys = [tuple(id(x) for x in triple) for triple in triples]
     assert keys[0] not in module._memo
     assert keys[-1] in module._memo
+
+
+BUILT_MAPS = ((0, "edge_faces"), (0, "face_edges"), (0, "vertex_edges"),
+              (0, "vertex_faces"), (1, "face_deficit"), (1, "edge_deficit"),
+              (1, "vertex_deficit"), (2, "edge_r"), (2, "vertex_pair"))
+
+
+def test_the_built_maps_do_not_change_in_place():
+    # the memo keys its records on the triple's identity, so a map changed
+    # in place would leave them stale (test1 at (4, 4) kept chi 121 after
+    # every r was raised to 2, where a fresh triple reads 37). Every map the
+    # builders give refuses the change; a pickled or copied triple reports
+    # what the original does, and its maps refuse it too
+    triple = parse_mesh_file(fixture_path("test1"))
+    want = bounds(*triple, (4, 4))
+    assert want.chi == 121
+    for twin in (triple, pickle.loads(pickle.dumps(triple)),
+                 copy.deepcopy(triple)):
+        for part, name in BUILT_MAPS:
+            mp = getattr(twin[part], name)
+            assert type(mp) is ReadOnlyDict
+            key = next(iter(mp))
+            value = mp[key]
+            for change in (lambda: operator.setitem(mp, key, value),
+                           lambda: operator.delitem(mp, key),
+                           lambda: operator.ior(mp, {key: value}),
+                           lambda: mp.update({key: value}),
+                           lambda: mp.setdefault(key, value),
+                           lambda: mp.pop(key), mp.popitem, mp.clear):
+                with pytest.raises(TypeError, match="does not change"):
+                    change()
+            assert mp == getattr(triple[part], name), name
+        assert bounds(*twin, (4, 4)) == want
 
 
 KEYED_RECORDS = ("gamma", "upsilon", "theta", "lam", "weights", "generators")

@@ -20,8 +20,8 @@ from tmeshdim import (AssumptionViolated, SegmentOrdering,
                       h0_ideal_oracle, h0_ideal_upper, order_segments)
 from tmeshdim.meshfile import parse_mesh_dict, parse_mesh_file
 from tmeshdim.segments import (EXHAUSTIVE_LIMIT, _before, _CoverThresholds,
-                                _covers, _order_keys, _Terms, _theta_at,
-                                _upsilon_js, _walk)
+                                _covers, _floors, _order_keys, _Terms,
+                                _theta_at, _upsilon_js, _walk)
 
 from .helpers import fixture_path, make
 from .helpers.randmesh import (random_region_mesh, random_split_mesh,
@@ -389,11 +389,10 @@ class RandomTerms(dict):
         return term
 
 
-def test_walk_fixes_each_rule_key_when_the_segment_is_placed():
-    # split meshes whose deficits step in x alone, so vertical owners carry
-    # no step and theta's first segment a gains its owner too; random terms
-    # per rule key make the least order depend on each key the walk reads
-    # at placement, which must be the key the whole order gives
+def x_step_levels():
+    """The levels with owners that give theta's first segment a its bit
+    (k_in_a) of split meshes whose deficits step in x alone, so vertical
+    owners carry no step."""
     levels = []
     for seed in (3, 44, 60):
         rng = random.Random(seed)
@@ -408,15 +407,98 @@ def test_walk_fixes_each_rule_key_when_the_segment_is_placed():
             an = analyze_segments(lv, smoothness)
             if any(k_in_a for _, _, _, k_in_a, _ in an.index.theta):
                 levels.append(an)
+    return levels
+
+
+def test_walk_fixes_each_rule_key_when_the_segment_is_placed():
+    # random terms per rule key make the least order depend on each key the
+    # walk reads at placement, which must be the key the whole order gives.
+    # Random terms do not shrink as a key gains bits, so the floor passed
+    # with them is each segment's least term over the keys of every order
+    # (the keys the enumeration reads), or 0
+    levels = x_step_levels()
     assert sorted(len(an.interior) for an in levels) == [3, 3, 5, 6, 7]
     for an in levels:
         rules = an.index.search_tables
+        n = len(rules)
         for m in ((3, 3), (4, 5), (6, 6)):
             theta_at = _theta_at(an, m)
+            reached = [set() for _ in range(n)]
+            for perm in permutations(range(n)):
+                keys = _order_keys(an, _before(perm), m, [[] for _ in perm])
+                for k, key in enumerate(keys):
+                    reached[k].add(key)
             for seed in range(6):
-                terms = [RandomTerms(seed, k) for k in range(len(rules))]
-                assert _walk(rules, theta_at, terms) \
-                    == enumerated_best(an, m, terms)
+                terms = [RandomTerms(seed, k) for k in range(n)]
+                least = [min(map(t.__getitem__, keys))
+                         for t, keys in zip(terms, reached)]
+                want = enumerated_best(an, m, terms)
+                assert _walk(rules, theta_at, terms, [0] * n) == want
+                assert _walk(rules, theta_at, terms, least) == want
+
+
+class FloorCheck:
+    """One segment's terms, each read checked against the segment's
+    floor."""
+
+    def __init__(self, terms, floor):
+        self.terms, self.floor = terms, floor
+
+    def __getitem__(self, key):
+        term = self.terms[key]
+        assert term >= self.floor, (key, term, self.floor)
+        return term
+
+
+def test_every_term_the_search_reads_is_at_least_its_floor():
+    # the walk drops a branch on the floors of the segments not yet placed,
+    # so each floor must bound every term of its segment that the walk
+    # reads, theta's bits included, and its term at every rule key before
+    # theta; with sound floors the walk returns the order that it returns
+    # with no floor at all. Fixture levels, seeded mixed-r split levels,
+    # levels where theta gives its first segment the owner's bit, and the
+    # level of a mixed level path, from low degrees to those where graded
+    # takes its exact rank
+    runs = []
+    for name in FIXTURES:
+        mesh, profile, smoothness = parse_mesh_file(fixture_path(name))
+        runs += [analyze_segments(lv, smoothness)
+                 for lv in all_levels(mesh, profile)]
+    draws = [random_split_mesh(random.Random(seed), max_faces=30)[:2]
+             + (seed,) for seed in (1, 7, 9, 12, 15, 29, 33, 35, 40)]
+    draws.append(random_region_mesh(random.Random(20))[:2] + (20,))
+    for mesh, profile, seed in draws:
+        smoothness = mixed_r(mesh, seed)
+        runs += [analyze_segments(lv, smoothness)
+                 for lv in all_levels(mesh, profile)]
+    runs += x_step_levels()
+    mesh, profile, smoothness = parse_mesh_dict(unequal_deficits_doc())
+    runs.append(analyze_segments(all_levels(mesh, profile)[0], smoothness))
+    runs = [an for an in runs
+            if an.level.h == 0 and 2 <= len(an.interior) <= EXHAUSTIVE_LIMIT]
+    pruned = 0
+    for an in runs:
+        rules = an.index.search_tables
+        n = len(rules)
+        for m in ((3, 3), (4, 5), (6, 6), (20, 20), (12, 17), (20, 3)):
+            theta_at = _theta_at(an, m)
+            terms = [_Terms(an, k, m) for k in range(n)]
+            floor = _floors(rules, terms)
+            checked = [FloorCheck(t, f) for t, f in zip(terms, floor)]
+            # every rule key before theta, whether the walk reads it or not
+            for x, row in enumerate(rules):
+                for done in range(1 << n):
+                    if not done >> x & 1:
+                        checked[x][row[done]]
+            got = _walk(rules, theta_at, checked, floor)
+            assert got == _walk(rules, theta_at, terms, [0] * n) \
+                == order_segments(an, "exhaustive", m).order, \
+                (an.level.index, n, m)
+            pruned += any(floor)
+    assert sorted(len(an.interior) for an in runs) \
+        == [2, 2] + [3] * 5 + [4] * 5 + [5] * 3 + [6] * 4 + [7] * 4 + [8] * 3
+    # searches with some floor above 0, where the floors prune
+    assert pruned == 28
 
 
 def test_exhaustive_search_leaves_no_cyclic_garbage():
