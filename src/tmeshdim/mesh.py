@@ -135,8 +135,8 @@ class Edge:
 
 
 class ReadOnlyDict(dict):
-    """A dict that refuses every change in place: the form of every map the
-    build functions below give, so that a triple cannot change under the
+    """A dict that refuses every change in place: the form of every map of
+    the triple classes below, so that a triple cannot change under the
     records bounds() keeps for it. Pickling and copying go through the
     constructor."""
 
@@ -152,12 +152,20 @@ class ReadOnlyDict(dict):
         return type(self), (dict(self),)
 
 
+def _read_only(obj, *names):
+    """Put each named map of obj in a ReadOnlyDict unless it is one, so a
+    hand-built triple cannot change in place either."""
+    for name in names:
+        if not isinstance(getattr(obj, name), ReadOnlyDict):
+            object.__setattr__(obj, name, ReadOnlyDict(getattr(obj, name)))
+
+
 class TMesh:
     """Validated cell complex with face/edge/vertex incidence.
 
-    Instances are immutable after construction and safe to share; the maps
-    of one that build_tmesh makes are ReadOnlyDicts. faces, edges and
-    vertices come sorted, as build_tmesh makes them.
+    Instances are immutable after construction and safe to share; their
+    maps are ReadOnlyDicts (any other map given is copied into one). faces,
+    edges and vertices come sorted, as build_tmesh makes them.
     """
 
     def __init__(self, faces, edges, vertices, edge_faces, face_edges,
@@ -168,6 +176,7 @@ class TMesh:
         self.edge_faces = edge_faces
         self.face_edges = face_edges
         self.vertex_edges = vertex_edges
+        _read_only(self, "edge_faces", "face_edges", "vertex_edges")
         self.boundary_edges = frozenset(
             e for e in edges if len(edge_faces[e]) == 1)
         self.interior_edges = tuple(
@@ -404,6 +413,9 @@ class LeveledProfile:
     levels: tuple
     steps: tuple
 
+    def __post_init__(self):
+        _read_only(self, "face_deficit", "edge_deficit", "vertex_deficit")
+
     @property
     def top(self) -> int:
         """The index 𝔩 of the maximal level (levels run 0..top)."""
@@ -479,6 +491,9 @@ class SmoothnessProfile:
 
     edge_r: dict
     vertex_pair: dict
+
+    def __post_init__(self):
+        _read_only(self, "edge_r", "vertex_pair")
 
 
 def build_smoothness(mesh: TMesh, default_r: int,

@@ -8,7 +8,7 @@ crossing segments earlier in a chosen ordering, by segments meeting the
 boundary, and by relations manufactured from parallel neighbors.
 """
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import count
 from typing import Optional
@@ -66,11 +66,12 @@ class SegmentAnalysis:
     An analysis serves every bi-degree. Besides the greedy order and the
     search tables, it keeps two records into which no bi-degree enters,
     each entry made when it is first asked for: lam_records, per (k, rule
-    key) segment k's lam records, generators and their _generator_key, and
-    cover_thresholds, per mask of theta's j's the least surplus at which
-    they cover a block. Their keys are rule keys and masks of the level's
-    own segments, so they are bounded by the level, not by the number of
-    bi-degrees asked, and they hold no reference back to the analysis.
+    key) segment k's lam records, generators, their _generator_key and the
+    records' r values, and cover_thresholds, per mask of theta's j's the
+    least surplus at which they cover a block. Their keys are rule keys and
+    masks of the level's own segments, so they are bounded by the level, not
+    by the number of bi-degrees asked, and they hold no reference back to
+    the analysis.
 
     theta_tables, built only for the levels the exhaustive search takes,
     holds per owner of theta's candidates one such threshold per search
@@ -288,8 +289,19 @@ def check_strategy(strategy):
 
 @dataclass(frozen=True)
 class SegmentOrdering:
+    """An order of a level's interior segment numbers, the first placed
+    first. One that the exhaustive search made also carries the rule key it
+    fixed for each segment (theta's bits included) and the _Terms it read,
+    which contribution_sets reads at the search's analysis and m. They are
+    not constructor arguments, so dataclasses.replace drops them, and they
+    take no part in comparison or repr."""
+
     strategy: str
-    order: tuple          # interior segment numbers, the first placed first
+    order: tuple
+    keys: Optional[tuple] = field(default=None, init=False, compare=False,
+                                  repr=False)
+    terms: Optional[list] = field(default=None, init=False, compare=False,
+                                  repr=False)
 
 
 def order_segments(an: SegmentAnalysis, strategy="auto",
@@ -314,11 +326,15 @@ def order_segments(an: SegmentAnalysis, strategy="auto",
         return SegmentOrdering("exhaustive", tuple(range(n)))
     # The objective is h0_ideal_upper. The rules are looked up in tables
     # indexed by before masks, and a segment's term depends only on its rule
-    # key, which many orders share, so each term is computed once per search.
+    # key, which many orders share, so each term is computed once per search,
+    # and contribution_sets reads the best order's keys and terms from it.
     rules = an.index.search_tables
     terms = [_Terms(an, k, m) for k in range(n)]
-    return SegmentOrdering("exhaustive", _walk(
-        rules, _theta_at(an, m), terms, _floors(rules, terms)))
+    order, keys = _walk(rules, _theta_at(an, m), terms, _floors(rules, terms))
+    found = SegmentOrdering("exhaustive", order)
+    object.__setattr__(found, "keys", keys)
+    object.__setattr__(found, "terms", terms)
+    return found
 
 
 def _floors(rules, terms):
@@ -330,7 +346,9 @@ def _floors(rules, terms):
 
 
 def _walk(rules, theta_at, terms, floor):
-    """The lex-first order of least total term, by a depth-first walk.
+    """The lex-first order of least total term, by a depth-first walk, and
+    the rule key it fixed for each segment on that order, theta's bits
+    included: a pair of tuples, the keys by segment number.
 
     The walk places segment numbers in increasing order, so it meets the
     orders in lex order. A segment's rule key is fixed when it is placed
@@ -368,7 +386,8 @@ def _walk(rules, theta_at, terms, floor):
     order = [0] * n       # order[d]: the segment at place d
     total = [sum(floor)] * n  # total[d]: terms ahead of d + floors of rest
     placed = [0] * n      # placed[d]: the mask of the segments ahead of d
-    best = best_order = None
+    keyed = [0] * n       # keyed[x]: the key of x placed on the current path
+    best = best_order = best_keys = None
     d = x = 0
     while True:
         done = placed[d]      # P
@@ -376,7 +395,7 @@ def _walk(rules, theta_at, terms, floor):
             x += 1
         if x == n:
             if d == 0:
-                return best_order
+                return best_order, best_keys
             d -= 1
             x = order[d] + 1
             continue
@@ -391,11 +410,11 @@ def _walk(rules, theta_at, terms, floor):
         if best is not None and partial >= best:
             x += 1
         elif d == n - 1:
-            order[d] = x
-            best, best_order = partial, tuple(order)
+            order[d], keyed[x] = x, key
+            best, best_order, best_keys = partial, tuple(order), tuple(keyed)
             x += 1
         else:
-            order[d], before[x] = x, done
+            order[d], before[x], keyed[x] = x, done, key
             d += 1
             total[d], placed[d] = partial, done | 1 << x
             x = 0
@@ -406,22 +425,29 @@ class ContributionSets:
     """One level's rule records under an ordering at bi-degree m.
 
     terms[k] holds interior segment k's lam records ((position, r) pairs),
-    weight and generators (as dim_power_sum_in takes them); before and
-    theta_pairs are the order's before masks and, per owner k, theta's
-    (a, b) pairs. The dicts gamma, upsilon, theta, lam, weights and
-    generators, keyed by the interior segment keys in key order, are
-    built on first read.
+    weight and generators (as dim_power_sum_in takes them), and h0_terms[k]
+    its term in the H0 upper bound: the part of its block that they leave
+    uncovered. before holds the order's before masks. theta_pairs, per owner
+    k theta's (a, b) pairs, and the dicts gamma, upsilon, theta, lam,
+    weights and generators, keyed by the interior segment keys in key
+    order, are built on first read.
     """
 
     analysis: SegmentAnalysis
     ordering: SegmentOrdering
     m: tuple
     terms: tuple
+    h0_terms: tuple
     before: list
-    theta_pairs: tuple
 
     def _by_key(self, values):
         return dict(zip(self.analysis.index.keys, values))
+
+    @cached_property
+    def theta_pairs(self):
+        theta = [[] for _ in self.before]
+        _order_keys(self.analysis, self.before, self.m, theta)
+        return tuple(map(tuple, theta))
 
     @cached_property
     def gamma(self):
@@ -466,8 +492,8 @@ def _axis_index(axis: str) -> int:
 def segment_weight(rho: MaxSegment, lam, m, levels) -> int:
     """Weight of a segment given its Λ records (pairs (key, r))."""
     ax = _axis_index(rho.axis)
-    dm = levels[min(rho.level, len(levels) - 1)][ax]
-    return sum(max(m[ax] - dm - r, 0) for _, r in lam)
+    return _weight([r for _, r in lam],
+                   m[ax] - levels[min(rho.level, len(levels) - 1)][ax])
 
 
 def _before(order):
@@ -605,25 +631,21 @@ class _Terms(dict):
 
     def __init__(self, an: SegmentAnalysis, k, m):
         super().__init__()
-        self.an, self.k, self.m = an, k, m
-        self.block = _block(an.level.profile.levels, an.level.index,
-                            an.interior[k], m)
+        self.an, self.k, self.m = an, k, tuple(m)
+        self.levels, self.i = an.level.profile.levels, an.level.index
+        self.block = _block(self.levels, self.i, an.interior[k], m)
 
     def __missing__(self, key):
-        an, k = self.an, self.k
-        levels = an.level.profile.levels
-        recs, _, gen_key = an.lam_records[k, key]
-        weight = segment_weight(an.interior[k], recs, self.m, levels)
-        term = self[key] = _uncovered(levels, an.level.index, self.block,
-                                      weight, gen_key)
+        term = self[key] = _term(self.levels, self.i,
+                                 self.an.lam_records[self.k, key], self.block)
         return term
 
 
 class _LamRecords(dict):
     """Per (k, rule key), segment k's lam records ((position, r) pairs),
     generators ((direction, knot, degree, extra shift) in line order, as
-    dim_power_sum_in takes them) and their _generator_key, computed on first
-    use."""
+    dim_power_sum_in takes them), their _generator_key and the records' r
+    values, computed on first use."""
 
     def __init__(self, ix: SegmentIndex):
         super().__init__()
@@ -640,76 +662,81 @@ class _LamRecords(dict):
         direction = "s" if ix.axis[k] == 0 else "t"
         gens = tuple((direction, ix.lines[q], r2 + 1, extra)
                      for q, (r2, extra) in sorted(by_line.items()))
-        found = self[k_key] = (recs, gens, _generator_key(gens))
+        found = self[k_key] = (recs, gens, _generator_key(gens),
+                               tuple(rc for _, rc in recs))
         return found
-
-
-def _lam_weight_generators(an: SegmentAnalysis, k, key, m):
-    """Segment k's lam records, weight at m and generators from its rule
-    key."""
-    recs, gens, _ = an.lam_records[k, key]
-    return recs, segment_weight(an.interior[k], recs, m,
-                                an.level.profile.levels), gens
 
 
 def contribution_sets(an: SegmentAnalysis, ordering: SegmentOrdering,
                       m) -> ContributionSets:
     """The sets of one level under ordering at m. ordering.order must hold
-    each interior segment number once; anything else raises ValueError."""
+    each interior segment number once; anything else raises ValueError. The
+    rule keys and terms are the search's when it made ordering on an at m,
+    else _order_keys' at the order's own masks and fresh _Terms'."""
     order = ordering.order
     if not all(isinstance(k, int) for k in order) \
             or sorted(order) != list(range(len(an.interior))):
         raise ValueError(f"not an order of the segment numbers: {order!r}")
+    m = tuple(m)
     before = _before(order)
-    theta = [[] for _ in before]
-    keys = _order_keys(an, before, m, theta)
-    terms = tuple(_lam_weight_generators(an, k, key, m)
-                  for k, key in enumerate(keys))
-    return ContributionSets(an, ordering, tuple(m), terms, before,
-                            tuple(map(tuple, theta)))
+    terms = ordering.terms
+    if terms and terms[0].an is an and terms[0].m == m:
+        keys = ordering.keys
+    else:
+        keys = _order_keys(an, before, m, [[] for _ in before])
+        terms = [_Terms(an, k, m) for k in range(len(order))]
+    records, h0_terms = [], []
+    for k, key in enumerate(keys):
+        recs, gens, _, rs = an.lam_records[k, key]
+        records.append((recs, _weight(rs, terms[k].block[1]), gens))
+        h0_terms.append(terms[k][key])
+    return ContributionSets(an, ordering, m, tuple(records), tuple(h0_terms),
+                            before)
 
 
 def _block(levels, i, rho: MaxSegment, m):
     """rho's block at m, the largest weight that leaves it uncovered and m
-    less rho.e: all that _covered needs of rho and m."""
+    less rho.e: all that _term needs of rho and m."""
     ax = _axis_index(rho.axis)
     return (dim_M(levels, i, rho.e, m),
             m[ax] - levels[min(i, len(levels) - 1)][ax], bd_sub(m, rho.e))
 
 
-def _uncovered(levels, i, block, weight, gens) -> int:
-    """The part of a segment's block that its weight and generators leave
-    uncovered: the segment's term in the H0 upper bound."""
-    return max(block[0] - _covered(levels, i, block, weight, gens), 0)
+def _weight(rs, cap) -> int:
+    """The weight of lam records of smoothness rs against a block's cap."""
+    return sum([cap - r for r in rs if r < cap])
 
 
-def _covered(levels, i, block, weight, gens) -> int:
+def _term(levels, i, records, block) -> int:
+    """A segment's term in the H0 upper bound from its lam_records entry and
+    its block: 0 when its weight exceeds the cap and so covers the whole
+    block, else the block less what its generators span in it."""
     size, cap, sub = block
-    if weight > cap:
-        return size
-    if not gens:
+    _, _, gen_key, rs = records
+    if _weight(rs, cap) > cap:
         return 0
-    return dim_power_sum_in(levels, i, gens, sub)
+    if not gen_key:
+        return size
+    return size - dim_power_sum_in(levels, i, gen_key, sub)
 
 
 def dim_D_contribution(rho: MaxSegment, sets: ContributionSets) -> int:
     """Dimension of the covered part of one segment's block at sets.m."""
     an = sets.analysis
-    _, weight, gens = sets.terms[an.index.of[rho.key]]
     levels, i = an.level.profile.levels, an.level.index
-    return _covered(levels, i, _block(levels, i, rho, sets.m), weight, gens)
+    return _block(levels, i, rho, sets.m)[0] \
+        - sets.h0_terms[an.index.of[rho.key]]
 
 
 def h0_ideal_upper(sets: ContributionSets) -> int:
     """Upper bound for the H0 dimension of the level's line ideal complex
-    under the ordering and at the bi-degree of sets."""
-    an, m = sets.analysis, sets.m
+    under the ordering and at the bi-degree of sets: the sum of its
+    segments' terms."""
+    an = sets.analysis
     if an.level.h != 0:
         raise AssumptionViolated(
             f"level {an.level.index} has relative cycles (h = {an.level.h})")
-    levels, i = an.level.profile.levels, an.level.index
-    return sum(_uncovered(levels, i, _block(levels, i, rho, m), weight, gens)
-               for rho, (_, weight, gens) in zip(an.interior, sets.terms))
+    return sum(sets.h0_terms)
 
 
 def h0_ideal_oracle(an: SegmentAnalysis, m) -> int:

@@ -7,7 +7,8 @@ import random
 import sys
 
 import pytest
-from tmeshdim import (DecompositionMismatch, SmoothnessProfile, bounds,
+from tmeshdim import (DecompositionMismatch, LeveledProfile,
+                      SmoothnessProfile, TMesh, bounds,
                       certify_stable, configuration1_holds,
                       constant_complex_dims, euler_characteristic,
                       all_levels, dim_M)
@@ -219,7 +220,8 @@ def test_config1_by_pair_classes_matches_the_per_vertex_check():
     assert min(seen.values()) > 0, seen
 
 
-class CountingDict(dict):
+class CountingDict(ReadOnlyDict):
+    # read-only, so the SmoothnessProfile below keeps it as it is
     def __init__(self, *args):
         super().__init__(*args)
         self.lookups = 0
@@ -355,6 +357,19 @@ BUILT_MAPS = ((0, "edge_faces"), (0, "face_edges"), (0, "vertex_edges"),
               (1, "vertex_deficit"), (2, "edge_r"), (2, "vertex_pair"))
 
 
+def refuses_every_change(mp):
+    key = next(iter(mp))
+    value = mp[key]
+    for change in (lambda: operator.setitem(mp, key, value),
+                   lambda: operator.delitem(mp, key),
+                   lambda: operator.ior(mp, {key: value}),
+                   lambda: mp.update({key: value}),
+                   lambda: mp.setdefault(key, value),
+                   lambda: mp.pop(key), mp.popitem, mp.clear):
+        with pytest.raises(TypeError, match="does not change"):
+            change()
+
+
 def test_the_built_maps_do_not_change_in_place():
     # the memo keys its records on the triple's identity, so a map changed
     # in place would leave them stale (test1 at (4, 4) kept chi 121 after
@@ -369,21 +384,51 @@ def test_the_built_maps_do_not_change_in_place():
         for part, name in BUILT_MAPS:
             mp = getattr(twin[part], name)
             assert type(mp) is ReadOnlyDict
-            key = next(iter(mp))
-            value = mp[key]
-            for change in (lambda: operator.setitem(mp, key, value),
-                           lambda: operator.delitem(mp, key),
-                           lambda: operator.ior(mp, {key: value}),
-                           lambda: mp.update({key: value}),
-                           lambda: mp.setdefault(key, value),
-                           lambda: mp.pop(key), mp.popitem, mp.clear):
-                with pytest.raises(TypeError, match="does not change"):
-                    change()
+            refuses_every_change(mp)
             assert mp == getattr(triple[part], name), name
         assert bounds(*twin, (4, 4)) == want
 
 
-KEYED_RECORDS = ("gamma", "upsilon", "theta", "lam", "weights", "generators")
+def test_a_hand_built_triple_refuses_a_change_in_place():
+    # the constructors put every map given as a plain dict in a
+    # ReadOnlyDict, so a triple built by hand cannot go stale under the
+    # memo either: test1 at (4, 4) read chi 121 and bounds 112..121 after
+    # its plain-dict r was changed to 2 in place, where a fresh triple with
+    # r = 2 reads chi 37 and bounds 28..43
+    mesh, profile, smoothness = triple = parse_mesh_file(fixture_path("test1"))
+
+    def by_hand(edge_r, vertex_pair):
+        return (TMesh(mesh.faces, mesh.edges, mesh.vertices,
+                      dict(mesh.edge_faces), dict(mesh.face_edges),
+                      dict(mesh.vertex_edges)),
+                LeveledProfile(dict(profile.face_deficit),
+                               dict(profile.edge_deficit),
+                               dict(profile.vertex_deficit),
+                               profile.deficit_set, profile.levels,
+                               profile.steps),
+                SmoothnessProfile(dict(edge_r), dict(vertex_pair)))
+
+    hand = by_hand(smoothness.edge_r, smoothness.vertex_pair)
+    want = bounds(*triple, (4, 4))
+    assert (want.chi, want.lower_general, want.upper) == (121, 112, 121)
+    assert bounds(*hand, (4, 4)) == want
+    for part, name in BUILT_MAPS:
+        mp = getattr(hand[part], name)
+        assert type(mp) is ReadOnlyDict and mp == getattr(triple[part], name)
+        refuses_every_change(mp)
+    assert bounds(*hand, (4, 4)) == want
+    raised = bounds(*by_hand({e: 2 for e in smoothness.edge_r},
+                             {v: (2, 2) for v in smoothness.vertex_pair}),
+                    (4, 4))
+    assert (raised.chi, raised.lower_general, raised.upper) == (37, 28, 43)
+    # a ReadOnlyDict given is kept, not copied
+    kept = SmoothnessProfile(smoothness.edge_r, smoothness.vertex_pair)
+    assert kept.edge_r is smoothness.edge_r
+    assert kept.vertex_pair is smoothness.vertex_pair
+
+
+KEYED_RECORDS = ("gamma", "upsilon", "theta", "lam", "weights", "generators",
+                 "theta_pairs")
 
 
 def _unread(name):
@@ -395,7 +440,8 @@ def _unread(name):
 
 def test_bounds_path_reads_no_keyed_contribution_record(monkeypatch):
     # bounds and certify_stable take the per-segment terms by position;
-    # building the Fraction-keyed dicts is left to callers that read them
+    # building the Fraction-keyed dicts, and theta's pairs, which only the
+    # keyed theta view reads, is left to callers that read them
     segments = sys.modules["tmeshdim.segments"]
     unread = type("Unread", (segments.ContributionSets,),
                   {name: _unread(name) for name in KEYED_RECORDS})

@@ -5,6 +5,7 @@ are pinned independently by the constraint-rank oracle in test_bounds and
 test_acceptance; here the focus is the segment calculus itself.
 """
 
+import dataclasses
 import gc
 import random
 import weakref
@@ -17,11 +18,13 @@ import pytest
 from tmeshdim import (AssumptionViolated, SegmentOrdering,
                       TooManyForExhaustive, all_levels, analyze_segments,
                       contribution_sets, dim_D_contribution, dim_M,
-                      h0_ideal_oracle, h0_ideal_upper, order_segments)
+                      dim_power_sum_in, h0_ideal_oracle, h0_ideal_upper,
+                      order_segments, segment_weight)
 from tmeshdim.meshfile import parse_mesh_dict, parse_mesh_file
-from tmeshdim.segments import (EXHAUSTIVE_LIMIT, _before, _CoverThresholds,
-                                _covers, _floors, _order_keys, _Terms,
-                                _theta_at, _upsilon_js, _walk)
+from tmeshdim.segments import (EXHAUSTIVE_LIMIT, _before, _block,
+                                _CoverThresholds, _covers, _floors,
+                                _order_keys, _Terms, _theta_at, _upsilon_js,
+                                _walk)
 
 from .helpers import fixture_path, make
 from .helpers.randmesh import (random_region_mesh, random_split_mesh,
@@ -433,8 +436,8 @@ def test_walk_fixes_each_rule_key_when_the_segment_is_placed():
                 least = [min(map(t.__getitem__, keys))
                          for t, keys in zip(terms, reached)]
                 want = enumerated_best(an, m, terms)
-                assert _walk(rules, theta_at, terms, [0] * n) == want
-                assert _walk(rules, theta_at, terms, least) == want
+                assert _walk(rules, theta_at, terms, [0] * n)[0] == want
+                assert _walk(rules, theta_at, terms, least)[0] == want
 
 
 class FloorCheck:
@@ -490,8 +493,8 @@ def test_every_term_the_search_reads_is_at_least_its_floor():
                 for done in range(1 << n):
                     if not done >> x & 1:
                         checked[x][row[done]]
-            got = _walk(rules, theta_at, checked, floor)
-            assert got == _walk(rules, theta_at, terms, [0] * n) \
+            got = _walk(rules, theta_at, checked, floor)[0]
+            assert got == _walk(rules, theta_at, terms, [0] * n)[0] \
                 == order_segments(an, "exhaustive", m).order, \
                 (an.level.index, n, m)
             pruned += any(floor)
@@ -568,6 +571,77 @@ def test_a_warm_analysis_gives_what_a_fresh_one_gives():
                 fresh = analyze_segments(lv, smoothness)
                 assert sweep_case(warm, strategy, m) \
                     == sweep_case(fresh, strategy, m), (label, strategy, m)
+
+
+def reference_term(an, k, key, m):
+    """Segment k's weight and term at rule key and m as the report worked
+    them out before the search handed its terms over: the block less what
+    the weight (above the cap, all of it) or the raw generators cover."""
+    levels, i = an.level.profile.levels, an.level.index
+    rho = an.interior[k]
+    size, cap, sub = _block(levels, i, rho, m)
+    recs, gens = an.lam_records[k, key][:2]
+    weight = segment_weight(rho, recs, m, levels)
+    if weight > cap:
+        covered = size
+    elif not gens:
+        covered = 0
+    else:
+        covered = dim_power_sum_in(levels, i, list(gens), sub)
+    return weight, max(size - covered, 0)
+
+
+def test_the_search_hands_over_what_a_fresh_evaluation_gives():
+    # the exhaustive search hands the rule key it fixed for each segment and
+    # its terms to contribution_sets. On every searched level of the sweep,
+    # at m in 2..8 and at three degrees where graded takes its exact rank,
+    # the keys are _order_keys' at the order found, theta's bits included,
+    # each weight and carried term is the one worked out afresh, and
+    # h0_ideal_upper is the walk's best total. The order read at another m
+    # or on the analysis of another smoothness gives what it gives as an
+    # order made by hand
+    degrees = list(product(range(2, 9), repeat=2)) \
+        + [(20, 20), (12, 17), (20, 3)]
+    searched = with_theta = moved = 0
+    for label, lv, smoothness in sweep_levels():
+        an = analyze_segments(lv, smoothness)
+        n = len(an.interior)
+        if not 2 <= n <= EXHAUSTIVE_LIMIT:
+            continue
+        rules = an.index.search_tables
+        other_r = analyze_segments(lv, mixed_r(lv.mesh, 99))
+        for m in degrees:
+            ordr = order_segments(an, "exhaustive", m)
+            before = _before(ordr.order)
+            keys = _order_keys(an, before, m, [[] for _ in before])
+            assert ordr.keys == tuple(keys), (label, m)
+            with_theta += keys != [row[b] for row, b in zip(rules, before)]
+            sets = contribution_sets(an, ordr, m)
+            want = [reference_term(an, k, key, m)
+                    for k, key in enumerate(keys)]
+            assert [(w, t) for (_, w, _), t in zip(sets.terms, sets.h0_terms)] \
+                == want, (label, m)
+            walked = sum(map(getitem, ordr.terms, ordr.keys))
+            assert walked == sum(t for _, t in want)
+            if lv.h == 0:
+                assert h0_ideal_upper(sets) == walked
+            # an order made by replace carries none of the search's record
+            by_hand = dataclasses.replace(ordr, strategy="input")
+            assert by_hand.keys is by_hand.terms is None
+            other = (m[1], m[0] + 1)
+            for got, at in ((sets, m),
+                            (contribution_sets(an, ordr, other), other)):
+                fresh = contribution_sets(an, by_hand, at)
+                assert (got.terms, got.h0_terms, got.theta_pairs) \
+                    == (fresh.terms, fresh.h0_terms, fresh.theta_pairs)
+            got = contribution_sets(other_r, ordr, m)
+            assert got.h0_terms \
+                == contribution_sets(other_r, by_hand, m).h0_terms
+            moved += got.h0_terms != sets.h0_terms
+            searched += 1
+    # (level, m) searches, those whose keys gained a bit from theta and
+    # those whose terms differ on the other smoothness
+    assert (searched, with_theta, moved) == (832, 22, 539)
 
 
 def test_the_records_do_not_grow_with_the_degrees_asked():
