@@ -25,8 +25,7 @@ from .oracle import oracle_spline_dim, span_dim, span_quotient_dim
 from .segments import (ContributionSets, MaxSegment, SegmentAnalysis,
                        SegmentOrdering, TooManyForExhaustive,
                        analyze_segments, contribution_sets,
-                       dim_D_contribution, h0_ideal_oracle, h0_ideal_upper,
-                       order_segments, segment_weight)
+                       h0_ideal_oracle, h0_ideal_upper, order_segments)
 
 __version__ = "0.1.0"
 
@@ -43,10 +42,9 @@ __all__ = [
     "analyze_segments", "bounds", "build_profile", "build_smoothness",
     "build_tmesh", "certify_stable", "check_assumptions",
     "configuration1_holds", "constant_complex_dims", "contribution_sets",
-    "dim_D_contribution", "dim_L", "dim_M", "dim_edge_increment",
-    "dim_power_sum", "dim_power_sum_in", "dim_shift",
-    "dim_vertex_increment", "euler_characteristic", "h0_ideal_oracle",
-    "h0_ideal_upper", "island_components",
-    "oracle_spline_dim", "order_segments", "relative_betti", "segment_weight",
-    "span_dim", "span_quotient_dim",
+    "dim_L", "dim_M", "dim_edge_increment", "dim_power_sum",
+    "dim_power_sum_in", "dim_shift", "dim_vertex_increment",
+    "euler_characteristic", "h0_ideal_oracle", "h0_ideal_upper",
+    "island_components", "oracle_spline_dim", "order_segments",
+    "relative_betti", "span_dim", "span_quotient_dim",
 ]

@@ -15,8 +15,8 @@ from typing import Optional
 from .graded import dim_L, dim_M, dim_shift, dim_vertex_increment
 from .levels import AssumptionReport, all_levels, check_assumptions
 from .mesh import TMesh, bd_add, bd_max, bd_min, bd_sub
-from .segments import (analyze_segments, check_strategy, contribution_sets,
-                       h0_ideal_upper, order_segments)
+from .segments import (analyze_segments, check_bidegree, check_strategy,
+                       contribution_sets, h0_ideal_upper, order_segments)
 
 
 class DecompositionMismatch(Exception):
@@ -286,7 +286,7 @@ def bounds(mesh: TMesh, profile, smoothness, m, ordering="auto",
     later calls on the same three objects, so a degree sweep pays for them
     once. The triple is treated as immutable, as TMesh documents.
     """
-    m = (int(m[0]), int(m[1]))
+    m = check_bidegree(m)
     check_strategy(ordering)
     prep = _prepared(mesh, profile, smoothness)
     assumption = prep.assumption
@@ -345,7 +345,7 @@ def certify_stable(mesh: TMesh, profile, smoothness, m, ordering="auto"):
     of bounds(): a call after bounds() on the same three objects rebuilds
     no level, topology or segment analysis.
     """
-    m = (int(m[0]), int(m[1]))
+    m = check_bidegree(m)
     check_strategy(ordering)
     prep = _prepared(mesh, profile, smoothness)
     if not (prep.assumption.ok

@@ -30,7 +30,6 @@ class TooManyForExhaustive(Exception):
 
 @dataclass(frozen=True)
 class MaxSegment:
-    level: int
     axis: str
     line: object
     lo: object
@@ -96,9 +95,9 @@ class SegmentAnalysis:
                 if e.lo == run[-1].hi:
                     run.append(e)
                 else:
-                    segs.append(self._mk(i, axis, line, run, step))
+                    segs.append(self._mk(axis, line, run, step))
                     run = [e]
-            segs.append(self._mk(i, axis, line, run, step))
+            segs.append(self._mk(axis, line, run, step))
         segs.sort(key=lambda s: s.key)
         self.segments = segs
         self.interior = tuple(s for s in segs if s.interior)
@@ -122,7 +121,7 @@ class SegmentAnalysis:
         self.lam_records = _LamRecords(self.index)
         self.cover_thresholds = _CoverThresholds(self.index)
 
-    def _mk(self, i, axis, line, run, step):
+    def _mk(self, axis, line, run, step):
         mesh = self.level.mesh
         interior = not any(p in mesh.boundary_vertices
                            for e in run for p in e.endpoints())
@@ -130,7 +129,7 @@ class SegmentAnalysis:
               if e in self.smoothness.edge_r}
         r = rs.pop() if len(rs) == 1 else None
         dp = (step[0], 0) if axis == "h" else (0, step[1])
-        return MaxSegment(i, axis, line, run[0].lo, run[-1].hi,
+        return MaxSegment(axis, line, run[0].lo, run[-1].hi,
                           tuple(run), interior, r, dp)
 
     def _r_at(self, seg, coord):
@@ -198,15 +197,14 @@ class SegmentIndex:
                             smoothness, the step shift and the position
     of                      key -> k
     line                    per position: the rank of the segment's line
-    crossers                per k: one (j, p, r, record) per crossing
-                            segment, j its number (-1 off the interior),
-                            r its smoothness at the crossing
+    crossers                per k: one (j, p, r) per crossing segment, j
+                            its number (-1 off the interior), r its
+                            smoothness at the crossing
     icross                  per k: its interior crossers' numbers, ascending
-    common                  per k: (k1, shared, its bitmask) for each other
-                            same-axis k1, ascending, whose interior crossers
-                            meet k's in the non-empty tuple shared; empty
-                            above the top level, where no relations are
-                            manufactured
+    common                  per k: (k1, shared) for each other same-axis k1,
+                            ascending, whose interior crossers meet k's in
+                            the non-empty bitmask shared; empty above the
+                            top level, where no relations are manufactured
     theta                   theta's candidates: (k, a, 1 << a, the bit of k
                             among a's crossers or 0 when k's line carries a
                             step, ((b, the bit of k among b's crossers),
@@ -236,7 +234,7 @@ class SegmentIndex:
         self.dp = [s.dp for s in interior]
         self.pos = [pos[s.key] for s in interior]
         self.crossers = [
-            tuple((self.of.get(rec.key, -1), pos[rec.key], rec.r, rec)
+            tuple((self.of.get(rec.key, -1), pos[rec.key], rec.r)
                   for rec in an.crossers[s.key])
             for s in interior]
         self.icross = [tuple(sorted(c[0] for c in cs if c[0] >= 0))
@@ -251,9 +249,9 @@ class SegmentIndex:
             for k1 in range(n):
                 if k1 == k or self.axis[k1] != self.axis[k]:
                     continue
-                shared = tuple(j for j in self.icross[k1] if j in mine)
+                shared = sum(1 << j for j in self.icross[k1] if j in mine)
                 if shared:
-                    pairs.append((k1, shared, sum(1 << j for j in shared)))
+                    pairs.append((k1, shared))
             self.common[k] = tuple(pairs)
         bit = [{c[0]: 1 << t for t, c in enumerate(cs) if c[0] >= 0}
                for cs in self.crossers]
@@ -287,6 +285,15 @@ def check_strategy(strategy):
         raise ValueError(f"unknown ordering strategy {strategy!r}")
 
 
+def check_bidegree(m):
+    """m as a pair of ints; ValueError unless both are integral."""
+    a, b = m
+    pair = int(a), int(b)
+    if pair != (a, b):
+        raise ValueError(f"bi-degree {m!r} is not a pair of integers")
+    return pair
+
+
 @dataclass(frozen=True)
 class SegmentOrdering:
     """An order of a level's interior segment numbers, the first placed
@@ -309,6 +316,8 @@ def order_segments(an: SegmentAnalysis, strategy="auto",
     """Order the interior segments. greedy needs no bi-degree; exhaustive
     minimizes the resulting upper bound at m over all orders."""
     check_strategy(strategy)
+    if m is not None:
+        m = check_bidegree(m)
     n = len(an.interior)
     if strategy == "auto":
         strategy = "exhaustive" if n <= EXHAUSTIVE_LIMIT and m is not None \
@@ -427,10 +436,7 @@ class ContributionSets:
     terms[k] holds interior segment k's lam records ((position, r) pairs),
     weight and generators (as dim_power_sum_in takes them), and h0_terms[k]
     its term in the H0 upper bound: the part of its block that they leave
-    uncovered. before holds the order's before masks. theta_pairs, per owner
-    k theta's (a, b) pairs, and the dicts gamma, upsilon, theta, lam,
-    weights and generators, keyed by the interior segment keys in key
-    order, are built on first read.
+    uncovered. before holds the order's before masks.
     """
 
     analysis: SegmentAnalysis
@@ -440,60 +446,9 @@ class ContributionSets:
     h0_terms: tuple
     before: list
 
-    def _by_key(self, values):
-        return dict(zip(self.analysis.index.keys, values))
-
-    @cached_property
-    def theta_pairs(self):
-        theta = [[] for _ in self.before]
-        _order_keys(self.analysis, self.before, self.m, theta)
-        return tuple(map(tuple, theta))
-
-    @cached_property
-    def gamma(self):
-        ix = self.analysis.index
-        return self._by_key(
-            tuple(ix.crossers[k][t][3] for t in _bits(_gamma(ix, k, b)))
-            for k, b in enumerate(self.before))
-
-    @cached_property
-    def upsilon(self):
-        ix = self.analysis.index
-        return self._by_key(
-            tuple((ix.keys[k1], ix.keys[j])
-                  for k1, shared, _ in _upsilon(ix, k, b) for j in shared)
-            for k, b in enumerate(self.before))
-
-    @cached_property
-    def theta(self):
-        keys = self.analysis.index.keys
-        return self._by_key(tuple((keys[a], keys[b]) for a, b in pairs)
-                            for pairs in self.theta_pairs)
-
-    @cached_property
-    def lam(self):
-        segs = self.analysis.segments
-        return self._by_key(tuple((segs[p].key, rc) for p, rc in recs)
-                            for recs, _, _ in self.terms)
-
-    @cached_property
-    def weights(self):
-        return self._by_key(weight for _, weight, _ in self.terms)
-
-    @cached_property
-    def generators(self):
-        return self._by_key(gens for _, _, gens in self.terms)
-
 
 def _axis_index(axis: str) -> int:
     return 0 if axis == "h" else 1
-
-
-def segment_weight(rho: MaxSegment, lam, m, levels) -> int:
-    """Weight of a segment given its Λ records (pairs (key, r))."""
-    ax = _axis_index(rho.axis)
-    return _weight([r for _, r in lam],
-                   m[ax] - levels[min(rho.level, len(levels) - 1)][ax])
 
 
 def _before(order):
@@ -527,7 +482,7 @@ def _gamma(ix: SegmentIndex, k, before):
 
 def _upsilon(ix: SegmentIndex, k, before):
     """The entries of common[k] whose partner k1 is earlier with
-    r[k] >= r[k1]; upsilon pairs k1 with each j of their shared."""
+    r[k] >= r[k1]; upsilon pairs k1 with each j in their shared mask."""
     r = ix.r
     return [c for c in ix.common[k] if before >> c[0] & 1 and r[k] >= r[c[0]]]
 
@@ -535,7 +490,7 @@ def _upsilon(ix: SegmentIndex, k, before):
 def _upsilon_js(ix: SegmentIndex, k, before):
     """The mask of upsilon's j's."""
     js = 0
-    for _, _, shared in _upsilon(ix, k, before):
+    for _, shared in _upsilon(ix, k, before):
         js |= shared
     return js
 
@@ -572,10 +527,6 @@ class _CoverThresholds(dict):
             s for s in count() if _covers(self.ix, js, s))
         return found
 
-    def covers(self, js, surplus):
-        """_covers(ix, js, surplus), read from the threshold of js."""
-        return _reaches(self[js], surplus)
-
 
 def _reaches(least, surplus):
     """Theta's covering test at surplus, given the least surplus at or above
@@ -598,28 +549,27 @@ def _theta_at(an: SegmentAnalysis, m):
     return live
 
 
-def _order_keys(an: SegmentAnalysis, before, m, theta):
+def _order_keys(an: SegmentAnalysis, before, m):
     """The rule key of each k under one order, given as before masks, at m.
 
     Owner k pairs a with each b after a among theta's candidates when a
     qualifies, that is when the partners earlier than both k and a cover
     the block; b then gains k, and a does too unless k's line carries a
-    step. The pairs are appended to theta[k].
+    step.
     """
     ix = an.index
-    covers = an.cover_thresholds.covers
+    thresholds = an.cover_thresholds
     keys = [_rule_key(ix, k, b) for k, b in enumerate(before)]
     for k, a, a_bit, k_in_a, seconds in ix.theta:
         need = an.level.profile.levels[an.level.index][ix.axis[k]]
         js = _upsilon_js(ix, k, before[k] & before[a])
-        if not covers(js, m[ix.axis[k]] - need):
+        if not _reaches(thresholds[js], m[ix.axis[k]] - need):
             continue
         paired = False
         for b, k_in_b in seconds:
             if before[b] & a_bit:
                 keys[b] |= k_in_b
                 paired = True
-                theta[k].append((a, b))
         if paired:
             keys[a] |= k_in_a
     return keys
@@ -631,7 +581,7 @@ class _Terms(dict):
 
     def __init__(self, an: SegmentAnalysis, k, m):
         super().__init__()
-        self.an, self.k, self.m = an, k, tuple(m)
+        self.an, self.k, self.m = an, k, m
         self.levels, self.i = an.level.profile.levels, an.level.index
         self.block = _block(self.levels, self.i, an.interior[k], m)
 
@@ -654,7 +604,7 @@ class _LamRecords(dict):
     def __missing__(self, k_key):
         ix = self.ix
         k, key = k_key
-        recs = tuple(c[1:3] for t, c in enumerate(ix.crossers[k])
+        recs = tuple(c[1:] for t, c in enumerate(ix.crossers[k])
                      if key >> t & 1)
         by_line = {ix.line[p]: (rc, (0, 0)) for p, rc in recs}
         for j in _bits(key >> len(ix.crossers[k])):
@@ -677,13 +627,13 @@ def contribution_sets(an: SegmentAnalysis, ordering: SegmentOrdering,
     if not all(isinstance(k, int) for k in order) \
             or sorted(order) != list(range(len(an.interior))):
         raise ValueError(f"not an order of the segment numbers: {order!r}")
-    m = tuple(m)
+    m = check_bidegree(m)
     before = _before(order)
     terms = ordering.terms
     if terms and terms[0].an is an and terms[0].m == m:
         keys = ordering.keys
     else:
-        keys = _order_keys(an, before, m, [[] for _ in before])
+        keys = _order_keys(an, before, m)
         terms = [_Terms(an, k, m) for k in range(len(order))]
     records, h0_terms = [], []
     for k, key in enumerate(keys):
@@ -718,14 +668,6 @@ def _term(levels, i, records, block) -> int:
     if not gen_key:
         return size
     return size - dim_power_sum_in(levels, i, gen_key, sub)
-
-
-def dim_D_contribution(rho: MaxSegment, sets: ContributionSets) -> int:
-    """Dimension of the covered part of one segment's block at sets.m."""
-    an = sets.analysis
-    levels, i = an.level.profile.levels, an.level.index
-    return _block(levels, i, rho, sets.m)[0] \
-        - sets.h0_terms[an.index.of[rho.key]]
 
 
 def h0_ideal_upper(sets: ContributionSets) -> int:

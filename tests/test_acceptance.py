@@ -12,7 +12,7 @@ from fractions import Fraction
 import pytest
 from tmeshdim import (all_levels, analyze_segments, bounds, certify_stable,
                       check_assumptions, contribution_sets,
-                      dim_D_contribution, dim_edge_increment, dim_L, dim_M,
+                      dim_edge_increment, dim_L, dim_M,
                       dim_power_sum, dim_power_sum_in, dim_shift,
                       dim_vertex_increment, h0_ideal_upper, order_segments,
                       relative_betti, span_dim, span_quotient_dim,
@@ -343,8 +343,11 @@ def _block_table(name, m, which_level):
     an = analyze_segments(lv, smoothness)
     ordr = order_segments(an, "auto", m)
     sets = contribution_sets(an, ordr, m)
-    table = sorted((dim_M(profile.levels, lv.index, rho.e, m),
-                    dim_D_contribution(rho, sets)) for rho in an.interior)
+    blocks = (dim_M(profile.levels, lv.index, rho.e, m)
+              for rho in an.interior)
+    # each block and the part of it that the segment's records cover
+    table = sorted((block, block - term)
+                   for block, term in zip(blocks, sets.h0_terms))
     # fully covered segments pair each block with itself and contribute 0
     return [p for p in table if p[0] > p[1]], h0_ideal_upper(sets)
 
@@ -357,7 +360,9 @@ def test_criterion_8_segment_spot_checks():
     an = analyze_segments(lv, smoothness)
     # the keys (h, 1, 1), (v, 1, 1), (v, 2, 1), (h, 2, 1) in that order
     ordr = SegmentOrdering("input", (0, 2, 3, 1))
-    weights = contribution_sets(an, ordr, (4, 4)).weights
+    weights = dict(zip(an.index.keys,
+                       (w for _, w, _ in
+                        contribution_sets(an, ordr, (4, 4)).terms)))
     # the late vertical segment is crossed twice, each worth 4 - 1 - 1
     if weights[("v", 2, 1)] != 2 * (4 - 1 - 1):
         problems.append(f"weight {weights[('v', 2, 1)]} != 4")

@@ -5,13 +5,15 @@ import operator
 import pickle
 import random
 import sys
+from fractions import Fraction
 
 import pytest
 from tmeshdim import (DecompositionMismatch, LeveledProfile,
                       SmoothnessProfile, TMesh, bounds,
                       certify_stable, configuration1_holds,
-                      constant_complex_dims, euler_characteristic,
-                      all_levels, dim_M)
+                      constant_complex_dims, contribution_sets,
+                      euler_characteristic, all_levels, analyze_segments,
+                      dim_M, order_segments)
 from tmeshdim.cli import main
 from tmeshdim.mesh import ReadOnlyDict, bd_sub
 from tmeshdim.meshfile import (parse_mesh_file, render_certify_text,
@@ -156,6 +158,30 @@ def test_an_unknown_ordering_strategy_is_refused_where_the_call_enters():
         bounds(*ring, (3, 3), ordering="typo")
     with pytest.raises(ValueError, match="unknown ordering strategy 'typo'"):
         certify_stable(*counterexample, (2, 2), ordering="typo")
+
+
+def test_a_non_integral_bi_degree_is_refused_where_it_enters():
+    # int() would truncate (3.9, 3) to (3, 3), and the segment layer would
+    # sum fractional terms at (4.5, 4); integral values of any type keep
+    # their reports
+    test1 = parse_mesh_file(fixture_path("test1"))
+    mesh, profile, smoothness = parse_mesh_file(
+        fixture_path("new_relations_b"))
+    an = analyze_segments(all_levels(mesh, profile)[0], smoothness)
+    greedy = order_segments(an, "greedy")
+    for bad in ((3.9, 3), (4.5, 4), (3, Fraction(7, 2)), ("3", 3)):
+        for call in (lambda: bounds(*test1, bad),
+                     lambda: certify_stable(*test1, bad),
+                     lambda: order_segments(an, "auto", bad),
+                     lambda: contribution_sets(an, greedy, bad)):
+            with pytest.raises(ValueError, match="not a pair of integers"):
+                call()
+    assert bounds(*test1, (3.0, Fraction(3))) == bounds(*test1, (3, 3))
+    assert certify_stable(*test1, (3.0, 3)) == (True, 37)
+    assert order_segments(an, "auto", (4.0, 4)) == order_segments(an, "auto",
+                                                                  (4, 4))
+    assert contribution_sets(an, greedy, (4.0, 4)).h0_terms \
+        == contribution_sets(an, greedy, (4, 4)).h0_terms
 
 
 def test_ordering_strategy_is_recorded():
@@ -427,25 +453,9 @@ def test_a_hand_built_triple_refuses_a_change_in_place():
     assert kept.vertex_pair is smoothness.vertex_pair
 
 
-KEYED_RECORDS = ("gamma", "upsilon", "theta", "lam", "weights", "generators",
-                 "theta_pairs")
-
-
-def _unread(name):
-    """A field that may be set but not read."""
-    def read(self):
-        raise AssertionError(f"the bounds path read ContributionSets.{name}")
-    return property(read, lambda self, value: None)
-
-
-def test_bounds_path_reads_no_keyed_contribution_record(monkeypatch):
-    # bounds and certify_stable take the per-segment terms by position;
-    # building the Fraction-keyed dicts, and theta's pairs, which only the
-    # keyed theta view reads, is left to callers that read them
-    segments = sys.modules["tmeshdim.segments"]
-    unread = type("Unread", (segments.ContributionSets,),
-                  {name: _unread(name) for name in KEYED_RECORDS})
-    monkeypatch.setattr(segments, "ContributionSets", unread)
+def test_certify_stable_gives_what_bounds_reports_on_the_fixtures():
+    # certify_stable skips the oracle and stops at the first level whose
+    # ideal bound misses its island count, yet must give bounds' verdict
     degrees = [(a, b) for a in range(2, 7) for b in range(2, 7)]
     for name, _ in CANONICAL:
         triple = parse_mesh_file(fixture_path(name))
@@ -453,6 +463,5 @@ def test_bounds_path_reads_no_keyed_contribution_record(monkeypatch):
             rep = bounds(*triple, m, with_oracle=True)
             assert all(row.weights for row in rep.rows
                        if row.segment_count)
-            bounds(*triple, m, ordering="greedy")
             exact = rep.exact if rep.certified else None
             assert certify_stable(*triple, m) == (rep.certified, exact)

@@ -5,6 +5,9 @@ For each fixture, level, bi-degree in 2..6 x 2..6 and ordering strategy
 gamma, upsilon, theta, lam, the generators and h0_ideal_upper. The data in
 segment_golden.json pins any rewrite of the ordering search or of the
 contribution rules to the values the original implementation produced.
+The weights, lam and the generators are the library's (ContributionSets'
+terms); gamma, upsilon and theta, which the library keeps only folded into
+rule keys, come from the key-level reference rules under the same order.
 
 The fixtures give every line the same smoothness, which leaves the rules'
 comparisons of r values untested, so six of them also run with a seeded
@@ -28,6 +31,7 @@ from tmeshdim import (AssumptionViolated, all_levels, analyze_segments,
 from tmeshdim.meshfile import parse_mesh_file
 
 from .helpers import fixture_path
+from .helpers.rules import keyed_terms, reference_sets
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "segment_golden.json")
@@ -48,8 +52,6 @@ def _plain(x):
         return str(x)
     if isinstance(x, (tuple, list)):
         return [_plain(y) for y in x]
-    if hasattr(x, "key") and hasattr(x, "vertex"):
-        return [_plain(x.key), _plain(x.vertex), x.r, x.interior]
     return x
 
 
@@ -65,10 +67,17 @@ def case_digest(an, strategy, m):
     except AssumptionViolated:
         h0 = None
     sequence = [an.index.keys[k] for k in ordr.order]
+    keyed = keyed_terms(sets)
+    gamma, upsilon, theta, _ = reference_sets(an, sequence, m)
     doc = {"strategy": ordr.strategy, "sequence": _plain(sequence),
-           "weights": _by_key(sets.weights), "gamma": _by_key(sets.gamma),
-           "upsilon": _by_key(sets.upsilon), "theta": _by_key(sets.theta),
-           "lam": _by_key(sets.lam), "generators": _by_key(sets.generators),
+           "weights": _by_key({k: w for k, (_, w, _) in keyed.items()}),
+           "gamma": _by_key({k: [(rec.key, rec.vertex, rec.r, rec.interior)
+                                 for rec in an.crossers[k]
+                                 if rec.key in gamma[k]] for k in gamma}),
+           "upsilon": _by_key({k: sorted(v) for k, v in upsilon.items()}),
+           "theta": _by_key({k: sorted(v) for k, v in theta.items()}),
+           "lam": _by_key({k: lam for k, (lam, _, _) in keyed.items()}),
+           "generators": _by_key({k: g for k, (_, _, g) in keyed.items()}),
            "h0": h0}
     text = json.dumps(doc, sort_keys=True)
     return hashlib.sha256(text.encode()).hexdigest()[:16]

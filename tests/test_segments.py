@@ -17,18 +17,18 @@ from types import SimpleNamespace
 import pytest
 from tmeshdim import (AssumptionViolated, SegmentOrdering,
                       TooManyForExhaustive, all_levels, analyze_segments,
-                      contribution_sets, dim_D_contribution, dim_M,
-                      dim_power_sum_in, h0_ideal_oracle, h0_ideal_upper,
-                      order_segments, segment_weight)
+                      contribution_sets, dim_M, dim_power_sum_in,
+                      h0_ideal_oracle, h0_ideal_upper, order_segments)
 from tmeshdim.meshfile import parse_mesh_dict, parse_mesh_file
 from tmeshdim.segments import (EXHAUSTIVE_LIMIT, _before, _block,
                                 _CoverThresholds, _covers, _floors,
-                                _order_keys, _Terms, _theta_at, _upsilon_js,
-                                _walk)
+                                _order_keys, _reaches, _Terms, _theta_at,
+                                _upsilon_js, _walk)
 
 from .helpers import fixture_path, make
 from .helpers.randmesh import (random_region_mesh, random_split_mesh,
                                ring_region_mesh)
+from .helpers.rules import keyed_terms, reference_sets
 from .test_segment_golden import FIXTURES, MIXED_R, mixed_r
 from .test_symmetry import unequal_deficits_doc
 
@@ -99,18 +99,19 @@ def test_contribution_sets_on_the_four_segment_island():
            ("h", F(2), F(1)))
     sets = contribution_sets(an, by_keys(an, seq), (4, 4))
     h1, v1, v2, h2 = seq[0], seq[1], seq[2], seq[3]
+    keyed = keyed_terms(sets)
+    lam = {k: dict(recs) for k, (recs, _, _) in keyed.items()}
 
     # the lowest segment collects nothing, each later one its predecessors
-    assert sets.gamma[h1] == ()
-    assert {rec.key for rec in sets.gamma[h2]} == {v1, v2}
-    # one qualified transversal pair feeds the top segment
-    assert sets.theta[h2] == ((v1, v2),)
-    assert sets.theta[h1] == sets.theta[v1] == sets.theta[v2] == ()
-    # the second member of the pair gains the owner, the first does not
-    # (the owner's line carries a deficit step)
-    assert dict(sets.lam[v2]) == {h1: 1, h2: 1}
-    assert dict(sets.lam[v1]) == {h1: 1}
-    assert sets.weights == {h1: 0, v1: 2, v2: 4, h2: 4}
+    assert lam[h1] == {}
+    assert lam[h2] == {v1: 1, v2: 1}
+    # one qualified transversal pair (v1, v2) of the top segment h2 feeds
+    # it: the second member gains the owner, which comes after it, and the
+    # first does not (the owner's line carries a deficit step)
+    assert lam[v2] == {h1: 1, h2: 1}
+    assert lam[v1] == {h1: 1}
+    assert {k: w for k, (_, w, _) in keyed.items()} \
+        == {h1: 0, v1: 2, v2: 4, h2: 4}
 
 
 def test_weight_threshold_covers_the_whole_block():
@@ -119,10 +120,11 @@ def test_weight_threshold_covers_the_whole_block():
     ordr = order_segments(an, "exhaustive", m)
     sets = contribution_sets(an, ordr, m)
     levels = an.level.profile.levels
-    for rho in an.interior:
+    for rho, (_, weight, _), term in zip(an.interior, sets.terms,
+                                         sets.h0_terms):
         block = dim_M(levels, 1, rho.e, m)
-        covered = dim_D_contribution(rho, sets)
-        if sets.weights[rho.key] >= m[0] - levels[1][0] + 1:
+        covered = block - term
+        if weight >= m[0] - levels[1][0] + 1:
             assert covered == block
         else:
             assert covered <= block
@@ -161,7 +163,7 @@ def test_stub_weights_count_every_transversal_line():
     m = (4, 4)
     sets = contribution_sets(an, order_segments(an, "auto", m), m)
     # five crossings at one unit of surplus each
-    assert sorted(sets.weights.values()) == [5, 5, 5]
+    assert sorted(weight for _, weight, _ in sets.terms) == [5, 5, 5]
 
 
 def test_h0_upper_requires_acyclic_levels():
@@ -218,46 +220,19 @@ def test_an_order_must_hold_each_segment_number_once():
         an, SegmentOrdering("input", list(good)), m)) == want
 
 
-def reference_sets(an, sequence, m):
-    """gamma, upsilon, theta and lam under sequence, a sequence of segment
-    keys, from the rules written over those keys: gamma maps crossers to r,
-    upsilon and theta are sets of key pairs, lam maps segments to r."""
-    level = an.level
-    levels, i = level.profile.levels, level.index
-    rank = {key: q for q, key in enumerate(sequence)}
-    seg = an.by_key
-    cross = {k: [c.key for c in an.crossers[k] if c.key in rank] for k in rank}
-    gamma = {k: {c.key: c.r for c in an.crossers[k]
-                 if rank.get(c.key, -1) < rank[k]} for k in rank}
-    lam = {k: dict(g) for k, g in gamma.items()}
-    upsilon = {k: set() for k in rank}
-    theta = {k: set() for k in rank}
-    if i > level.profile.top:
-        return gamma, upsilon, theta, lam
-    for k in rank:
-        ax = 0 if k[0] == "h" else 1
-        surplus = m[ax] - levels[i][ax]
-        upsilon[k] = {(k1, j) for k1 in rank
-                      if k1 != k and k1[0] == k[0] and rank[k1] < rank[k]
-                      and seg[k].r >= seg[k1].r
-                      for j in cross[k1] if j in cross[k]}
-        for a in cross[k]:
-            js = {j for k1, j in upsilon[k] if rank[k1] < rank[a]}
-            if sum(max(surplus - seg[j].r, 0) for j in js) <= surplus:
-                continue
-            for b in cross[k]:
-                if rank[b] > rank[a] and seg[b].r >= seg[a].r:
-                    theta[k].add((a, b))
-                    lam[b][k] = seg[k].r
-                    if seg[k].dp == (0, 0):
-                        lam[a][k] = seg[k].r
-    return gamma, upsilon, theta, lam
+def assert_rules(sets, upsilon, lam):
+    """Each segment's lam records in sets are the reference's lam, and its
+    generator lines are the lines of those records and of upsilon's j's."""
+    for key, (recs, _, gens) in keyed_terms(sets).items():
+        assert dict(recs) == lam[key], key
+        assert {g[1] for g in gens} \
+            == {k[1] for k in lam[key]} | {j[1] for _, j in upsilon[key]}, key
 
 
 def test_search_and_rules_on_random_mixed_r_levels():
     # seeded random meshes with a seeded random r per line, so the rules'
     # r[k] >= r[k1] (upsilon) and r[b] >= r[a] (theta) comparisons matter;
-    # every order's sets must match the key-level rules above, and the
+    # every order's sets must match the key-level reference rules, and the
     # search must return the lex-first order minimizing h0_ideal_upper.
     # The split meshes hold levels of 2 to 6 segments below the top level
     # (a step on every line) and above it (no upsilon or theta); the grid
@@ -280,13 +255,9 @@ def test_search_and_rules_on_random_mixed_r_levels():
                 for perm in perms:
                     ordr = SegmentOrdering("input", perm)
                     sets = contribution_sets(an, ordr, m)
-                    gamma, upsilon, theta, lam = reference_sets(
+                    _, upsilon, theta, lam = reference_sets(
                         an, [keys[k] for k in perm], m)
-                    for k in keys:
-                        assert {c.key: c.r for c in sets.gamma[k]} == gamma[k]
-                        assert set(sets.upsilon[k]) == upsilon[k]
-                        assert set(sets.theta[k]) == theta[k]
-                        assert dict(sets.lam[k]) == lam[k]
+                    assert_rules(sets, upsilon, lam)
                     seen["upsilon"] += any(upsilon.values())
                     seen["theta"] += any(theta.values())
                     vals.append(h0_ideal_upper(sets))
@@ -311,13 +282,9 @@ def test_rules_when_theta_gives_the_first_segment_its_owner():
     for m in ((4, 2), (3, 3)):
         for perm in permutations(range(len(keys))):
             sets = contribution_sets(an, SegmentOrdering("input", perm), m)
-            gamma, upsilon, theta, lam = reference_sets(
+            _, upsilon, theta, lam = reference_sets(
                 an, [keys[k] for k in perm], m)
-            for k in keys:
-                assert {c.key: c.r for c in sets.gamma[k]} == gamma[k]
-                assert set(sets.upsilon[k]) == upsilon[k]
-                assert set(sets.theta[k]) == theta[k]
-                assert dict(sets.lam[k]) == lam[k], (m, perm, k)
+            assert_rules(sets, upsilon, lam)
             # orders where some a gains its owner k through that rule
             gained += any(seg[k].dp == (0, 0) for k in keys if theta[k])
     assert gained == 1008  # of the 1440 (order, m) pairs
@@ -331,7 +298,7 @@ def enumerated_best(an, m, terms):
     terms' sum kept."""
     best = best_perm = None
     for perm in permutations(range(len(an.interior))):
-        keys = _order_keys(an, _before(perm), m, [[] for _ in perm])
+        keys = _order_keys(an, _before(perm), m)
         val = sum(map(getitem, terms, keys))
         if best is None or val < best:
             best, best_perm = val, perm
@@ -428,7 +395,7 @@ def test_walk_fixes_each_rule_key_when_the_segment_is_placed():
             theta_at = _theta_at(an, m)
             reached = [set() for _ in range(n)]
             for perm in permutations(range(n)):
-                keys = _order_keys(an, _before(perm), m, [[] for _ in perm])
+                keys = _order_keys(an, _before(perm), m)
                 for k, key in enumerate(keys):
                     reached[k].add(key)
             for seed in range(6):
@@ -581,7 +548,9 @@ def reference_term(an, k, key, m):
     rho = an.interior[k]
     size, cap, sub = _block(levels, i, rho, m)
     recs, gens = an.lam_records[k, key][:2]
-    weight = segment_weight(rho, recs, m, levels)
+    ax = 0 if rho.axis == "h" else 1
+    weight = sum(max(m[ax] - levels[min(i, len(levels) - 1)][ax] - r, 0)
+                 for _, r in recs)
     if weight > cap:
         covered = size
     elif not gens:
@@ -613,7 +582,7 @@ def test_the_search_hands_over_what_a_fresh_evaluation_gives():
         for m in degrees:
             ordr = order_segments(an, "exhaustive", m)
             before = _before(ordr.order)
-            keys = _order_keys(an, before, m, [[] for _ in before])
+            keys = _order_keys(an, before, m)
             assert ordr.keys == tuple(keys), (label, m)
             with_theta += keys != [row[b] for row, b in zip(rules, before)]
             sets = contribution_sets(an, ordr, m)
@@ -632,8 +601,8 @@ def test_the_search_hands_over_what_a_fresh_evaluation_gives():
             for got, at in ((sets, m),
                             (contribution_sets(an, ordr, other), other)):
                 fresh = contribution_sets(an, by_hand, at)
-                assert (got.terms, got.h0_terms, got.theta_pairs) \
-                    == (fresh.terms, fresh.h0_terms, fresh.theta_pairs)
+                assert (got.terms, got.h0_terms) \
+                    == (fresh.terms, fresh.h0_terms)
             got = contribution_sets(other_r, ordr, m)
             assert got.h0_terms \
                 == contribution_sets(other_r, by_hand, m).h0_terms
@@ -685,7 +654,7 @@ def test_cover_thresholds_give_theta_covering_test():
     def agree(ix, js):
         thresholds = _CoverThresholds(ix)
         for s in range(-3, 41):
-            assert thresholds.covers(js, s) == _covers(ix, js, s), \
+            assert _reaches(thresholds[js], s) == _covers(ix, js, s), \
                 (ix.r, js, s)
         return thresholds[js]
 
