@@ -6,13 +6,17 @@ is corrected downward by island counts and upward by per-segment ideal slack.
 When the practical smoothness configuration holds and every level's ideal
 bound meets its island count, chi is the exact dimension, independent of the
 edge coordinates.
+
+Chi is compiled once per mesh into signed sums of monomial-box sizes in which
+only m varies, and configuration 1 into per-level crossed pairs.
 """
 
 from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
-from .graded import dim_L, dim_M, dim_shift, dim_vertex_increment
+from .graded import (box_sum, dim_L, dim_M, dim_M_terms,
+                     vertex_increment_terms)
 from .levels import AssumptionReport, all_levels, check_assumptions
 from .mesh import TMesh, bd_add, bd_max, bd_min, bd_sub
 from .segments import (analyze_segments, check_bidegree, check_strategy,
@@ -42,77 +46,60 @@ def _vertex_data(mesh, profile, smoothness, v):
     return e_h, e_v, dstar_h, dstar_v
 
 
-@dataclass(frozen=True)
-class _ChiTerms:
-    """The inputs of both chi sums that do not depend on m, as multisets.
-
-    per_level holds (index, face count, Counter of edge shifts, Counter of
-    vertex data) for each level; faces, edges and vertices hold the raw
-    cells' deficits, (deficit, shift) pairs and (deficit, vertex data).
-    """
-
-    levels: tuple
-    per_level: tuple
-    faces: Counter
-    edges: Counter
-    vertices: Counter
-
-
-def _chi_terms(lvls, smoothness) -> _ChiTerms:
+def _chi_sums(lvls, smoothness):
+    """chi's leveled and direct decompositions as box terms merged by shift:
+    per face dim_M(0, 0), less dim_M(0, 0) - dim_M(shift) per edge, plus
+    dim_M(0, 0) less the vertex increment per vertex, by level or raw."""
     mesh, profile = lvls[0].mesh, lvls[0].profile
+    levels = profile.levels
     shift = {e: _edge_shift(e.axis, smoothness.edge_r[e])
              for e in mesh.interior_edges}
     vdata = {v: _vertex_data(mesh, profile, smoothness, v)
              for v in mesh.interior_vertices}
-    per_level = tuple(
-        (lv.index, len(lv.faces),
-         Counter(shift[e] for e in lv.interior_edges),
-         Counter(vdata[v] for v in lv.interior_vertices))
-        for lv in lvls)
-    return _ChiTerms(
-        profile.levels, per_level,
-        Counter(profile.face_deficit[f] for f in mesh.faces),
-        Counter((profile.edge_deficit[e], shift[e])
-                for e in mesh.interior_edges),
-        Counter((profile.vertex_deficit[v], vdata[v])
-                for v in mesh.interior_vertices))
+    leveled = Counter()
+    for lv in lvls:
+        i = lv.index
+        cells = [(dim_M_terms(levels, i, (0, 0)), len(lv.faces)
+                  - len(lv.interior_edges) + len(lv.interior_vertices))]
+        cells += [(dim_M_terms(levels, i, s), k) for s, k in
+                  Counter(shift[e] for e in lv.interior_edges).items()]
+        cells += [(vertex_increment_terms(levels, i, *vd), -k) for vd, k in
+                  Counter(vdata[v] for v in lv.interior_vertices).items()]
+        for terms, k in cells:
+            for corner, c in terms:
+                leveled[corner] += k * c
+    direct = Counter(profile.face_deficit[f] for f in mesh.faces)
+    for e in mesh.interior_edges:
+        d = profile.edge_deficit[e]
+        direct[d] -= 1
+        direct[bd_add(d, shift[e])] += 1
+    for v in mesh.interior_vertices:
+        e_h, e_v, dstar_h, dstar_v = vdata[v]
+        direct[profile.vertex_deficit[v]] += 1
+        direct[bd_add(dstar_h, e_h)] -= 1
+        direct[bd_add(dstar_v, e_v)] -= 1
+        direct[bd_add(bd_max(dstar_h, dstar_v), bd_add(e_h, e_v))] += 1
+    return tuple(tuple((corner, c) for corner, c in acc.items() if c)
+                 for acc in (leveled, direct))
 
 
 def euler_characteristic(mesh: TMesh, profile, smoothness, m):
-    """(chi, chi_direct) at m, summed once per level and once on the raw
-    cell data. The two agree on every valid input; a mismatch can only come
-    from an implementation bug and raises DecompositionMismatch."""
-    terms = _prepared(mesh, profile, smoothness).terms
-    levels = terms.levels
-    chi = 0
-    for i, n_faces, edges, vertices in terms.per_level:
-        dm0 = dim_M(levels, i, (0, 0), m)
-        part = n_faces * dm0
-        for shift, k in edges.items():
-            part -= k * (dm0 - dim_M(levels, i, shift, m))
-        for (e_h, e_v, dstar_h, dstar_v), k in vertices.items():
-            part += k * (dm0 - dim_vertex_increment(levels, i, e_h, e_v, m,
-                                                    dstar_h, dstar_v))
-        chi += part
-
-    direct = sum(k * dim_shift(m, d) for d, k in terms.faces.items())
-    for (d, shift), k in terms.edges.items():
-        direct -= k * (dim_shift(m, d) - dim_shift(m, bd_add(d, shift)))
-    for (d, (e_h, e_v, dstar_h, dstar_v)), k in terms.vertices.items():
-        ideal = (dim_shift(m, bd_add(dstar_h, e_h))
-                 + dim_shift(m, bd_add(dstar_v, e_v))
-                 - dim_shift(m, bd_add(bd_max(dstar_h, dstar_v),
-                                       bd_add(e_h, e_v))))
-        direct += k * (dim_shift(m, d) - ideal)
-
-    if chi != direct:
+    """(chi, chi_direct) at m: the leveled and the direct decomposition,
+    each a box sum compiled once per mesh. The two agree on every valid
+    input; a mismatch can only come from an implementation bug and raises
+    DecompositionMismatch."""
+    m = check_bidegree(m)
+    leveled, direct = _prepared(mesh, profile, smoothness).chi
+    chi, chi_direct = box_sum(leveled, m), box_sum(direct, m)
+    if chi != chi_direct:
         raise DecompositionMismatch(
-            f"leveled chi {chi} != direct chi {direct} at m = {m}")
-    return chi, direct
+            f"leveled chi {chi} != direct chi {chi_direct} at m = {m}")
+    return chi, chi_direct
 
 
 def constant_complex_dims(level, m):
     """Homology dimensions (h2, h1, h0) of the level's constant complex."""
+    m = check_bidegree(m)
     levels = level.profile.levels
     top = level.profile.top
     dm0 = dim_M(levels, level.index, (0, 0), m)
@@ -140,22 +127,20 @@ class Config1Report:
 
 def configuration1_holds(mesh: TMesh, profile, smoothness, m) -> Config1Report:
     """Check practical smoothness at m once per distinct crossed pair
-    (r_h, r_v) of a level, read off the chi terms' vertex keys, where
-    e_h = (0, r_v + 1) and e_v = (r_h + 1, 0). A level's vertices are walked
-    only to list its failures when some pair fails."""
+    (r_h, r_v) of a level. A level's (pair, vertex) list is walked only to
+    list its failures when some pair fails."""
+    m = check_bidegree(m)
     prep = _prepared(mesh, profile, smoothness)
     levels, top = profile.levels, profile.top
     failures = []
     case_b = []
-    for lv, (i, _, _, vertices) in zip(prep.lvls, prep.terms.per_level):
+    for i, pairs, walk in prep.crossings:
         gap = bd_sub(m, levels[min(i, top)])
         prev_gap = bd_sub(m, levels[i - 1])
-        pairs = {(e_v[0] - 1, e_h[1] - 1) for e_h, e_v, _, _ in vertices}
         bad = {(r_h, r_v) for r_h, r_v in pairs
                if not (gap[0] >= r_h and gap[1] >= r_v)}
         if bad:
-            failures.extend((i, v) for v in lv.interior_vertices
-                            if smoothness.vertex_pair[v] in bad)
+            failures.extend((i, v) for pair, v in walk if pair in bad)
         if pairs and all(prev_gap[0] <= r_h and prev_gap[1] <= r_v
                          for r_h, r_v in pairs):
             case_b.append(i)
@@ -216,12 +201,15 @@ class DimReport:
 class _Prepared:
     """Everything a report needs that depends on the mesh, its deficits and
     its smoothness but not on m; analyses is None when a level has
-    relative cycles."""
+    relative cycles. chi holds the leveled and direct box sums, crossings
+    per level its index, its distinct crossed pairs (r_h, r_v) and its
+    (pair, vertex) list in interior-vertex order."""
 
     lvls: tuple
     assumption: AssumptionReport
     analyses: Optional[tuple]
-    terms: _ChiTerms
+    chi: tuple
+    crossings: tuple
 
 
 def _prepare(mesh, profile, smoothness) -> _Prepared:
@@ -229,8 +217,11 @@ def _prepare(mesh, profile, smoothness) -> _Prepared:
     assumption = check_assumptions(lvls)
     analyses = (tuple(analyze_segments(lv, smoothness) for lv in lvls)
                 if assumption.ok else None)
-    return _Prepared(lvls, assumption, analyses,
-                     _chi_terms(lvls, smoothness))
+    walks = [tuple((smoothness.vertex_pair[v], v)
+                   for v in lv.interior_vertices) for lv in lvls]
+    return _Prepared(lvls, assumption, analyses, _chi_sums(lvls, smoothness),
+                     tuple((lv.index, {pair for pair, _ in walk}, walk)
+                           for lv, walk in zip(lvls, walks)))
 
 
 # Prepared records of the last few (mesh, profile, smoothness) triples, by
@@ -281,10 +272,11 @@ def bounds(mesh: TMesh, profile, smoothness, m, ordering="auto",
 
     ordering picks the segment ordering strategy per level; auto uses the
     exhaustive search on small levels and the greedy heuristic otherwise.
-    The levels, their topology, the segment analyses and the m-independent
-    chi terms are built once per (mesh, profile, smoothness) and reused by
-    later calls on the same three objects, so a degree sweep pays for them
-    once. The triple is treated as immutable, as TMesh documents.
+    The levels, their topology, the segment analyses, chi's two
+    decompositions as box sums and each level's crossed pairs are built
+    once per (mesh, profile, smoothness) and reused by later calls on the
+    same three objects, so a degree sweep pays for them once and each call
+    evaluates them at m. The triple is treated as immutable, as TMesh documents.
     """
     m = check_bidegree(m)
     check_strategy(ordering)

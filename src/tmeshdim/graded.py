@@ -41,10 +41,27 @@ def dim_L(levels, i, shift, m) -> int:
     return dim_shift(bd_sub(m, levels[i]), shift)
 
 
+def box_sum(terms, m) -> int:
+    """The sum of c * dim_shift(m, shift) over the (shift, c) pairs of
+    terms: the form every dimension below takes once m is left free."""
+    m0, m1 = m[0] + 1, m[1] + 1
+    total = 0
+    for (a, b), c in terms:
+        if a < m0 and b < m1:
+            total += c * (m0 - a) * (m1 - b)
+    return total
+
+
+def dim_M_terms(levels, i, shift):
+    """dim_M(levels, i, shift, m) as box terms, for box_sum at any m."""
+    top = _check_level(levels, i, lowest=1)
+    return tuple((bd_add(levels[j], shift), c)
+                 for j, c in ((i - 1, 1), (i, -1)) if j <= top)
+
+
 def dim_M(levels, i, shift, m) -> int:
     """Dimension of the quotient M(i) = L(i-1)/L(i) shifted; i runs 1..top+1."""
-    _check_level(levels, i, lowest=1)
-    return dim_L(levels, i - 1, shift, m) - dim_L(levels, i, shift, m)
+    return box_sum(dim_M_terms(levels, i, shift), m)
 
 
 def dim_edge_increment(levels, i, e_tau, m) -> int:
@@ -54,6 +71,24 @@ def dim_edge_increment(levels, i, e_tau, m) -> int:
     edge and (r+1, 0) for a vertical one.
     """
     return dim_M(levels, i, e_tau, m)
+
+
+def vertex_increment_terms(levels, i, e_h, e_v, dstar_h=None, dstar_v=None):
+    """dim_vertex_increment(levels, i, e_h, e_v, m, dstar_h, dstar_v) as box
+    terms, for box_sum at any m."""
+    top = _check_level(levels, i, lowest=1)
+    n_prev = levels[i - 1]
+    alpha = bd_max(n_prev, dstar_h if dstar_h is not None else n_prev)
+    beta = bd_max(n_prev, dstar_v if dstar_v is not None else n_prev)
+    e_gamma = bd_add(e_h, e_v)
+    terms = [(bd_add(e_h, alpha), 1), (bd_add(e_v, beta), 1),
+             (bd_add(e_gamma, bd_max(alpha, beta)), -1)]
+    if i <= top:
+        n_i = levels[i]
+        terms += [(bd_add(e_h, bd_max(alpha, n_i)), -1),
+                  (bd_add(e_v, bd_max(beta, n_i)), -1),
+                  (bd_add(e_gamma, bd_max(bd_max(alpha, beta), n_i)), 1)]
+    return terms
 
 
 def dim_vertex_increment(levels, i, e_h, e_v, m,
@@ -66,20 +101,8 @@ def dim_vertex_increment(levels, i, e_h, e_v, m,
     an inclusion-exclusion over genuine monomial ideals, so it is exact
     also when a line through a T-junction carries a larger deficit.
     """
-    top = _check_level(levels, i, lowest=1)
-    n_prev = levels[i - 1]
-    alpha = bd_max(n_prev, dstar_h if dstar_h is not None else n_prev)
-    beta = bd_max(n_prev, dstar_v if dstar_v is not None else n_prev)
-    e_gamma = bd_add(e_h, e_v)
-    val = (dim_shift(m, bd_add(e_h, alpha))
-           + dim_shift(m, bd_add(e_v, beta))
-           - dim_shift(m, bd_add(e_gamma, bd_max(alpha, beta))))
-    if i <= top:
-        n_i = levels[i]
-        val -= (dim_shift(m, bd_add(e_h, bd_max(alpha, n_i)))
-                + dim_shift(m, bd_add(e_v, bd_max(beta, n_i)))
-                - dim_shift(m, bd_add(e_gamma, bd_max(bd_max(alpha, beta), n_i))))
-    return val
+    return box_sum(vertex_increment_terms(levels, i, e_h, e_v,
+                                          dstar_h, dstar_v), m)
 
 
 def dim_power_sum(knot_degrees, b, m, direction="t") -> int:

@@ -13,7 +13,7 @@ from functools import cached_property
 from itertools import count
 from typing import Optional
 
-from .graded import _generator_key, dim_M, dim_power_sum_in
+from .graded import _generator_key, box_sum, dim_M_terms, dim_power_sum_in
 from .levels import ActiveLevel, AssumptionViolated
 from .linalg import rank_sparse
 from .mesh import bd_sub
@@ -63,8 +63,10 @@ class SegmentAnalysis:
     the contribution rules and the ordering search run on it.
 
     An analysis serves every bi-degree. Besides the greedy order and the
-    search tables, it keeps two records into which no bi-degree enters,
-    each entry made when it is first asked for: lam_records, per (k, rule
+    search tables, it keeps blocks, per interior segment what _block reads
+    at m (dim_M at its e as box terms, its axis, the level deficit on that
+    axis and its e), and two records into which no bi-degree enters, each
+    entry made when it is first asked for: lam_records, per (k, rule
     key) segment k's lam records, generators, their _generator_key and the
     records' r values, and cover_thresholds, per mask of theta's j's the
     least surplus at which they cover a block. Their keys are rule keys and
@@ -118,6 +120,10 @@ class SegmentAnalysis:
                                      self._r_at(sig, rho.line), sig.interior))
             self.crossers[rho.key] = tuple(recs)
         self.index = SegmentIndex(self)
+        n = profile.levels[min(i, profile.top)]
+        self.blocks = tuple(
+            (dim_M_terms(profile.levels, i, rho.e), ax, n[ax], rho.e)
+            for rho, ax in zip(self.interior, self.index.axis))
         self.lam_records = _LamRecords(self.index)
         self.cover_thresholds = _CoverThresholds(self.index)
 
@@ -583,7 +589,7 @@ class _Terms(dict):
         super().__init__()
         self.an, self.k, self.m = an, k, m
         self.levels, self.i = an.level.profile.levels, an.level.index
-        self.block = _block(self.levels, self.i, an.interior[k], m)
+        self.block = _block(an, k, m)
 
     def __missing__(self, key):
         term = self[key] = _term(self.levels, self.i,
@@ -644,12 +650,11 @@ def contribution_sets(an: SegmentAnalysis, ordering: SegmentOrdering,
                             before)
 
 
-def _block(levels, i, rho: MaxSegment, m):
-    """rho's block at m, the largest weight that leaves it uncovered and m
-    less rho.e: all that _term needs of rho and m."""
-    ax = _axis_index(rho.axis)
-    return (dim_M(levels, i, rho.e, m),
-            m[ax] - levels[min(i, len(levels) - 1)][ax], bd_sub(m, rho.e))
+def _block(an: SegmentAnalysis, k, m):
+    """Segment k's block at m, the largest weight that leaves it uncovered
+    and m less its e: all that _term needs of the segment and m."""
+    terms, ax, need, e = an.blocks[k]
+    return box_sum(terms, m), m[ax] - need, bd_sub(m, e)
 
 
 def _weight(rs, cap) -> int:

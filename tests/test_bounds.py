@@ -1,6 +1,7 @@
 """End-to-end dimension reports: chi, bounds, certification."""
 
 import copy
+import itertools
 import operator
 import pickle
 import random
@@ -13,15 +14,16 @@ from tmeshdim import (DecompositionMismatch, LeveledProfile,
                       certify_stable, configuration1_holds,
                       constant_complex_dims, contribution_sets,
                       euler_characteristic, all_levels, analyze_segments,
-                      dim_M, order_segments)
+                      check_assumptions, dim_M, order_segments)
 from tmeshdim.cli import main
-from tmeshdim.mesh import ReadOnlyDict, bd_sub
+from tmeshdim.mesh import ReadOnlyDict
 from tmeshdim.meshfile import (parse_mesh_file, render_certify_text,
                                render_machine)
 
 from .helpers import fixture_path, grid, make, single_face
-from .helpers.randmesh import (island_region_mesh, random_split_mesh,
-                               ring_region_mesh)
+from .helpers.chi import reference_chi, reference_config1
+from .helpers.randmesh import (island_region_mesh, random_region_mesh,
+                               random_split_mesh, ring_region_mesh)
 from .helpers.univariate import tensor_grid_dim
 
 CANONICAL = [("test1", (3, 3)), ("test2", (4, 4)), ("test3", (6, 6)),
@@ -162,22 +164,33 @@ def test_an_unknown_ordering_strategy_is_refused_where_the_call_enters():
 
 def test_a_non_integral_bi_degree_is_refused_where_it_enters():
     # int() would truncate (3.9, 3) to (3, 3), and the segment layer would
-    # sum fractional terms at (4.5, 4); integral values of any type keep
-    # their reports
+    # sum fractional terms at (4.5, 4); unchecked, chi read 51.5 at (3.5, 3)
+    # and raised DecompositionMismatch from float rounding at (3.9, 3), and
+    # configuration 1 held there; integral values of any type keep their
+    # reports
     test1 = parse_mesh_file(fixture_path("test1"))
+    level = all_levels(*test1[:2])[0]
     mesh, profile, smoothness = parse_mesh_file(
         fixture_path("new_relations_b"))
     an = analyze_segments(all_levels(mesh, profile)[0], smoothness)
     greedy = order_segments(an, "greedy")
-    for bad in ((3.9, 3), (4.5, 4), (3, Fraction(7, 2)), ("3", 3)):
+    for bad in ((3.9, 3), (4.5, 4), (3.5, 3), (3, Fraction(7, 2)), ("3", 3)):
         for call in (lambda: bounds(*test1, bad),
                      lambda: certify_stable(*test1, bad),
+                     lambda: euler_characteristic(*test1, bad),
+                     lambda: configuration1_holds(*test1, bad),
+                     lambda: constant_complex_dims(level, bad),
                      lambda: order_segments(an, "auto", bad),
                      lambda: contribution_sets(an, greedy, bad)):
             with pytest.raises(ValueError, match="not a pair of integers"):
                 call()
     assert bounds(*test1, (3.0, Fraction(3))) == bounds(*test1, (3, 3))
     assert certify_stable(*test1, (3.0, 3)) == (True, 37)
+    assert euler_characteristic(*test1, (3.0, Fraction(3))) == (37, 37)
+    assert configuration1_holds(*test1, (3.0, 3)) \
+        == configuration1_holds(*test1, (3, 3))
+    assert constant_complex_dims(level, (3.0, 3)) \
+        == constant_complex_dims(level, (3, 3))
     assert order_segments(an, "auto", (4.0, 4)) == order_segments(an, "auto",
                                                                   (4, 4))
     assert contribution_sets(an, greedy, (4.0, 4)).h0_terms \
@@ -205,45 +218,53 @@ def test_config1_report_is_boolean():
     assert configuration1_holds(mesh, profile, smoothness, (4, 4))
 
 
-def config1_reference(mesh, profile, smoothness, m):
-    """(holds, failures, case_b_levels) from every vertex's own pair."""
-    levels, top = profile.levels, profile.top
-    failures = []
-    case_b = []
-    for lv in all_levels(mesh, profile):
-        gap = bd_sub(m, levels[min(lv.index, top)])
-        prev_gap = bd_sub(m, levels[lv.index - 1])
-        saturated = bool(lv.interior_vertices)
-        for v in lv.interior_vertices:
-            r_h, r_v = smoothness.vertex_pair[v]
-            if not (gap[0] >= r_h and gap[1] >= r_v):
-                failures.append((lv.index, v))
-            if not (prev_gap[0] <= r_h and prev_gap[1] <= r_v):
-                saturated = False
-        if saturated:
-            case_b.append(lv.index)
-    return not failures, tuple(failures), tuple(case_b)
+def _reference_meshes():
+    triples = [(name, parse_mesh_file(fixture_path(name)))
+               for name, _ in CANONICAL]
+    # the meshes of the random axis-swap test
+    rng = random.Random(7)
+    triples += [(f"split {k}", random_split_mesh(rng)[:3]) for k in range(60)]
+    rng = random.Random(19)
+    triples += [(f"region {k}", random_region_mesh(rng)) for k in range(6)]
+    triples += [("ring", ring_region_mesh()), ("island", island_region_mesh())]
+    # three levels with unequal deficit coordinates and crossed pairs
+    rects = [(i, j, i + 1, j + 1) for j in range(4) for i in range(4)]
+    deficits = [(2, 1) if (i, j) in {(1, 1), (2, 1), (1, 2)}
+                else (1, 0) if (i + j) % 3 == 0 else (0, 0)
+                for j in range(4) for i in range(4)]
+    triples.append(("skew", make(rects, deficits=deficits, r=1,
+                                 overrides=[("v", 2, (0, 4), 2)])))
+    return triples
+
+
+# from m = 0, below the top deficit, where the boxes clamp at 0 and
+# configuration 1 fails, to (8, 8)
+REFERENCE_DEGREES = list(itertools.product(range(9), repeat=2))
 
 
 def test_config1_by_pair_classes_matches_the_per_vertex_check():
-    triples = [(parse_mesh_file(fixture_path(name)),
-                [(a, b) for a in range(2, 7) for b in range(2, 7)])
-               for name, _ in CANONICAL]
-    # the meshes of the random axis-swap test, from m = 0 so that
-    # configuration 1 also fails on them
-    rng = random.Random(7)
-    triples += [(random_split_mesh(rng)[:3],
-                 [(a, b) for a in range(6) for b in range(6)])
-                for _ in range(60)]
     seen = {"holds": 0, "fails": 0, "case b": 0}
-    for triple, degrees in triples:
-        for m in degrees:
+    for label, triple in _reference_meshes():
+        for m in REFERENCE_DEGREES:
             rep = configuration1_holds(*triple, m)
-            want = config1_reference(*triple, m)
-            assert (rep.holds, rep.failures, rep.case_b_levels) == want, m
+            want = reference_config1(*triple, m)
+            assert (rep.holds, rep.failures, rep.case_b_levels) == want, \
+                (label, m)
             seen["holds" if rep.holds else "fails"] += 1
             seen["case b"] += bool(rep.case_b_levels)
     assert min(seen.values()) > 0, seen
+
+
+def test_compiled_chi_matches_the_cell_by_cell_reference():
+    # the ring and some region meshes have relative cycles, where chi is
+    # still reported
+    cycles = 0
+    for label, triple in _reference_meshes():
+        cycles += not check_assumptions(all_levels(*triple[:2])).ok
+        for m in REFERENCE_DEGREES:
+            assert euler_characteristic(*triple, m) \
+                == reference_chi(*triple, m), (label, m)
+    assert cycles
 
 
 class CountingDict(ReadOnlyDict):
@@ -266,13 +287,13 @@ def test_config1_looks_up_no_vertex_where_it_holds():
     for m in [(a, b) for a in range(2, 7) for b in range(2, 7)]:
         pairs.lookups = 0
         rep = bounds(mesh, profile, counting, m)
-        if rep.config1:
-            assert pairs.lookups == 0, m
-            held += 1
-        else:
-            # the failures are listed vertex by vertex
-            assert pairs.lookups > 0, m
-            failed += 1
+        config = configuration1_holds(mesh, profile, counting, m)
+        # the failures are listed from the per-mesh (pair, vertex) list, so
+        # no call at m looks a vertex up, where it fails either
+        assert pairs.lookups == 0, m
+        assert rep.config1 == config.holds == (not config.failures), m
+        held += config.holds
+        failed += not config.holds
     assert held and failed
 
 
@@ -298,17 +319,20 @@ def test_fixture_reports_pin_their_published_values():
 
 
 def test_chi_cross_check_catches_a_broken_term(monkeypatch):
-    # the leveled and direct sums are computed independently, so a wrong
-    # vertex increment in the leveled one cannot go unnoticed
+    # the leveled and direct sums are compiled independently, so a wrong
+    # vertex increment in the leveled one cannot go unnoticed: each vertex
+    # term gains the box at corner (3, 3), of size 1 at m = (3, 3), which
+    # makes every vertex increment there one too large
     module = sys.modules["tmeshdim.bounds"]
-    real = module.dim_vertex_increment
-    monkeypatch.setattr(module, "dim_vertex_increment",
-                        lambda *args: real(*args) + 1)
+    real = module.vertex_increment_terms
+    monkeypatch.setattr(module, "vertex_increment_terms",
+                        lambda *args: real(*args) + [((3, 3), 1)])
     mesh, profile, smoothness = parse_mesh_file(fixture_path("test1"))
     with pytest.raises(DecompositionMismatch,
                        match="leveled chi 1 != direct chi 37"):
         bounds(mesh, profile, smoothness, (3, 3))
-    with pytest.raises(DecompositionMismatch):
+    with pytest.raises(DecompositionMismatch,
+                       match="leveled chi 1 != direct chi 37"):
         euler_characteristic(mesh, profile, smoothness, (3, 3))
 
 

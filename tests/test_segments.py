@@ -20,7 +20,7 @@ from tmeshdim import (AssumptionViolated, SegmentOrdering,
                       contribution_sets, dim_M, dim_power_sum_in,
                       h0_ideal_oracle, h0_ideal_upper, order_segments)
 from tmeshdim.meshfile import parse_mesh_dict, parse_mesh_file
-from tmeshdim.segments import (EXHAUSTIVE_LIMIT, _before, _block,
+from tmeshdim.segments import (EXHAUSTIVE_LIMIT, _before,
                                 _CoverThresholds, _covers, _floors,
                                 _order_keys, _reaches, _Terms, _theta_at,
                                 _upsilon_js, _walk)
@@ -546,11 +546,12 @@ def reference_term(an, k, key, m):
     the weight (above the cap, all of it) or the raw generators cover."""
     levels, i = an.level.profile.levels, an.level.index
     rho = an.interior[k]
-    size, cap, sub = _block(levels, i, rho, m)
-    recs, gens = an.lam_records[k, key][:2]
     ax = 0 if rho.axis == "h" else 1
-    weight = sum(max(m[ax] - levels[min(i, len(levels) - 1)][ax] - r, 0)
-                 for _, r in recs)
+    size = dim_M(levels, i, rho.e, m)
+    cap = m[ax] - levels[min(i, len(levels) - 1)][ax]
+    sub = (m[0] - rho.e[0], m[1] - rho.e[1])
+    recs, gens = an.lam_records[k, key][:2]
+    weight = sum(max(cap - r, 0) for _, r in recs)
     if weight > cap:
         covered = size
     elif not gens:
