@@ -174,12 +174,18 @@ def _power_sum_in_cached(levels, i, gens, m):
         return dim_power_sum([g[2] for g in gens], extra,
                              bd_sub(m, levels[i - 1]), gens[0][0])
     # several generators against a nonzero quotient admit hidden relations
-    # among three coprime forms, so the rank is computed, not guessed
+    # among three coprime forms, so the rank is computed, not guessed. A
+    # generator with no translate in the ambient box adds no row, so it is
+    # dropped before its grid, which grows with its degree, is built
     ambient = bd_sub(m, levels[i - 1])
     lbox = bd_sub(m, levels[i]) if i <= top else None
-    return sliced_quotient_dim(
-        [power_grid(direction, Fraction(*knot), d, extra)
-         for direction, knot, d, extra in gens], ambient, lbox)
+    grids = []
+    for direction, knot, d, extra in gens:
+        room = bd_sub(bd_sub(ambient, extra),
+                      (0, d) if direction == "t" else (d, 0))
+        if room[0] >= 0 and room[1] >= 0:
+            grids.append(power_grid(direction, Fraction(*knot), d, extra))
+    return sliced_quotient_dim(grids, ambient, lbox)
 
 
 def dim_power_sum_in(levels, i, gens, m) -> int:

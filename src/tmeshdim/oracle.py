@@ -151,7 +151,8 @@ def oracle_spline_dim(mesh: TMesh, profile, smoothness, m) -> int:
         p, q = e.line.numerator, e.line.denominator
         p_pow = [p ** k for k in range(deg + 1)]
         q_pow = [q ** k for k in range(deg + 1)]
-        for j in range(smoothness.edge_r[e] + 1):
+        # orders above deg would give empty rows
+        for j in range(min(smoothness.edge_r[e], deg) + 1):
             coef = [comb(a, j) * p_pow[a - j] * q_pow[deg - a]
                     for a in range(j, deg + 1)]
             signed = {1: coef, -1: [-c for c in coef]}

@@ -8,9 +8,9 @@ crossing segments earlier in a chosen ordering, by segments meeting the
 boundary, and by relations manufactured from parallel neighbors.
 """
 
+from bisect import bisect_left
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import count
 from typing import Optional
 
 from .graded import _generator_key, box_sum, dim_M_terms, dim_power_sum_in
@@ -48,19 +48,10 @@ class MaxSegment:
         return (0, self.r + 1) if self.axis == "h" else (self.r + 1, 0)
 
 
-@dataclass(frozen=True)
-class Crossing:
-    key: tuple            # the crossing segment
-    vertex: tuple
-    r: int                # its smoothness at the crossing vertex
-    interior: bool
-
-
 class SegmentAnalysis:
-    """Maximal segments of one level plus their crossing structure.
-
-    index holds the same crossing structure in integer form (SegmentIndex);
-    the contribution rules and the ordering search run on it.
+    """Maximal segments of one level, sorted by key, plus their crossing
+    structure, which only index holds (SegmentIndex, in integer form); the
+    contribution rules, the ordering search and h0_ideal_oracle read it.
 
     An analysis serves every bi-degree. Besides the greedy order and the
     search tables, it keeps blocks, per interior segment what _block reads
@@ -72,11 +63,8 @@ class SegmentAnalysis:
     least surplus at which they cover a block. Their keys are rule keys and
     masks of the level's own segments, so they are bounded by the level, not
     by the number of bi-degrees asked, and they hold no reference back to
-    the analysis.
-
-    theta_tables, built only for the levels the exhaustive search takes,
-    holds per owner of theta's candidates one such threshold per search
-    mask: at most 2^EXHAUSTIVE_LIMIT each, none of them per bi-degree.
+    the analysis. The search reads theta's thresholds through them and the
+    search tables; it keeps no table of its own.
     """
 
     def __init__(self, level: ActiveLevel, smoothness):
@@ -103,22 +91,6 @@ class SegmentAnalysis:
         segs.sort(key=lambda s: s.key)
         self.segments = segs
         self.interior = tuple(s for s in segs if s.interior)
-        self.by_key = {s.key: s for s in segs}
-
-        self.crossers = {}
-        for rho in self.interior:
-            recs = []
-            for sig in segs:
-                if sig.axis == rho.axis:
-                    continue
-                if not (sig.lo <= rho.line <= sig.hi
-                        and rho.lo <= sig.line <= rho.hi):
-                    continue
-                vertex = (sig.line, rho.line) if rho.axis == "h" \
-                    else (rho.line, sig.line)
-                recs.append(Crossing(sig.key, vertex,
-                                     self._r_at(sig, rho.line), sig.interior))
-            self.crossers[rho.key] = tuple(recs)
         self.index = SegmentIndex(self)
         n = profile.levels[min(i, profile.top)]
         self.blocks = tuple(
@@ -137,25 +109,6 @@ class SegmentAnalysis:
         dp = (step[0], 0) if axis == "h" else (0, step[1])
         return MaxSegment(axis, line, run[0].lo, run[-1].hi,
                           tuple(run), interior, r, dp)
-
-    def _r_at(self, seg, coord):
-        for e in seg.edges:
-            if e.lo <= coord <= e.hi and e in self.smoothness.edge_r:
-                return self.smoothness.edge_r[e]
-        return seg.r
-
-    @cached_property
-    def theta_tables(self):
-        """Per owner k of theta's candidates, the threshold of the upsilon
-        j's in k's search_tables row at each mask, and the least one that is
-        not None (None when there is none)."""
-        ix, tables = self.index, {}
-        for k in {cand[0] for cand in ix.theta}:
-            least = [self.cover_thresholds[key >> len(ix.crossers[k])]
-                     for key in ix.search_tables[k]]
-            tables[k] = least, min((t for t in least if t is not None),
-                                   default=None)
-        return tables
 
     @cached_property
     def greedy_order(self):
@@ -203,9 +156,11 @@ class SegmentIndex:
                             smoothness, the step shift and the position
     of                      key -> k
     line                    per position: the rank of the segment's line
-    crossers                per k: one (j, p, r) per crossing segment, j
-                            its number (-1 off the interior), r its
-                            smoothness at the crossing
+    crossers                per k: one (j, p, r) per segment of the other
+                            axis whose closed span meets k's, in position
+                            order: j its number (-1 off the interior), p
+                            its position, r its smoothness at the crossing
+                            (its edge's there, else its own)
     icross                  per k: its interior crossers' numbers, ascending
     common                  per k: (k1, shared) for each other same-axis k1,
                             ascending, whose interior crossers meet k's in
@@ -231,18 +186,26 @@ class SegmentIndex:
         n = len(interior)
         self.keys = [s.key for s in interior]
         self.of = {key: k for k, key in enumerate(self.keys)}
-        pos = {s.key: p for p, s in enumerate(segs)}
         self.lines = sorted({s.line for s in segs})
         line_rank = {x: q for q, x in enumerate(self.lines)}
         self.line = [line_rank[s.line] for s in segs]
         self.axis = [_axis_index(s.axis) for s in interior]
         self.r = [s.r for s in interior]
         self.dp = [s.dp for s in interior]
-        self.pos = [pos[s.key] for s in interior]
-        self.crossers = [
-            tuple((self.of.get(rec.key, -1), pos[rec.key], rec.r)
-                  for rec in an.crossers[s.key])
-            for s in interior]
+        self.pos = [p for p, s in enumerate(segs) if s.interior]
+        edge_r = an.smoothness.edge_r
+        self.crossers = []
+        for rho in interior:
+            cs = []
+            for p, sig in enumerate(segs):
+                if sig.axis == rho.axis or not (
+                        sig.lo <= rho.line <= sig.hi
+                        and rho.lo <= sig.line <= rho.hi):
+                    continue
+                r = next((edge_r[e] for e in sig.edges
+                          if e.lo <= rho.line <= e.hi and e in edge_r), sig.r)
+                cs.append((self.of.get(sig.key, -1), p, r))
+            self.crossers.append(tuple(cs))
         self.icross = [tuple(sorted(c[0] for c in cs if c[0] >= 0))
                        for cs in self.crossers]
         self.common = [()] * n
@@ -391,12 +354,13 @@ def _walk(rules, theta_at, terms, floor):
     n = len(rules)
     as_a = [[] for _ in range(n)]
     as_b = [[] for _ in range(n)]
-    for k, a, _, k_in_a, seconds, least, surplus in theta_at:
+    for k, a, _, k_in_a, seconds, least, shift, surplus in theta_at:
+        row = rules[k]
         if k_in_a:
             as_a[a].append((sum(1 << b for b, _ in seconds), k_in_a,
-                            least, surplus))
+                            row, shift, least, surplus))
         for b, k_in_b in seconds:
-            as_b[b].append((a, k_in_b, least, surplus))
+            as_b[b].append((a, k_in_b, row, shift, least, surplus))
     before = [0] * n      # before[x] for each x placed on the current path
     order = [0] * n       # order[d]: the segment at place d
     total = [sum(floor)] * n  # total[d]: terms ahead of d + floors of rest
@@ -415,11 +379,13 @@ def _walk(rules, theta_at, terms, floor):
             x = order[d] + 1
             continue
         key = rules[x][done]
-        for a, k_in_b, least, surplus in as_b[x]:
-            if done >> a & 1 and _reaches(least[before[a]], surplus):
+        for a, k_in_b, row, shift, least, surplus in as_b[x]:
+            if done >> a & 1 and _reaches(least[row[before[a]] >> shift],
+                                          surplus):
                 key |= k_in_b
-        for b_bits, k_in_a, least, surplus in as_a[x]:
-            if b_bits & ~done and _reaches(least[done], surplus):
+        for b_bits, k_in_a, row, shift, least, surplus in as_a[x]:
+            if b_bits & ~done and _reaches(least[row[done] >> shift],
+                                           surplus):
                 key |= k_in_a
         partial = total[d] - floor[x] + terms[x][key]
         if best is not None and partial >= best:
@@ -521,7 +487,9 @@ class _CoverThresholds(dict):
     _covers holds at every surplus below 0. At or above 0 it needs two j's
     with r below the surplus, since every r is at least 0; then raising the
     surplus by 1 raises the sum by at least 2, so from the threshold on it
-    holds at every surplus.
+    holds at every surplus. With two j's or more it holds at the sum of
+    their r plus 1, where each j gives at least 1 more than its share, so
+    the threshold is bisected on 0 up to there: O(log r) tests, not O(r).
     """
 
     def __init__(self, ix: SegmentIndex):
@@ -529,8 +497,10 @@ class _CoverThresholds(dict):
         self.ix = ix
 
     def __missing__(self, js):
-        found = self[js] = None if js & (js - 1) == 0 else next(
-            s for s in count() if _covers(self.ix, js, s))
+        ix = self.ix
+        found = self[js] = None if js & (js - 1) == 0 else bisect_left(
+            range(sum(ix.r[j] for j in _bits(js)) + 2), True,
+            key=lambda s: _covers(ix, js, s))
         return found
 
 
@@ -541,17 +511,20 @@ def _reaches(least, surplus):
 
 
 def _theta_at(an: SegmentAnalysis, m):
-    """Theta's candidates whose owner passes the surplus test at m at some
-    search mask, each with the owner's row of theta_tables and its surplus
-    at m."""
-    ix = an.index
+    """Theta's candidates whose owner k passes the surplus test at m at some
+    search mask, each with cover_thresholds, len(crossers[k]) as shift and
+    k's surplus at m; k's threshold at mask P is
+    cover_thresholds[search_tables[k][P] >> shift]. Upsilon's j's only gain
+    bits as P grows and a threshold only falls as they do, so k's least is
+    the full mask's, at the end of its search_tables row."""
+    ix, least = an.index, an.cover_thresholds
     live = []
     for k, *cand in ix.theta:
-        least, lowest = an.theta_tables[k]
+        shift = len(ix.crossers[k])
         need = an.level.profile.levels[an.level.index][ix.axis[k]]
         surplus = m[ix.axis[k]] - need
-        if _reaches(lowest, surplus):
-            live.append((k, *cand, least, surplus))
+        if _reaches(least[ix.search_tables[k][-1] >> shift], surplus):
+            live.append((k, *cand, least, shift, surplus))
     return live
 
 
@@ -710,29 +683,29 @@ def h0_ideal_oracle(an: SegmentAnalysis, m) -> int:
         return [(a, b) for a in range(hi[0] + 1) for b in range(hi[1] + 1)
                 if a > lo[0] or b > lo[1]]
 
-    offs = {}
     basis = {}
     total = 0
     for rho in an.interior:
         mono = reps(rho.e)
-        offs[rho.key] = total
         basis[rho.key] = {ab: total + k for k, ab in enumerate(mono)}
         total += len(mono)
 
     rows = []
     seen = set()
-    for rho in an.interior:
-        for rec in an.crossers[rho.key]:
-            pair = tuple(sorted([rho.key, rec.key]))
+    for rho, p_rho, cs in zip(an.interior, an.index.pos, an.index.crossers):
+        for _, p, r in cs:
+            pair = (min(p, p_rho), max(p, p_rho))
             if pair in seen:
                 continue
             seen.add(pair)
-            sig = an.by_key[rec.key]
+            sig = an.segments[p]
             h_seg, v_seg = (rho, sig) if rho.axis == "h" else (sig, rho)
-            r_h = rho.r if rho.axis == "h" else rec.r
-            r_v = rho.r if rho.axis == "v" else rec.r
-            e_gamma = (r_v + 1, r_h + 1)
-            x0, y0 = rec.vertex
+            r_h = rho.r if rho.axis == "h" else r
+            r_v = rho.r if rho.axis == "v" else r
+            mus = reps((r_v + 1, r_h + 1))
+            if not mus:
+                continue
+            x0, y0 = v_seg.line, h_seg.line
             # power_grid multiplies each part by q^(r+1) of the other
             # segment's line and r, constant along a segment: a row scaling
             # times a column scaling by each block's own factor, so the
@@ -742,7 +715,7 @@ def h0_ideal_oracle(an: SegmentAnalysis, m) -> int:
                 terms.append((h_seg, power_grid("s", x0, r_v + 1)[0], 1))
             if v_seg.interior:
                 terms.append((v_seg, power_grid("t", y0, r_h + 1)[0], -1))
-            for mu in reps(e_gamma):
+            for mu in mus:
                 row = {}
                 for seg, grid, sign in terms:
                     block = basis[seg.key]

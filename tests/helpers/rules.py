@@ -2,6 +2,21 @@
 that the integer rules of `tmeshdim.segments` must reproduce."""
 
 
+def crossings(an):
+    """Per interior segment key, one (key, vertex, r, interior) per crossing
+    segment, in position order, read from an.index: the crossing segment's
+    key, the crossing vertex, its smoothness there and whether it is
+    interior."""
+    segs = an.segments
+    out = {}
+    for rho, cs in zip(an.interior, an.index.crossers):
+        out[rho.key] = [
+            (segs[p].key, (segs[p].line, rho.line) if rho.axis == "h"
+             else (rho.line, segs[p].line), r, segs[p].interior)
+            for _, p, r in cs]
+    return out
+
+
 def reference_sets(an, sequence, m):
     """gamma, upsilon, theta and lam under sequence, a sequence of segment
     keys, from the rules written over those keys: gamma maps crossers to r,
@@ -9,10 +24,11 @@ def reference_sets(an, sequence, m):
     level = an.level
     levels, i = level.profile.levels, level.index
     rank = {key: q for q, key in enumerate(sequence)}
-    seg = an.by_key
-    cross = {k: [c.key for c in an.crossers[k] if c.key in rank] for k in rank}
-    gamma = {k: {c.key: c.r for c in an.crossers[k]
-                 if rank.get(c.key, -1) < rank[k]} for k in rank}
+    seg = {s.key: s for s in an.segments}
+    crossed = crossings(an)
+    cross = {k: [c[0] for c in crossed[k] if c[0] in rank] for k in rank}
+    gamma = {k: {c[0]: c[2] for c in crossed[k]
+                 if rank.get(c[0], -1) < rank[k]} for k in rank}
     lam = {k: dict(g) for k, g in gamma.items()}
     upsilon = {k: set() for k in rank}
     theta = {k: set() for k in rank}

@@ -2,6 +2,7 @@
 
 import copy
 import itertools
+import json
 import operator
 import pickle
 import random
@@ -14,11 +15,12 @@ from tmeshdim import (DecompositionMismatch, LeveledProfile,
                       certify_stable, configuration1_holds,
                       constant_complex_dims, contribution_sets,
                       euler_characteristic, all_levels, analyze_segments,
-                      check_assumptions, dim_M, order_segments)
+                      check_assumptions, dim_M, h0_ideal_oracle,
+                      order_segments)
 from tmeshdim.cli import main
 from tmeshdim.mesh import ReadOnlyDict
-from tmeshdim.meshfile import (parse_mesh_file, render_certify_text,
-                               render_machine)
+from tmeshdim.meshfile import (parse_mesh_dict, parse_mesh_file,
+                               render_certify_text, render_machine)
 
 from .helpers import fixture_path, grid, make, single_face
 from .helpers.chi import reference_chi, reference_config1
@@ -489,3 +491,66 @@ def test_certify_stable_gives_what_bounds_reports_on_the_fixtures():
                        if row.segment_count)
             exact = rep.exact if rep.certified else None
             assert certify_stable(*triple, m) == (rep.certified, exact)
+
+
+def test_the_work_at_a_fixed_bi_degree_does_not_grow_with_r(monkeypatch):
+    # at m below the r's every rule and oracle row reads r only through
+    # caps that m sets, so test1 at a default r of 10^6 reports what it
+    # reports at 5 (as 4 and 7 do), oracle included. The work is counted as
+    # it runs, so a regression fails here instead of running for minutes:
+    # no power grid is built for a generator that cannot fit in the box
+    # of m, and none reaches the sliced rank unless it fits in its ambient
+    # box; each covering threshold takes O(log r) tests; and no loop of
+    # the oracle module runs over more than a few hundred values
+    oracle_mod = sys.modules["tmeshdim.oracle"]
+    segments_mod = sys.modules["tmeshdim.segments"]
+    big, degrees = 10 ** 6, ((2, 2), (3, 3), (4, 3), (4, 4))
+    top = max(map(max, degrees))
+    grids, tests = [], {}
+
+    def power_grid(direction, knot, degree, extra=(0, 0)):
+        assert degree + max(extra) <= top, (direction, degree, extra)
+        grids.append(degree)
+        return real_grid(direction, knot, degree, extra)
+
+    def sliced_quotient_dim(generators, ambient, lbox):
+        for _, bideg in generators:
+            assert bideg[0] <= ambient[0] and bideg[1] <= ambient[1]
+        return real_sliced(generators, ambient, lbox)
+
+    def covers(ix, js, surplus):
+        tests[id(ix), js] = tests.get((id(ix), js), 0) + 1
+        assert tests[id(ix), js] <= 2 * big.bit_length(), (ix.r, js)
+        return real_covers(ix, js, surplus)
+
+    def short_range(*args):
+        assert len(range(*args)) <= 500, args
+        return range(*args)
+
+    real_grid = oracle_mod.power_grid
+    real_sliced = oracle_mod.sliced_quotient_dim
+    real_covers = segments_mod._covers
+    monkeypatch.setattr(oracle_mod, "power_grid", power_grid)
+    monkeypatch.setattr(segments_mod, "power_grid", power_grid)
+    monkeypatch.setattr(oracle_mod, "sliced_quotient_dim",
+                        sliced_quotient_dim)
+    monkeypatch.setattr(segments_mod, "_covers", covers)
+    monkeypatch.setattr(oracle_mod, "range", short_range, raising=False)
+    with open(fixture_path("test1")) as f:
+        doc = json.load(f)
+
+    def reports(r):
+        doc["smoothness"] = {"default": r, "overrides": []}
+        mesh, profile, smoothness = parse_mesh_dict(doc)
+        got = [bounds(mesh, profile, smoothness, m, ordering=ordering,
+                      with_oracle=True)
+               for ordering in ("greedy", "auto") for m in degrees]
+        ideal = [h0_ideal_oracle(analyze_segments(lv, smoothness), m)
+                 for lv in all_levels(mesh, profile) for m in degrees]
+        return got, ideal
+
+    reports(1)  # the recorders see the grids of low r
+    assert tests and grids
+    want = reports(5)
+    for r in (4, 7, big):
+        assert reports(r) == want, r

@@ -31,7 +31,7 @@ from tmeshdim import (AssumptionViolated, all_levels, analyze_segments,
 from tmeshdim.meshfile import parse_mesh_file
 
 from .helpers import fixture_path
-from .helpers.rules import keyed_terms, reference_sets
+from .helpers.rules import crossings, keyed_terms, reference_sets
 
 GOLDEN = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                       "segment_golden.json")
@@ -69,11 +69,11 @@ def case_digest(an, strategy, m):
     sequence = [an.index.keys[k] for k in ordr.order]
     keyed = keyed_terms(sets)
     gamma, upsilon, theta, _ = reference_sets(an, sequence, m)
+    crossed = crossings(an)
     doc = {"strategy": ordr.strategy, "sequence": _plain(sequence),
            "weights": _by_key({k: w for k, (_, w, _) in keyed.items()}),
-           "gamma": _by_key({k: [(rec.key, rec.vertex, rec.r, rec.interior)
-                                 for rec in an.crossers[k]
-                                 if rec.key in gamma[k]] for k in gamma}),
+           "gamma": _by_key({k: [c for c in crossed[k] if c[0] in gamma[k]]
+                             for k in gamma}),
            "upsilon": _by_key({k: sorted(v) for k, v in upsilon.items()}),
            "theta": _by_key({k: sorted(v) for k, v in theta.items()}),
            "lam": _by_key({k: lam for k, (lam, _, _) in keyed.items()}),

@@ -7,10 +7,11 @@ test_acceptance; here the focus is the segment calculus itself.
 
 import dataclasses
 import gc
+import math
 import random
 import weakref
 from fractions import Fraction as F
-from itertools import permutations, product
+from itertools import chain, permutations, product
 from operator import getitem
 from types import SimpleNamespace
 
@@ -28,7 +29,7 @@ from tmeshdim.segments import (EXHAUSTIVE_LIMIT, _before,
 from .helpers import fixture_path, make
 from .helpers.randmesh import (random_region_mesh, random_split_mesh,
                                ring_region_mesh)
-from .helpers.rules import keyed_terms, reference_sets
+from .helpers.rules import crossings, keyed_terms, reference_sets
 from .test_segment_golden import FIXTURES, MIXED_R, mixed_r
 from .test_symmetry import unequal_deficits_doc
 
@@ -72,10 +73,10 @@ def test_endpoint_touch_counts_as_crossing():
     an = level_analysis("test2", 2)
     stub = next(s for s in an.interior if s.key == ("h", F(1), F(1)))
     assert (stub.lo, stub.hi) == (F(1), F(5))
-    lines = sorted(rec.key[1] for rec in an.crossers[stub.key])
-    assert lines == [F(1), F(2), F(3), F(4), F(5)]
-    assert all(rec.r == 2 for rec in an.crossers[stub.key])
-    assert all(not rec.interior for rec in an.crossers[stub.key])
+    crossed = crossings(an)[stub.key]
+    assert sorted(key[1] for key, _, _, _ in crossed) \
+        == [F(1), F(2), F(3), F(4), F(5)]
+    assert all(r == 2 and not interior for _, _, r, interior in crossed)
 
 
 def test_ordering_strategies():
@@ -277,7 +278,7 @@ def test_rules_when_theta_gives_the_first_segment_its_owner():
     assert any(cand[3] for cand in an.index.theta)
     keys = an.index.keys
     assert len(keys) == 6
-    seg = an.by_key
+    seg = {s.key: s for s in an.segments}
     gained = 0
     for m in ((4, 2), (3, 3)):
         for perm in permutations(range(len(keys))):
@@ -420,15 +421,10 @@ class FloorCheck:
         return term
 
 
-def test_every_term_the_search_reads_is_at_least_its_floor():
-    # the walk drops a branch on the floors of the segments not yet placed,
-    # so each floor must bound every term of its segment that the walk
-    # reads, theta's bits included, and its term at every rule key before
-    # theta; with sound floors the walk returns the order that it returns
-    # with no floor at all. Fixture levels, seeded mixed-r split levels,
-    # levels where theta gives its first segment the owner's bit, and the
-    # level of a mixed level path, from low degrees to those where graded
-    # takes its exact rank
+def searched_levels():
+    """The levels of 2 to EXHAUSTIVE_LIMIT segments and no relative cycle
+    of the fixtures, of seeded mixed-r split and region meshes, of
+    x_step_levels and of a mixed level path."""
     runs = []
     for name in FIXTURES:
         mesh, profile, smoothness = parse_mesh_file(fixture_path(name))
@@ -444,8 +440,18 @@ def test_every_term_the_search_reads_is_at_least_its_floor():
     runs += x_step_levels()
     mesh, profile, smoothness = parse_mesh_dict(unequal_deficits_doc())
     runs.append(analyze_segments(all_levels(mesh, profile)[0], smoothness))
-    runs = [an for an in runs
+    return [an for an in runs
             if an.level.h == 0 and 2 <= len(an.interior) <= EXHAUSTIVE_LIMIT]
+
+
+def test_every_term_the_search_reads_is_at_least_its_floor():
+    # the walk drops a branch on the floors of the segments not yet placed,
+    # so each floor must bound every term of its segment that the walk
+    # reads, theta's bits included, and its term at every rule key before
+    # theta; with sound floors the walk returns the order that it returns
+    # with no floor at all. From low degrees to those where graded takes
+    # its exact rank
+    runs = searched_levels()
     pruned = 0
     for an in runs:
         rules = an.index.search_tables
@@ -469,6 +475,41 @@ def test_every_term_the_search_reads_is_at_least_its_floor():
         == [2, 2] + [3] * 5 + [4] * 5 + [5] * 3 + [6] * 4 + [7] * 4 + [8] * 3
     # searches with some floor above 0, where the floors prune
     assert pruned == 28
+
+
+def test_no_search_mask_has_a_lower_theta_threshold_than_the_full_one():
+    # upsilon's j's only gain bits as the search mask grows and a covering
+    # threshold only falls as they do, so at no mask is an owner's
+    # threshold below the full mask's (None counting as infinite), and
+    # _theta_at, which reads the full mask's alone, keeps exactly the
+    # candidates whose owner passes the surplus test at some mask
+    def at(t):
+        return math.inf if t is None else t
+
+    kept = dropped = varied = 0
+    for an in searched_levels():
+        ix, least = an.index, an.cover_thresholds
+        if not ix.theta:
+            continue
+        need = an.level.profile.levels[an.level.index]
+        rows = {}
+        for k in {cand[0] for cand in ix.theta}:
+            shift = len(ix.crossers[k])
+            rows[k] = [least[key >> shift] for key in ix.search_tables[k]]
+            assert all(at(t) >= at(rows[k][-1]) for t in rows[k]), k
+            varied += len(set(rows[k])) > 1
+        for m in ((1, 1), (2, 2), (3, 3), (4, 5), (6, 6), (20, 3)):
+            want = [cand for cand in ix.theta
+                    if any(_reaches(t, m[ix.axis[cand[0]]]
+                                    - need[ix.axis[cand[0]]])
+                           for t in rows[cand[0]])]
+            got = [tuple(live[:5]) for live in _theta_at(an, m)]
+            assert got == want, (an.level.index, m)
+            kept += len(want)
+            dropped += len(ix.theta) - len(want)
+    # candidates kept and dropped at some m, and owners whose thresholds
+    # differ between masks
+    assert (kept, dropped, varied) == (220, 326, 36)
 
 
 def test_exhaustive_search_leaves_no_cyclic_garbage():
@@ -615,19 +656,16 @@ def test_the_search_hands_over_what_a_fresh_evaluation_gives():
 
 
 def test_the_records_do_not_grow_with_the_degrees_asked():
-    # the records and theta's per-owner tables are keyed by rule keys and
-    # masks of the level's own segments, so a sweep to 40 adds none to a
-    # sweep to 20. The search runs on the whole 2..20 square and at three
-    # corners further out
+    # the records are keyed by rule keys and masks of the level's own
+    # segments, so a sweep to 40 adds none to a sweep to 20. The search
+    # runs on the whole 2..20 square and at three corners further out
     def sweep(an, ms):
         for m in ms:
             for strategy in ("greedy", "input"):
                 contribution_sets(an, order_segments(an, strategy, m), m)
             if m in searched and "exhaustive" in sweep_strategies(an):
                 order_segments(an, "exhaustive", m)
-        tables = vars(an).get("theta_tables", {})
-        return (len(an.lam_records), len(an.cover_thresholds),
-                sum(len(least) for least, _ in tables.values()))
+        return len(an.lam_records), len(an.cover_thresholds)
 
     def reach(top):
         return set(product(range(2, top + 1), repeat=2))
@@ -636,14 +674,13 @@ def test_the_records_do_not_grow_with_the_degrees_asked():
     further = {m for a in range(21, 41) for b in (2, 5, 20, 40)
                for m in ((a, b), (b, a))}
     searched = reach(20) | {(40, 40), (40, 2), (2, 40)}
-    filled = tabled = 0
+    filled = 0
     for label, lv, smoothness in sweep_levels():
         an = analyze_segments(lv, smoothness)
         to20 = sweep(an, sorted(reach(20)))
         assert sweep(an, sorted(further)) == to20, label
         filled += to20[1] > 0
-        tabled += to20[2] > 0
-    assert (filled, tabled) == (14, 10)
+    assert filled == 14
 
 
 def test_cover_thresholds_give_theta_covering_test():
@@ -651,13 +688,17 @@ def test_cover_thresholds_give_theta_covering_test():
     # afresh at every surplus: on the upsilon j's of an owner at every mask
     # that the search (up to EXHAUSTIVE_LIMIT segments) or the greedy order
     # of the fixture and mixed-r levels tests, and on every mask of up to
-    # three j's with r in 0..5
+    # three j's with r in 0..5 or up to 10^9; the surpluses next to the
+    # threshold and to the j's r sum plus 1, where the bisection starts, are
+    # tested too
     def agree(ix, js):
-        thresholds = _CoverThresholds(ix)
-        for s in range(-3, 41):
-            assert _reaches(thresholds[js], s) == _covers(ix, js, s), \
-                (ix.r, js, s)
-        return thresholds[js]
+        least = _CoverThresholds(ix)[js]
+        top = sum(r for j, r in enumerate(ix.r) if js >> j & 1) + 1
+        near = {t + d for t in (least, top) if t is not None
+                for d in (-1, 0, 1)}
+        for s in near.union(range(-3, 41)):
+            assert _reaches(least, s) == _covers(ix, js, s), (ix.r, js, s)
+        return least
 
     found = set()
     for _, lv, smoothness in sweep_levels():
@@ -674,7 +715,9 @@ def test_cover_thresholds_give_theta_covering_test():
                 found.add(agree(ix, _upsilon_js(ix, k, b)))
     assert found == {None, 1, 2, 3, 4, 5}
     for n in range(4):
-        for rs in product(range(6), repeat=n):
+        for rs in chain(product(range(6), repeat=n),
+                        product((0, 3, 10 ** 6, 10 ** 9 - 1, 10 ** 9),
+                                repeat=n)):
             ix = SimpleNamespace(r=list(rs))
             for js in range(1 << n):
                 agree(ix, js)
