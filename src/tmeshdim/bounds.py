@@ -15,12 +15,11 @@ from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
-from .graded import (box_sum, dim_L, dim_M, dim_M_terms,
-                     vertex_increment_terms)
+from .graded import box_sum, dim_M, dim_M_terms, vertex_increment_terms
 from .levels import AssumptionReport, all_levels, check_assumptions
-from .mesh import TMesh, bd_add, bd_max, bd_min, bd_sub
-from .segments import (analyze_segments, check_bidegree, check_strategy,
-                       contribution_sets, h0_ideal_upper, order_segments)
+from .mesh import TMesh, bd_add, bd_max, bd_min, bd_sub, check_bidegree
+from .segments import (analyze_segments, check_strategy, contribution_sets,
+                       h0_ideal_upper, order_segments)
 
 
 class DecompositionMismatch(Exception):
@@ -95,16 +94,6 @@ def euler_characteristic(mesh: TMesh, profile, smoothness, m):
         raise DecompositionMismatch(
             f"leveled chi {chi} != direct chi {chi_direct} at m = {m}")
     return chi, chi_direct
-
-
-def constant_complex_dims(level, m):
-    """Homology dimensions (h2, h1, h0) of the level's constant complex."""
-    m = check_bidegree(m)
-    levels = level.profile.levels
-    top = level.profile.top
-    dm0 = dim_M(levels, level.index, (0, 0), m)
-    h2 = dim_L(levels, top, (0, 0), m) if level.index == top + 1 else 0
-    return h2, level.h * dm0, level.c * dm0
 
 
 @dataclass(frozen=True)

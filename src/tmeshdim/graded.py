@@ -26,19 +26,11 @@ def dim_shift(m, shift) -> int:
     return max(m[0] - shift[0] + 1, 0) * max(m[1] - shift[1] + 1, 0)
 
 
-def _check_level(levels, i, lowest=0):
+def _check_level(levels, i):
     top = len(levels) - 1
-    if not lowest <= i <= top + 1:
-        raise IndexOutOfRange(f"level index {i} outside {lowest}..{top + 1}")
+    if not 1 <= i <= top + 1:
+        raise IndexOutOfRange(f"level index {i} outside 1..{top + 1}")
     return top
-
-
-def dim_L(levels, i, shift, m) -> int:
-    """Dimension of L(i) shifted; i runs 0..top+1 with L(top+1) = 0."""
-    top = _check_level(levels, i)
-    if i == top + 1:
-        return 0
-    return dim_shift(bd_sub(m, levels[i]), shift)
 
 
 def box_sum(terms, m) -> int:
@@ -54,7 +46,7 @@ def box_sum(terms, m) -> int:
 
 def dim_M_terms(levels, i, shift):
     """dim_M(levels, i, shift, m) as box terms, for box_sum at any m."""
-    top = _check_level(levels, i, lowest=1)
+    top = _check_level(levels, i)
     return tuple((bd_add(levels[j], shift), c)
                  for j, c in ((i - 1, 1), (i, -1)) if j <= top)
 
@@ -64,19 +56,17 @@ def dim_M(levels, i, shift, m) -> int:
     return box_sum(dim_M_terms(levels, i, shift), m)
 
 
-def dim_edge_increment(levels, i, e_tau, m) -> int:
-    """Dimension the single edge ideal contributes inside M(i).
-
-    e_tau is the bi-smoothness shift of the edge, (0, r+1) for a horizontal
-    edge and (r+1, 0) for a vertical one.
-    """
-    return dim_M(levels, i, e_tau, m)
-
-
 def vertex_increment_terms(levels, i, e_h, e_v, dstar_h=None, dstar_v=None):
-    """dim_vertex_increment(levels, i, e_h, e_v, m, dstar_h, dstar_v) as box
-    terms, for box_sum at any m."""
-    top = _check_level(levels, i, lowest=1)
+    """The dimension the two-line vertex ideal contributes inside M(i), as
+    box terms for box_sum at any m.
+
+    dstar_h / dstar_v are the minimal face deficits over the horizontal
+    resp. vertical edges at the vertex; they default to n_{i-1}, which is
+    correct whenever the vertex deficit realizes both minima. The value is
+    an inclusion-exclusion over genuine monomial ideals, so it is exact
+    also when a line through a T-junction carries a larger deficit.
+    """
+    top = _check_level(levels, i)
     n_prev = levels[i - 1]
     alpha = bd_max(n_prev, dstar_h if dstar_h is not None else n_prev)
     beta = bd_max(n_prev, dstar_v if dstar_v is not None else n_prev)
@@ -89,20 +79,6 @@ def vertex_increment_terms(levels, i, e_h, e_v, dstar_h=None, dstar_v=None):
                   (bd_add(e_v, bd_max(beta, n_i)), -1),
                   (bd_add(e_gamma, bd_max(bd_max(alpha, beta), n_i)), 1)]
     return terms
-
-
-def dim_vertex_increment(levels, i, e_h, e_v, m,
-                         dstar_h=None, dstar_v=None) -> int:
-    """Dimension the two-line vertex ideal contributes inside M(i).
-
-    dstar_h / dstar_v are the minimal face deficits over the horizontal
-    resp. vertical edges at the vertex; they default to n_{i-1}, which is
-    correct whenever the vertex deficit realizes both minima. The value is
-    an inclusion-exclusion over genuine monomial ideals, so it is exact
-    also when a line through a T-junction carries a larger deficit.
-    """
-    return box_sum(vertex_increment_terms(levels, i, e_h, e_v,
-                                          dstar_h, dstar_v), m)
 
 
 def dim_power_sum(knot_degrees, b, m, direction="t") -> int:
@@ -197,6 +173,6 @@ def dim_power_sum_in(levels, i, gens, m) -> int:
     passes _generator_key(gens) instead, an internal form that saves it
     building the key once per call.
     """
-    _check_level(levels, i, lowest=1)
+    _check_level(levels, i)
     key = gens if type(gens) is _GeneratorKey else _generator_key(gens)
     return _power_sum_in_cached(tuple(levels), i, key, (m[0], m[1]))

@@ -81,12 +81,6 @@ def _betti(mesh, faces, interior_edges, interior_vertices):
     return c, h
 
 
-def relative_betti(level: ActiveLevel):
-    """Recompute (c, h) of a level from its cell sets."""
-    return _betti(level.mesh, level.faces, level.interior_edges,
-                  level.interior_vertices)
-
-
 def all_levels(mesh: TMesh, profile):
     return [active_mesh(mesh, profile, i) for i in range(1, profile.top + 2)]
 

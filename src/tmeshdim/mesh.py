@@ -77,6 +77,15 @@ def bd_sub(a, b):
     return (a[0] - b[0], a[1] - b[1])
 
 
+def check_bidegree(m):
+    """m as a pair of ints; ValueError unless both are integral."""
+    a, b = m
+    pair = int(a), int(b)
+    if pair != (a, b):
+        raise ValueError(f"bi-degree {m!r} is not a pair of integers")
+    return pair
+
+
 @dataclass(frozen=True, order=True)
 class Rect:
     """Closed axis-aligned rectangle [x0, x1] x [y0, y1].
@@ -401,6 +410,11 @@ def _diagonal_first_steps(a, b):
 
 _ALLOWED_STEPS = {(1, 0), (0, 1), (1, 1)}
 
+# The most levels a profile may have. Each level is a unit step of the
+# chain, and every report does work per level, so a deficit such as
+# [2^70, 1] is refused before its chain is built.
+MAX_LEVELS = 1000
+
 
 @dataclass(frozen=True)
 class LeveledProfile:
@@ -428,7 +442,8 @@ def build_profile(mesh: TMesh, face_deficits,
 
     face_deficits maps faces to bidegree pairs; unlisted faces default to
     (0, 0). The level sequence is auto-built diagonal-first unless
-    explicit_levels is given.
+    explicit_levels is given; one of more than MAX_LEVELS levels raises
+    InvalidSequenceError.
     """
     fd = {}
     for f in mesh.faces:
@@ -445,6 +460,11 @@ def build_profile(mesh: TMesh, face_deficits,
         if not bd_le(a, b):
             raise UnorderedDeficitsError(f"incomparable deficits {a}, {b}")
 
+    count = (1 + sum(max(bd_sub(b, a)) for a, b in zip(ordered, ordered[1:]))
+             if explicit_levels is None else len(explicit_levels))
+    if count > MAX_LEVELS:
+        raise InvalidSequenceError(
+            f"{count} levels exceed the limit of {MAX_LEVELS}")
     if explicit_levels is None:
         levels = [(0, 0)]
         for d in ordered[1:]:

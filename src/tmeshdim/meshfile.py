@@ -3,8 +3,7 @@
 A mesh document is JSON with members "faces" (rectangles as rational strings
 plus optional per-face deficits), "smoothness" (a default order plus span
 overrides) and optional explicit "levels". Coordinates are exact: integers or
-"p/q" strings, never floats. Report documents serialize DimReport values and
-parse back to equal objects.
+"p/q" strings, never floats. Report documents serialize DimReport values.
 """
 
 import json
@@ -13,7 +12,7 @@ import stat
 import tempfile
 from fractions import Fraction
 
-from .bounds import DimReport, LevelRow
+from .bounds import DimReport
 from .mesh import Rect, build_profile, build_smoothness, build_tmesh
 
 
@@ -130,46 +129,6 @@ def parse_mesh_file(path):
     return parse_mesh_dict(_load_json(path))
 
 
-def mesh_to_dict(mesh, profile, smoothness):
-    """Serialize a triple back to a document; parsing it reproduces the
-    triple exactly, including every rational coordinate."""
-    faces = []
-    for f in mesh.faces:
-        entry = {"rect": [_rat_str(c) for c in (f.x0, f.y0, f.x1, f.y1)]}
-        d = profile.face_deficit[f]
-        if d != (0, 0):
-            entry["deficit"] = list(d)
-        faces.append(entry)
-
-    counts = {}
-    for r in smoothness.edge_r.values():
-        counts[r] = counts.get(r, 0) + 1
-    default_r = max(sorted(counts), key=lambda r: counts[r]) if counts else 0
-    overrides = []
-    chains = {}
-    for e in smoothness.edge_r:
-        chains.setdefault((e.axis, e.line), []).append(e)
-    for (axis, line), es in sorted(chains.items()):
-        es.sort(key=lambda e: e.lo)
-        run = [es[0]]
-        for e in es[1:] + [None]:
-            if e is not None and e.lo == run[-1].hi \
-                    and smoothness.edge_r[e] == smoothness.edge_r[run[0]]:
-                run.append(e)
-                continue
-            r = smoothness.edge_r[run[0]]
-            if r != default_r:
-                overrides.append({"orientation": axis, "line": _rat_str(line),
-                                  "span": [_rat_str(run[0].lo),
-                                           _rat_str(run[-1].hi)], "r": r})
-            if e is not None:
-                run = [e]
-    doc = {"faces": faces,
-           "smoothness": {"default": default_r, "overrides": overrides},
-           "levels": [list(lv) for lv in profile.levels]}
-    return doc
-
-
 def write_text_atomic(path, text: str):
     """Write via a temporary file in the same directory, then rename. The
     file gets the mode open(path, "w") would leave: the old file's, or
@@ -199,13 +158,6 @@ def _key_out(key):
     return [key[0], _rat_str(key[1]), _rat_str(key[2])]
 
 
-def _key_in(value, where):
-    if not isinstance(value, list) or len(value) != 3 \
-            or value[0] not in ("h", "v"):
-        raise ParseError(f"{where}: expected [orientation, line, start]")
-    return value[0], _rat(value[1], where), _rat(value[2], where)
-
-
 def report_to_dict(report: DimReport):
     return {
         "m": list(report.m),
@@ -232,36 +184,6 @@ def report_to_dict(report: DimReport):
             "weights": [[_key_out(k), w] for k, w in r.weights],
         } for r in report.rows],
     }
-
-
-def report_from_dict(doc) -> DimReport:
-    if not isinstance(doc, dict):
-        raise ParseError("report row: expected an object")
-    try:
-        rows = tuple(
-            LevelRow(lv["i"], lv["c"], lv["h"], lv["dim_m"],
-                     lv["h0_constant"], lv["h0_ideal"], lv["segments"],
-                     lv["strategy"],
-                     tuple(_key_in(k, "ordering") for k in lv["ordering"]),
-                     tuple((_key_in(k, "weights"), w)
-                           for k, w in lv["weights"]))
-            for lv in doc["levels"])
-        return DimReport(
-            tuple(doc["m"]), doc["chi"], doc["chi_direct"], rows,
-            doc["assumption_ok"], tuple(doc["violations"]), doc["config1"],
-            tuple(doc["case_b_levels"]), doc["ordering_strategy"],
-            doc["lower_general"], doc["lower_special"], doc["upper"],
-            doc["clamped"], doc["certified"], doc["exact"], doc["oracle"],
-            tuple(doc["notes"]))
-    except (KeyError, TypeError) as exc:
-        raise ParseError(f"report row: missing or malformed member ({exc})")
-
-
-def parse_report_file(path):
-    doc = _load_json(path)
-    if not isinstance(doc, dict) or "rows" not in doc:
-        raise ParseError(f"{path}: expected an object with a rows member")
-    return [report_from_dict(row) for row in doc["rows"]]
 
 
 def render_machine(reports, command="bounds") -> str:

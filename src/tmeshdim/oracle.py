@@ -2,9 +2,10 @@
 
 oracle_spline_dim assembles the raw smoothness constraints of a spline space
 and counts solutions by exact rank, with no use of the combinatorial
-machinery. span_dim / span_quotient_dim measure subspaces spanned by
-polynomial generators in the monomial basis. Both exist to cross-check the
-closed formulas, so they stay deliberately naive. sliced_quotient_dim is
+machinery; h0_ideal_oracle does the same for one level's line ideal complex.
+span_dim / span_quotient_dim measure subspaces spanned by polynomial
+generators in the monomial basis. All exist to cross-check the closed
+formulas, so they stay deliberately naive. sliced_quotient_dim is
 the exception: it serves the bounds, and span_quotient_dim checks it.
 """
 
@@ -13,7 +14,7 @@ from fractions import Fraction
 from math import comb
 
 from .linalg import rank_sparse
-from .mesh import TMesh, bd_sub
+from .mesh import TMesh, bd_sub, check_bidegree
 
 
 def _box(m):
@@ -115,6 +116,7 @@ def oracle_spline_dim(mesh: TMesh, profile, smoothness, m) -> int:
     is the highest power of the expansion variable, so its entries are the
     integers comb(a, j) p^(a-j) q^(deg-a).
     """
+    m = check_bidegree(m)
     index = {}
     pieces = []
     total = 0
@@ -164,6 +166,77 @@ def oracle_spline_dim(mesh: TMesh, profile, smoothness, m) -> int:
                         cols = range(first + j * stride,
                                      first + (top + 1) * stride, stride)
                         row.update(zip(cols, signed[sign]))
+                if row:
+                    rows.append(row)
+    return total - rank_sparse(rows)
+
+
+def h0_ideal_oracle(an, m) -> int:
+    """Exact H0 dimension of the line ideal complex of a segment analysis
+    (segments.SegmentAnalysis) by brute-force rank.
+
+    Blocks are the interior segments' quotient pieces; relations come from
+    every perpendicular crossing at an active interior vertex, with the
+    block component dropped when the crossing partner meets the boundary.
+    """
+    m = check_bidegree(m)
+    level = an.level
+    levels = level.profile.levels
+    i = level.index
+    top = level.profile.top
+    n_prev = levels[i - 1]
+    n_i = levels[i] if i <= top else None
+
+    def reps(shift):
+        hi = bd_sub(bd_sub(m, n_prev), shift)
+        if hi[0] < 0 or hi[1] < 0:
+            return []
+        if n_i is None:
+            return [(a, b) for a in range(hi[0] + 1) for b in range(hi[1] + 1)]
+        lo = bd_sub(bd_sub(m, n_i), shift)
+        return [(a, b) for a in range(hi[0] + 1) for b in range(hi[1] + 1)
+                if a > lo[0] or b > lo[1]]
+
+    basis = {}
+    total = 0
+    for rho in an.interior:
+        mono = reps(rho.e)
+        basis[rho.key] = {ab: total + k for k, ab in enumerate(mono)}
+        total += len(mono)
+
+    rows = []
+    seen = set()
+    for rho, p_rho, cs in zip(an.interior, an.index.pos, an.index.crossers):
+        for _, p, r in cs:
+            pair = (min(p, p_rho), max(p, p_rho))
+            if pair in seen:
+                continue
+            seen.add(pair)
+            sig = an.segments[p]
+            h_seg, v_seg = (rho, sig) if rho.axis == "h" else (sig, rho)
+            r_h = rho.r if rho.axis == "h" else r
+            r_v = rho.r if rho.axis == "v" else r
+            mus = reps((r_v + 1, r_h + 1))
+            if not mus:
+                continue
+            x0, y0 = v_seg.line, h_seg.line
+            # power_grid multiplies each part by q^(r+1) of the other
+            # segment's line and r, constant along a segment: a row scaling
+            # times a column scaling by each block's own factor, so the
+            # rank is unchanged
+            terms = []
+            if h_seg.interior:
+                terms.append((h_seg, power_grid("s", x0, r_v + 1)[0], 1))
+            if v_seg.interior:
+                terms.append((v_seg, power_grid("t", y0, r_h + 1)[0], -1))
+            for mu in mus:
+                row = {}
+                for seg, grid, sign in terms:
+                    block = basis[seg.key]
+                    for (es, et), c in grid.items():
+                        col = block.get((mu[0] + es, mu[1] + et))
+                        if col is not None:
+                            row[col] = row.get(col, 0) + sign * c
                 if row:
                     rows.append(row)
     return total - rank_sparse(rows)

@@ -15,9 +15,7 @@ from typing import Optional
 
 from .graded import _generator_key, box_sum, dim_M_terms, dim_power_sum_in
 from .levels import ActiveLevel, AssumptionViolated
-from .linalg import rank_sparse
-from .mesh import bd_sub
-from .oracle import power_grid
+from .mesh import bd_sub, check_bidegree
 
 
 EXHAUSTIVE_LIMIT = 8
@@ -51,7 +49,7 @@ class MaxSegment:
 class SegmentAnalysis:
     """Maximal segments of one level, sorted by key, plus their crossing
     structure, which only index holds (SegmentIndex, in integer form); the
-    contribution rules, the ordering search and h0_ideal_oracle read it.
+    contribution rules, the ordering search and oracle.h0_ideal_oracle read it.
 
     An analysis serves every bi-degree. Besides the greedy order and the
     search tables, it keeps blocks, per interior segment what _block reads
@@ -252,15 +250,6 @@ def check_strategy(strategy):
     """Raise ValueError unless strategy is one of STRATEGIES."""
     if strategy not in STRATEGIES:
         raise ValueError(f"unknown ordering strategy {strategy!r}")
-
-
-def check_bidegree(m):
-    """m as a pair of ints; ValueError unless both are integral."""
-    a, b = m
-    pair = int(a), int(b)
-    if pair != (a, b):
-        raise ValueError(f"bi-degree {m!r} is not a pair of integers")
-    return pair
 
 
 @dataclass(frozen=True)
@@ -657,72 +646,3 @@ def h0_ideal_upper(sets: ContributionSets) -> int:
         raise AssumptionViolated(
             f"level {an.level.index} has relative cycles (h = {an.level.h})")
     return sum(sets.h0_terms)
-
-
-def h0_ideal_oracle(an: SegmentAnalysis, m) -> int:
-    """Exact H0 dimension of the line ideal complex by brute-force rank.
-
-    Blocks are the interior segments' quotient pieces; relations come from
-    every perpendicular crossing at an active interior vertex, with the
-    block component dropped when the crossing partner meets the boundary.
-    """
-    level = an.level
-    levels = level.profile.levels
-    i = level.index
-    top = level.profile.top
-    n_prev = levels[i - 1]
-    n_i = levels[i] if i <= top else None
-
-    def reps(shift):
-        hi = bd_sub(bd_sub(m, n_prev), shift)
-        if hi[0] < 0 or hi[1] < 0:
-            return []
-        if n_i is None:
-            return [(a, b) for a in range(hi[0] + 1) for b in range(hi[1] + 1)]
-        lo = bd_sub(bd_sub(m, n_i), shift)
-        return [(a, b) for a in range(hi[0] + 1) for b in range(hi[1] + 1)
-                if a > lo[0] or b > lo[1]]
-
-    basis = {}
-    total = 0
-    for rho in an.interior:
-        mono = reps(rho.e)
-        basis[rho.key] = {ab: total + k for k, ab in enumerate(mono)}
-        total += len(mono)
-
-    rows = []
-    seen = set()
-    for rho, p_rho, cs in zip(an.interior, an.index.pos, an.index.crossers):
-        for _, p, r in cs:
-            pair = (min(p, p_rho), max(p, p_rho))
-            if pair in seen:
-                continue
-            seen.add(pair)
-            sig = an.segments[p]
-            h_seg, v_seg = (rho, sig) if rho.axis == "h" else (sig, rho)
-            r_h = rho.r if rho.axis == "h" else r
-            r_v = rho.r if rho.axis == "v" else r
-            mus = reps((r_v + 1, r_h + 1))
-            if not mus:
-                continue
-            x0, y0 = v_seg.line, h_seg.line
-            # power_grid multiplies each part by q^(r+1) of the other
-            # segment's line and r, constant along a segment: a row scaling
-            # times a column scaling by each block's own factor, so the
-            # rank is unchanged
-            terms = []
-            if h_seg.interior:
-                terms.append((h_seg, power_grid("s", x0, r_v + 1)[0], 1))
-            if v_seg.interior:
-                terms.append((v_seg, power_grid("t", y0, r_h + 1)[0], -1))
-            for mu in mus:
-                row = {}
-                for seg, grid, sign in terms:
-                    block = basis[seg.key]
-                    for (es, et), c in grid.items():
-                        col = block.get((mu[0] + es, mu[1] + et))
-                        if col is not None:
-                            row[col] = row.get(col, 0) + sign * c
-                if row:
-                    rows.append(row)
-    return total - rank_sparse(rows)

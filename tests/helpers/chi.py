@@ -2,7 +2,8 @@
 the reference that the box sums `tmeshdim.bounds` compiles once per mesh
 must reproduce."""
 
-from tmeshdim import all_levels, dim_M, dim_shift, dim_vertex_increment
+from tmeshdim import all_levels, dim_M, dim_shift
+from tmeshdim.graded import box_sum, vertex_increment_terms
 from tmeshdim.mesh import bd_add, bd_max, bd_min, bd_sub
 
 
@@ -34,9 +35,9 @@ def reference_chi(mesh, profile, smoothness, m):
             leveled -= dm0 - dim_M(levels, i, shift, m)
         for v in lv.interior_vertices:
             r_h, r_v = smoothness.vertex_pair[v]
-            leveled += dm0 - dim_vertex_increment(
-                levels, i, (0, r_v + 1), (r_h + 1, 0), m,
-                *_dstars(mesh, profile, v))
+            leveled += dm0 - box_sum(vertex_increment_terms(
+                levels, i, (0, r_v + 1), (r_h + 1, 0),
+                *_dstars(mesh, profile, v)), m)
 
     direct = sum(dim_shift(m, profile.face_deficit[f]) for f in mesh.faces)
     for e in mesh.interior_edges:

@@ -13,10 +13,9 @@ import pytest
 from tmeshdim import (DecompositionMismatch, LeveledProfile,
                       SmoothnessProfile, TMesh, bounds,
                       certify_stable, configuration1_holds,
-                      constant_complex_dims, contribution_sets,
-                      euler_characteristic, all_levels, analyze_segments,
-                      check_assumptions, dim_M, h0_ideal_oracle,
-                      order_segments)
+                      contribution_sets, euler_characteristic, all_levels,
+                      analyze_segments, check_assumptions, h0_ideal_oracle,
+                      oracle_spline_dim, order_segments)
 from tmeshdim.cli import main
 from tmeshdim.mesh import ReadOnlyDict
 from tmeshdim.meshfile import (parse_mesh_dict, parse_mesh_file,
@@ -168,10 +167,10 @@ def test_a_non_integral_bi_degree_is_refused_where_it_enters():
     # int() would truncate (3.9, 3) to (3, 3), and the segment layer would
     # sum fractional terms at (4.5, 4); unchecked, chi read 51.5 at (3.5, 3)
     # and raised DecompositionMismatch from float rounding at (3.9, 3), and
-    # configuration 1 held there; integral values of any type keep their
+    # configuration 1 held there; unchecked, the two oracles raised
+    # TypeError even at (3.0, 3); integral values of any type keep their
     # reports
     test1 = parse_mesh_file(fixture_path("test1"))
-    level = all_levels(*test1[:2])[0]
     mesh, profile, smoothness = parse_mesh_file(
         fixture_path("new_relations_b"))
     an = analyze_segments(all_levels(mesh, profile)[0], smoothness)
@@ -181,7 +180,8 @@ def test_a_non_integral_bi_degree_is_refused_where_it_enters():
                      lambda: certify_stable(*test1, bad),
                      lambda: euler_characteristic(*test1, bad),
                      lambda: configuration1_holds(*test1, bad),
-                     lambda: constant_complex_dims(level, bad),
+                     lambda: oracle_spline_dim(*test1, bad),
+                     lambda: h0_ideal_oracle(an, bad),
                      lambda: order_segments(an, "auto", bad),
                      lambda: contribution_sets(an, greedy, bad)):
             with pytest.raises(ValueError, match="not a pair of integers"):
@@ -191,8 +191,8 @@ def test_a_non_integral_bi_degree_is_refused_where_it_enters():
     assert euler_characteristic(*test1, (3.0, Fraction(3))) == (37, 37)
     assert configuration1_holds(*test1, (3.0, 3)) \
         == configuration1_holds(*test1, (3, 3))
-    assert constant_complex_dims(level, (3.0, 3)) \
-        == constant_complex_dims(level, (3, 3))
+    assert oracle_spline_dim(*test1, (3.0, 3)) == 37
+    assert h0_ideal_oracle(an, (4.0, 4)) == h0_ideal_oracle(an, (4, 4))
     assert order_segments(an, "auto", (4.0, 4)) == order_segments(an, "auto",
                                                                   (4, 4))
     assert contribution_sets(an, greedy, (4.0, 4)).h0_terms \
@@ -203,14 +203,6 @@ def test_ordering_strategy_is_recorded():
     rep = run("new_relations_b", (4, 4), ordering="input")
     assert rep.ordering_strategy == "input"
     assert all(r.strategy == "input" for r in rep.rows if r.segment_count)
-
-
-def test_constant_complex_dims_track_c():
-    mesh, profile, smoothness = island_region_mesh()
-    lv = all_levels(mesh, profile)[0]
-    h2, h1, h0 = constant_complex_dims(lv, (3, 3))
-    dm = dim_M(profile.levels, 1, (0, 0), (3, 3))
-    assert (h2, h1, h0) == (0, 0, lv.c * dm)
 
 
 def test_config1_report_is_boolean():
@@ -531,7 +523,6 @@ def test_the_work_at_a_fixed_bi_degree_does_not_grow_with_r(monkeypatch):
     real_sliced = oracle_mod.sliced_quotient_dim
     real_covers = segments_mod._covers
     monkeypatch.setattr(oracle_mod, "power_grid", power_grid)
-    monkeypatch.setattr(segments_mod, "power_grid", power_grid)
     monkeypatch.setattr(oracle_mod, "sliced_quotient_dim",
                         sliced_quotient_dim)
     monkeypatch.setattr(segments_mod, "_covers", covers)

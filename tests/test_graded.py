@@ -5,12 +5,12 @@ from fractions import Fraction
 from itertools import permutations
 
 import pytest
-from tmeshdim import (IndexOutOfRange, MixedDirectionError, bounds, dim_L,
-                      dim_M, dim_edge_increment, dim_power_sum,
-                      dim_power_sum_in, dim_shift, dim_vertex_increment,
-                      oracle, span_dim, span_quotient_dim)
-from tmeshdim.graded import _power_sum_in_cached
-from tmeshdim.mesh import bd_add, bd_max, bd_sub
+from tmeshdim import (IndexOutOfRange, MixedDirectionError, bounds, dim_M,
+                      dim_power_sum, dim_power_sum_in, dim_shift, oracle,
+                      span_dim, span_quotient_dim)
+from tmeshdim.graded import (_power_sum_in_cached, box_sum,
+                             vertex_increment_terms)
+from tmeshdim.mesh import bd_max, bd_sub
 from tmeshdim.meshfile import parse_mesh_file
 from tmeshdim.oracle import power_grid, sliced_quotient_dim
 
@@ -20,10 +20,6 @@ from .test_segment_golden import FIXTURES
 MONO = ({(0, 0): 1}, (0, 0))
 
 
-def mono(exp):
-    return ({(0, 0): 1}, exp)
-
-
 def test_dim_shift_box_arithmetic():
     assert dim_shift((3, 3), (0, 0)) == 16
     assert dim_shift((3, 3), (1, 2)) == 6
@@ -31,21 +27,11 @@ def test_dim_shift_box_arithmetic():
     assert dim_shift((2, 5), (2, 5)) == 1
 
 
-def test_dim_L_is_a_monomial_span():
-    levels = ((0, 0), (1, 1), (2, 1))
-    for i in range(3):
-        for shift in ((0, 0), (1, 0), (2, 3)):
-            for m in ((3, 3), (4, 2), (6, 6)):
-                want = span_dim([mono(bd_add(levels[i], shift))], m)
-                assert dim_L(levels, i, shift, m) == want
-    assert dim_L(levels, 3, (0, 0), (6, 6)) == 0
-
-
 def test_dim_M_telescopes_to_the_full_box():
     levels = ((0, 0), (0, 1), (1, 2))
     m = (5, 4)
     total = sum(dim_M(levels, i, (0, 0), m) for i in range(1, 4))
-    assert total == dim_L(levels, 0, (0, 0), m) == 30
+    assert total == dim_shift(bd_sub(m, levels[0]), (0, 0)) == 30
 
 
 def test_dim_M_is_a_box_quotient():
@@ -62,18 +48,9 @@ def test_dim_M_is_a_box_quotient():
 def test_level_index_range_is_enforced():
     levels = ((0, 0), (1, 1))
     with pytest.raises(IndexOutOfRange):
-        dim_L(levels, 3, (0, 0), (3, 3))
+        dim_M(levels, 3, (0, 0), (3, 3))
     with pytest.raises(IndexOutOfRange):
         dim_M(levels, 0, (0, 0), (3, 3))
-
-
-def test_edge_increment_equals_shifted_quotient():
-    levels = ((0, 0), (1, 0), (1, 1))
-    for i in (1, 2, 3):
-        for r in (0, 1, 2):
-            for e in ((0, r + 1), (r + 1, 0)):
-                assert (dim_edge_increment(levels, i, e, (4, 4))
-                        == dim_M(levels, i, e, (4, 4)))
 
 
 def _vertex_oracle(levels, i, rH, rV, dstar_h, dstar_v, m, x0, y0):
@@ -95,7 +72,8 @@ def test_vertex_increment_matches_two_line_span():
             for rV in (0, 1, 2):
                 for m in ((3, 3), (4, 2), (5, 5)):
                     e_h, e_v = (0, rH + 1), (rV + 1, 0)
-                    got = dim_vertex_increment(levels, i, e_h, e_v, m)
+                    got = box_sum(vertex_increment_terms(levels, i, e_h,
+                                                         e_v), m)
                     want = _vertex_oracle(levels, i, rH, rV, None, None, m,
                                           Fraction(1, 3), Fraction(2))
                     assert got == want
@@ -108,8 +86,8 @@ def test_vertex_increment_with_unequal_line_deficits():
     for i in (1, 2, 3):
         for dstar_h, dstar_v in (((1, 1), (0, 0)), ((0, 0), (2, 2)),
                                  ((1, 1), (2, 2))):
-            got = dim_vertex_increment(levels, i, (0, 2), (2, 0), m,
-                                       dstar_h, dstar_v)
+            got = box_sum(vertex_increment_terms(levels, i, (0, 2), (2, 0),
+                                                 dstar_h, dstar_v), m)
             want = _vertex_oracle(levels, i, 1, 1, dstar_h, dstar_v, m,
                                   Fraction(3, 4), Fraction(1, 2))
             assert got == want
@@ -118,7 +96,7 @@ def test_vertex_increment_with_unequal_line_deficits():
 def test_vertex_increment_is_knot_independent():
     levels = ((0, 0), (0, 1))
     e_h, e_v = (0, 2), (3, 0)
-    got = dim_vertex_increment(levels, 1, e_h, e_v, (4, 4))
+    got = box_sum(vertex_increment_terms(levels, 1, e_h, e_v), (4, 4))
     for x0, y0 in ((Fraction(1), Fraction(1)), (Fraction(5, 7), Fraction(9)),
                    (Fraction(-2), Fraction(1, 8))):
         assert _vertex_oracle(levels, 1, 1, 2, None, None, (4, 4),

@@ -1,6 +1,6 @@
 import pytest
 from tmeshdim import (IndexOutOfRange, active_mesh, all_levels,
-                      check_assumptions, island_components, relative_betti)
+                      check_assumptions, island_components)
 from tmeshdim.meshfile import parse_mesh_file
 
 from .helpers import fixture_path, grid, make
@@ -68,13 +68,6 @@ def test_top_level_is_the_whole_mesh():
     lv = active_mesh(mesh, profile, profile.top + 1)
     assert set(lv.faces) == set(mesh.faces)
     assert (lv.c, lv.h) == (0, 0)
-
-
-def test_relative_betti_matches_stored_pair():
-    for builder in (island_region_mesh, blob_region_mesh, ring_region_mesh):
-        mesh, profile, _ = builder()
-        for lv in all_levels(mesh, profile):
-            assert relative_betti(lv) == (lv.c, lv.h)
 
 
 def test_relative_betti_matches_smith_normal_form():

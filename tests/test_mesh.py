@@ -17,7 +17,8 @@ from tmeshdim import (ChainConflictError, DanglingOverrideError,
                       OverlapError, UnorderedDeficitsError, build_profile,
                       build_smoothness, build_tmesh)
 import tmeshdim.mesh
-from tmeshdim.mesh import Edge, Rect
+from tmeshdim.cli import main
+from tmeshdim.mesh import MAX_LEVELS, Edge, Rect
 from tmeshdim.meshfile import parse_mesh_file
 
 from .helpers import fixture_path, grid, make
@@ -265,6 +266,41 @@ def test_explicit_level_sequence_validation():
                 [(0, 0), (1, 1), (2, 1)]):      # overshoots the maximum
         with pytest.raises(InvalidSequenceError):
             build_profile(mesh, deficits, explicit_levels=bad)
+
+
+def test_a_profile_past_max_levels_is_refused_before_its_chain(monkeypatch,
+                                                               tmp_path):
+    # the chain is built one unit step per level, so a deficit of [2^70, 1]
+    # would never finish; the steps asked of the builder are counted, so a
+    # regression fails here instead of running without end
+    steps = []
+    real = tmeshdim.mesh._diagonal_first_steps
+
+    def counted(a, b):
+        steps.append(max(b[0] - a[0], b[1] - a[1]))
+        assert sum(steps) < MAX_LEVELS, (a, b)
+        return real(a, b)
+
+    monkeypatch.setattr(tmeshdim.mesh, "_diagonal_first_steps", counted)
+    mesh = build_tmesh([(0, 0, 1, 1), (1, 0, 2, 1), (2, 0, 3, 1)])
+    _, f1, f2 = mesh.faces
+    top = MAX_LEVELS - 1
+    profile = build_profile(mesh, {f1: (top - 5, 2), f2: (top, 3)})
+    assert len(profile.levels) == MAX_LEVELS
+    for deficits, levels in (({f1: (top + 1, 0)}, None),
+                             ({f1: (2 ** 70, 1)}, None),
+                             ({f1: (1, 1), f2: (2, 2 ** 70)}, None),
+                             ({f1: (1, 1)}, [(0, 0)] * (MAX_LEVELS + 1))):
+        steps.clear()
+        with pytest.raises(InvalidSequenceError, match="exceed the limit"):
+            build_profile(mesh, deficits, explicit_levels=levels)
+        assert not steps
+    doc = {"faces": [{"rect": [0, 0, 1, 1]},
+                     {"rect": [1, 0, 2, 1], "deficit": [2 ** 70, 1]}]}
+    path = tmp_path / "huge_deficit.json"
+    path.write_text(json.dumps(doc))
+    assert main(["bounds", str(path), "--degrees", "3,3"]) == 1
+    assert not steps
 
 
 def test_induced_edge_and_vertex_deficits_are_minima():
