@@ -86,6 +86,20 @@ def check_bidegree(m):
     return pair
 
 
+def _integer(value, what, *args) -> int:
+    """value as an int, read as check_bidegree reads a bi-degree: 2.0 is 2,
+    and a value that is not integral raises MalformedError naming
+    what.format(*args)."""
+    try:
+        n = int(value)
+    except (TypeError, ValueError, OverflowError):
+        n = None
+    if n is None or n != value:
+        raise MalformedError(
+            f"{what.format(*args)}: {value!r} is not an integer")
+    return n
+
+
 @dataclass(frozen=True, order=True)
 class Rect:
     """Closed axis-aligned rectangle [x0, x1] x [y0, y1].
@@ -137,10 +151,37 @@ class Edge:
     def __reduce__(self):
         return Edge, (self.axis, self.line, self.lo, self.hi)
 
+    # build_tmesh sets this to the mesh's own two Vertex objects; an edge
+    # built by hand, copied or unpickled makes plain tuples
+    _ends = None
+
     def endpoints(self):
+        if self._ends is not None:
+            return self._ends
         if self.axis == "h":
             return (self.lo, self.line), (self.hi, self.line)
         return (self.line, self.lo), (self.line, self.hi)
+
+
+class Vertex(tuple):
+    """A vertex (x, y) that takes its tuple hash once, at construction.
+
+    It equals, hashes, orders, prints and serializes as the plain tuple, so
+    every vertex-keyed map answers a plain (x, y) key too. hashed, when
+    given, must be hash((x, y)). Pickling and copying go through the
+    constructor, as for Rect.
+    """
+
+    def __new__(cls, x, y, hashed=None):
+        self = tuple.__new__(cls, (x, y))
+        self._hash = tuple.__hash__(self) if hashed is None else hashed
+        return self
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return Vertex, tuple(self)
 
 
 class ReadOnlyDict(dict):
@@ -190,20 +231,16 @@ class TMesh:
             e for e in edges if len(edge_faces[e]) == 1)
         self.interior_edges = tuple(
             e for e in edges if e not in self.boundary_edges)
-        # a vertex is a tuple of Fractions, whose hash is not kept, so each
-        # vertex is looked up once here
-        stars = [vertex_edges[v] for v in vertices]
-        on_boundary = [any(e in self.boundary_edges for e in es)
-                       for es in stars]
         self.boundary_vertices = frozenset(
-            v for v, b in zip(vertices, on_boundary) if b)
+            v for v in vertices
+            if any(e in self.boundary_edges for e in vertex_edges[v]))
         self.interior_vertices = tuple(
-            v for v, b in zip(vertices, on_boundary) if not b)
+            v for v in vertices if v not in self.boundary_vertices)
         place = {f: i for i, f in enumerate(faces)}
         self.vertex_faces = ReadOnlyDict({
-            v: tuple(sorted({f for e in es for f in edge_faces[e]},
-                            key=place.__getitem__))
-            for v, es in zip(vertices, stars)})
+            v: tuple(sorted({f for e in vertex_edges[v]
+                             for f in edge_faces[e]}, key=place.__getitem__))
+            for v in vertices})
 
     def vertex_class(self, v) -> str:
         if v in self.boundary_vertices:
@@ -342,9 +379,10 @@ def build_tmesh(rects) -> TMesh:
     sorted_edges = sorted(edge_faces)
 
     corner_edges = {p: [] for p in corners}
+    edge_ends = {}
     for e in sorted_edges:
         axis, line, lo, hi = e
-        ends = ((lo, line), (hi, line)) if axis == 0 else \
+        ends = edge_ends[e] = ((lo, line), (hi, line)) if axis == 0 else \
             ((line, lo), (line, hi))
         for p in ends:
             corner_edges[p].append(e)
@@ -385,16 +423,24 @@ def build_tmesh(rects) -> TMesh:
                 f"interior vertex {(xs[p[0]], ys[p[1]])} has irregular "
                 f"star of {len(es)} edges")
 
+    # a tuple's hash depends on its items' hashes only, and hash() maps a
+    # number's hash to itself, so each coordinate is hashed once here
+    hx, hy = [hash(c) for c in xs], [hash(c) for c in ys]
+    vertex = {p: Vertex(xs[p[0]], ys[p[1]], hash((hx[p[0]], hy[p[1]])))
+              for p in corners}
     made = {e: edge(e) for e in sorted_edges}
-    vertices = tuple((xs[x], ys[y]) for x, y in corners)
+    for e, cell in made.items():
+        p, q = edge_ends[e]
+        object.__setattr__(cell, "_ends", (vertex[p], vertex[q]))
+    vertices = tuple(vertex.values())
     return TMesh(
         faces, tuple(made.values()), vertices,
         ReadOnlyDict({made[e]: tuple(faces[f] for f in fs)
                       for e, fs in edge_faces.items()}),
         ReadOnlyDict({f: tuple(made[e] for e in mine)
                       for f, mine in zip(faces, face_sides)}),
-        ReadOnlyDict({v: tuple(made[e] for e in corner_edges[p])
-                      for v, p in zip(vertices, corners)}))
+        ReadOnlyDict({vertex[p]: tuple(made[e] for e in es)
+                      for p, es in corner_edges.items()}))
 
 
 def _diagonal_first_steps(a, b):
@@ -447,8 +493,9 @@ def build_profile(mesh: TMesh, face_deficits,
     """
     fd = {}
     for f in mesh.faces:
-        d = face_deficits.get(f, (0, 0))
-        d = (int(d[0]), int(d[1]))
+        d = face_deficits.get(f)
+        d = (0, 0) if d is None else (_integer(d[0], "deficit of {}", f),
+                                      _integer(d[1], "deficit of {}", f))
         if d[0] < 0 or d[1] < 0:
             raise UnorderedDeficitsError(f"negative deficit {d} on {f}")
         fd[f] = d
@@ -470,7 +517,8 @@ def build_profile(mesh: TMesh, face_deficits,
         for d in ordered[1:]:
             levels.extend(_diagonal_first_steps(levels[-1], d))
     else:
-        levels = [(int(a), int(b)) for a, b in explicit_levels]
+        levels = [(_integer(a, "levels[{}]", k), _integer(b, "levels[{}]", k))
+                  for k, (a, b) in enumerate(explicit_levels)]
         if not levels or levels[0] != (0, 0):
             raise InvalidSequenceError("level sequence must start at (0, 0)")
         for a, b in zip(levels, levels[1:]):
@@ -518,9 +566,10 @@ class SmoothnessProfile:
 
 def build_smoothness(mesh: TMesh, default_r: int,
                      overrides=()) -> SmoothnessProfile:
+    default_r = _integer(default_r, "default smoothness")
     if default_r < 0:
         raise MalformedError(f"negative smoothness {default_r}")
-    edge_r = {e: int(default_r) for e in mesh.interior_edges}
+    edge_r = {e: default_r for e in mesh.interior_edges}
     # an override matches the interior edges of its own line only
     on_line = {}
     if overrides:
@@ -530,12 +579,14 @@ def build_smoothness(mesh: TMesh, default_r: int,
         axis, line, span, r = ov
         line = Fraction(line)
         lo, hi = Fraction(span[0]), Fraction(span[1])
-        if int(r) < 0:
+        r = _integer(r, "smoothness of override ({}, {}, [{}, {}])",
+                     axis, line, lo, hi)
+        if r < 0:
             raise MalformedError(f"negative smoothness {r} in override")
         hit = False
         for e in on_line.get((axis, line), ()):
             if lo <= e.lo and e.hi <= hi:
-                edge_r[e] = int(r)
+                edge_r[e] = r
                 hit = True
         if not hit:
             raise DanglingOverrideError(

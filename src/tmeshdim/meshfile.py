@@ -20,14 +20,20 @@ class ParseError(Exception):
     """Malformed document; the message names the offending member."""
 
 
-def _rat(value, where) -> Fraction:
+def _rat(value, where, known) -> Fraction:
+    """value as a Fraction; known maps each (type, value) read so far to its
+    Fraction, so that a document parses each distinct coordinate once."""
     if isinstance(value, bool) or isinstance(value, float):
         raise ParseError(f"{where}: expected an exact rational, got {value!r}")
+    key = type(value), value
     try:
-        return Fraction(value)
+        x = known.get(key)  # TypeError when value is unhashable
+        if x is None:
+            x = known[key] = Fraction(value)
     except (ValueError, TypeError, ZeroDivisionError):
         raise ParseError(
             f"{where}: expected an integer or 'p/q' string, got {value!r}")
+    return x
 
 
 def _rat_str(x) -> str:
@@ -58,6 +64,7 @@ def parse_mesh_dict(doc):
 
     rects = []
     deficits = {}
+    known = {}
     for k, entry in enumerate(faces):
         where = f"faces[{k}]"
         if not isinstance(entry, dict) or "rect" not in entry:
@@ -65,7 +72,7 @@ def parse_mesh_dict(doc):
         rect = entry["rect"]
         if not isinstance(rect, list) or len(rect) != 4:
             raise ParseError(f"{where}.rect: expected [x0, y0, x1, y1]")
-        x0, y0, x1, y1 = (_rat(c, f"{where}.rect[{j}]")
+        x0, y0, x1, y1 = (_rat(c, f"{where}.rect[{j}]", known)
                           for j, c in enumerate(rect))
         if not (x0 < x1 and y0 < y1):
             raise ParseError(f"{where}.rect: empty rectangle")
@@ -91,12 +98,12 @@ def parse_mesh_dict(doc):
         axis = ov.get("orientation")
         if axis not in ("h", "v"):
             raise ParseError(f"{where}.orientation: expected 'h' or 'v'")
-        line = _rat(ov.get("line"), f"{where}.line")
+        line = _rat(ov.get("line"), f"{where}.line", known)
         span = ov.get("span")
         if not isinstance(span, list) or len(span) != 2:
             raise ParseError(f"{where}.span: expected [lo, hi]")
-        lo = _rat(span[0], f"{where}.span[0]")
-        hi = _rat(span[1], f"{where}.span[1]")
+        lo = _rat(span[0], f"{where}.span[0]", known)
+        hi = _rat(span[1], f"{where}.span[1]", known)
         overrides.append((axis, line, (lo, hi), _int(ov.get("r"),
                                                      f"{where}.r")))
 

@@ -10,8 +10,9 @@ import sys
 from fractions import Fraction
 
 import pytest
-from tmeshdim import (DecompositionMismatch, LeveledProfile,
-                      SmoothnessProfile, TMesh, bounds,
+from tmeshdim import (DecompositionMismatch, LeveledProfile, MalformedError,
+                      SmoothnessProfile, TMesh, bounds, build_profile,
+                      build_smoothness,
                       certify_stable, configuration1_holds,
                       contribution_sets, euler_characteristic, all_levels,
                       analyze_segments, check_assumptions, h0_ideal_oracle,
@@ -197,6 +198,37 @@ def test_a_non_integral_bi_degree_is_refused_where_it_enters():
                                                                   (4, 4))
     assert contribution_sets(an, greedy, (4.0, 4)).h0_terms \
         == contribution_sets(an, greedy, (4, 4)).h0_terms
+
+
+def test_a_non_integral_deficit_or_smoothness_is_refused_where_it_enters():
+    # int() truncated these: a deficit of (1.5, 1.9) read (1, 1), a default
+    # r of 1.5 read 1 and an override's r of 2.5 read 2; as for a
+    # bi-degree, an integral value of any type reads as an int
+    mesh, _, _ = make([(0, 0, 1, 1), (1, 0, 2, 1), (0, 1, 2, 2)])
+    f = next(f for f in mesh.faces if f.x0 == 1)
+    for bad in ((1.5, 1.9), (1, Fraction(1, 2)), (1, "1"), (None, 1)):
+        with pytest.raises(MalformedError, match=r"deficit of Rect\(x0="):
+            build_profile(mesh, {f: bad})
+    with pytest.raises(MalformedError, match=r"levels\[1\]: 0\.5 is not"):
+        build_profile(mesh, {f: (1, 1)},
+                      explicit_levels=[(0, 0), (0.5, 1), (1, 1)])
+    for bad in (1.5, Fraction(3, 2), "1", float("nan"), float("inf")):
+        with pytest.raises(MalformedError, match="default smoothness"):
+            build_smoothness(mesh, bad)
+    with pytest.raises(MalformedError,
+                       match=r"override \(h, 1, \[0, 2\]\): 2\.5 is not"):
+        build_smoothness(mesh, 1, [("h", 1, (0, 2), 2.5)])
+    profile = build_profile(mesh, {f: (1.0, Fraction(1))},
+                            explicit_levels=[(0, 0), (1.0, 1)])
+    assert profile == build_profile(mesh, {f: (1, 1)})
+    assert all(type(c) is int for d in profile.face_deficit.values()
+               for c in d + profile.levels[1])
+    smoothness = build_smoothness(mesh, 2.0, [("h", 1, (0, 2), Fraction(3))])
+    assert smoothness == build_smoothness(mesh, 2, [("h", 1, (0, 2), 3)])
+    assert {type(r) for r in smoothness.edge_r.values()} == {int}
+    assert bounds(mesh, profile, smoothness, (4, 4)) == bounds(
+        mesh, build_profile(mesh, {f: (1, 1)}),
+        build_smoothness(mesh, 2, [("h", 1, (0, 2), 3)]), (4, 4))
 
 
 def test_ordering_strategy_is_recorded():

@@ -7,21 +7,22 @@ import random
 import subprocess
 import sys
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 import tmeshdim
 from tmeshdim import (ChainConflictError, DanglingOverrideError,
-                      DisconnectedError, InvalidSequenceError, MalformedError,
-                      MeshError, MissingZeroError, NotSimplyConnectedError,
-                      OverlapError, UnorderedDeficitsError, build_profile,
-                      build_smoothness, build_tmesh)
+                      DisconnectedError, InvalidSequenceError, LeveledProfile,
+                      MalformedError, MeshError, MissingZeroError,
+                      NotSimplyConnectedError, OverlapError,
+                      SmoothnessProfile, UnorderedDeficitsError, bounds,
+                      build_profile, build_smoothness, build_tmesh)
 import tmeshdim.mesh
 from tmeshdim.cli import main
-from tmeshdim.mesh import MAX_LEVELS, Edge, Rect
-from tmeshdim.meshfile import parse_mesh_file
+from tmeshdim.mesh import MAX_LEVELS, Edge, Rect, Vertex
+from tmeshdim.meshfile import parse_mesh_dict, parse_mesh_file
 
-from .helpers import fixture_path, grid, make
+from .helpers import FIXTURES, fixture_path, grid, make
 from .helpers.randmesh import random_split_mesh
 from .helpers.refmesh import reference_build_tmesh
 
@@ -493,6 +494,118 @@ def test_cell_hash_is_the_field_tuple_hash():
         "axis", "line", "lo", "hi"]
     assert sorted(mesh.edges, key=lambda e: (e.axis, e.line, e.lo, e.hi)) \
         == sorted(mesh.edges) == list(mesh.edges)
+
+
+def _grid_document(n, block):
+    """An n x n unit grid document with default r = 1, whose faces outside
+    the central block x block carry the deficit [1, 1]."""
+    lo, hi = (n - block) // 2, (n + block) // 2
+    faces = []
+    for x in range(n):
+        for y in range(n):
+            face = {"rect": [x, y, x + 1, y + 1]}
+            if not (lo <= x < hi and lo <= y < hi):
+                face["deficit"] = [1, 1]
+            faces.append(face)
+    return {"faces": faces, "smoothness": {"default": 1}}
+
+
+def test_each_cell_hashes_its_fractions_once(monkeypatch):
+    # a face hashes its 4 coordinates, an edge 3 and a vertex 2, once each;
+    # the parse hashes no other Fraction, and bounds looks every vertex up
+    # by the mesh's own objects; before vertices kept their hash, the parse
+    # made 9,252 calls and the cold bounds 21,674
+    calls = 0
+    plain = Fraction.__hash__
+
+    def counting(self):
+        nonlocal calls
+        calls += 1
+        return plain(self)
+
+    doc = _grid_document(20, 10)
+    monkeypatch.setattr(Fraction, "__hash__", counting)
+    mesh, profile, smoothness = parse_mesh_dict(doc)
+    parsed, calls = calls, 0
+    bounds(mesh, profile, smoothness, (3, 3))
+    monkeypatch.undo()
+    faces, edges, vertices = (len(mesh.faces), len(mesh.edges),
+                              len(mesh.vertices))
+    assert (faces, edges, vertices) == (400, 840, 441)
+    assert parsed <= 4 * faces + 3 * edges + 2 * vertices == 5002
+    assert calls <= 2000
+
+
+def _fresh(v):
+    return (Fraction(v[0].numerator, v[0].denominator),
+            Fraction(v[1].numerator, v[1].denominator))
+
+
+def test_a_built_vertex_is_its_plain_tuple():
+    mesh, profile, smoothness = parse_mesh_file(fixture_path("test1"))
+    own = {id(v) for v in mesh.vertices}
+    for v in mesh.vertices:
+        fresh = _fresh(v)
+        assert type(fresh) is tuple and fresh is not v
+        assert v == fresh and hash(v) == hash(fresh)
+        assert repr(v) == repr(fresh) and str(v) == str(fresh)
+        assert mesh.vertex_edges[fresh] is mesh.vertex_edges[v]
+        assert mesh.vertex_faces[fresh] is mesh.vertex_faces[v]
+        assert (fresh in mesh.boundary_vertices) == (
+            v in mesh.boundary_vertices)
+        assert profile.vertex_deficit[fresh] == profile.vertex_deficit[v]
+        if v in mesh.interior_vertices:
+            assert smoothness.vertex_pair[fresh] == smoothness.vertex_pair[v]
+        for twin in (copy.copy(v), copy.deepcopy(v),
+                     pickle.loads(pickle.dumps(v))):
+            assert twin == v and hash(twin) == hash(v)
+    assert mesh.vertices == tuple(sorted(_fresh(v) for v in mesh.vertices))
+    assert json.dumps(Vertex(1, 2)) == json.dumps((1, 2)) == "[1, 2]"
+    # build_tmesh takes a vertex's hash from its two coordinates' hashes;
+    # -1 is the one value whose hash is not itself
+    third, big = Fraction(-1, 3), Fraction(10 ** 30, 7)
+    odd = build_tmesh([(-1, -2, third, 2 ** 70), (third, -2, big, 2 ** 70),
+                       (-1, 2 ** 70, big, 2 ** 70 + 1)])
+    assert all(type(v) is Vertex and hash(v) == hash(_fresh(v))
+               for v in odd.vertices)
+    # an edge of build_tmesh gives the mesh's own vertices; one built by
+    # hand, copied or unpickled gives equal plain tuples
+    for e in mesh.edges:
+        assert all(id(p) in own for p in e.endpoints())
+        for twin in (Edge(e.axis, e.line, e.lo, e.hi), copy.deepcopy(e),
+                     pickle.loads(pickle.dumps(e))):
+            ends = twin.endpoints()
+            assert ends == e.endpoints()
+            assert all(type(p) is tuple for p in ends)
+
+
+def _hand_built(mesh, profile, smoothness):
+    """The triple rebuilt as tests/helpers/refmesh.py builds a mesh: plain
+    tuple vertices and fresh Edge values in every map."""
+    ref = reference_build_tmesh(mesh.faces)
+    assert all(type(v) is tuple for v in ref.vertices)
+    assert all(type(p) is tuple for e in ref.edges for p in e.endpoints())
+    return ref, LeveledProfile(
+        profile.face_deficit,
+        {e: profile.edge_deficit[e] for e in ref.edges},
+        {v: profile.vertex_deficit[v] for v in ref.vertices},
+        profile.deficit_set, profile.levels, profile.steps), \
+        SmoothnessProfile(
+            {e: smoothness.edge_r[e] for e in ref.interior_edges},
+            {v: smoothness.vertex_pair[v] for v in ref.interior_vertices})
+
+
+def test_copied_and_hand_built_triples_report_as_the_built_one():
+    for name in sorted(os.listdir(FIXTURES)):
+        if not name.endswith(".json"):
+            continue
+        triple = parse_mesh_file(os.path.join(FIXTURES, name))
+        for twin in (pickle.loads(pickle.dumps(triple)),
+                     copy.deepcopy(triple)):
+            assert bounds(*twin, (4, 4)) == bounds(*triple, (4, 4))
+        hand = _hand_built(*triple)
+        for m in product(range(2, 7), repeat=2):
+            assert bounds(*hand, m) == bounds(*triple, m), (name, m)
 
 
 def test_copied_and_pickled_cells_hash_afresh():
