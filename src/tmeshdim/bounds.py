@@ -15,7 +15,7 @@ from collections import Counter, OrderedDict
 from dataclasses import dataclass
 from typing import Optional
 
-from .graded import box_sum, dim_M, dim_M_terms, vertex_increment_terms
+from .graded import box_sum, dim_M_terms, vertex_increment_terms
 from .levels import AssumptionReport, all_levels, check_assumptions
 from .mesh import TMesh, bd_add, bd_max, bd_min, bd_sub, check_bidegree
 from .segments import (analyze_segments, check_strategy, contribution_sets,
@@ -192,13 +192,15 @@ class _Prepared:
     its smoothness but not on m; analyses is None when a level has
     relative cycles. chi holds the leveled and direct box sums, crossings
     per level its index, its distinct crossed pairs (r_h, r_v) and its
-    (pair, vertex) list in interior-vertex order."""
+    (pair, vertex) list in interior-vertex order, and dim_m per level
+    dim_M(levels, i, (0, 0)) as box terms."""
 
     lvls: tuple
     assumption: AssumptionReport
     analyses: Optional[tuple]
     chi: tuple
     crossings: tuple
+    dim_m: tuple
 
 
 def _prepare(mesh, profile, smoothness) -> _Prepared:
@@ -210,7 +212,9 @@ def _prepare(mesh, profile, smoothness) -> _Prepared:
                    for v in lv.interior_vertices) for lv in lvls]
     return _Prepared(lvls, assumption, analyses, _chi_sums(lvls, smoothness),
                      tuple((lv.index, {pair for pair, _ in walk}, walk)
-                           for lv, walk in zip(lvls, walks)))
+                           for lv, walk in zip(lvls, walks)),
+                     tuple(dim_M_terms(profile.levels, lv.index, (0, 0))
+                           for lv in lvls))
 
 
 # Prepared records of the last few (mesh, profile, smoothness) triples, by
@@ -237,9 +241,8 @@ def _prepared(mesh, profile, smoothness) -> _Prepared:
 def _level_rows(prep: _Prepared, ordering, m):
     """Yield the LevelRow of each level at m, in level order; the segment
     work of a level runs only when its row is asked for."""
-    levels = prep.lvls[0].profile.levels
     for k, lv in enumerate(prep.lvls):
-        dm0 = dim_M(levels, lv.index, (0, 0), m)
+        dm0 = box_sum(prep.dim_m[k], m)
         h0c = lv.c * dm0
         if prep.analyses is None:
             yield LevelRow(lv.index, lv.c, lv.h, dm0, h0c, None,

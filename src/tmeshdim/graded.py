@@ -99,18 +99,18 @@ def dim_power_sum(knot_degrees, b, m, direction="t") -> int:
     return max(free + 1, 0) * min(cap, total)
 
 
-def _closed_single(levels, i, top, gen, m):
+def single_power_terms(levels, i, gen):
+    """What one generator (direction, knot, degree, extra shift) spans
+    inside M(i), as box terms for box_sum at any m: the monomial box of its
+    shift n_{i-1} + extra + its degree, less, below the top, the box of the
+    componentwise max of that shift and n_i + its degree, where it meets
+    L(i) (the honest monomial lcm). The knot does not enter."""
     direction, _, d, extra = gen
-    n_prev = levels[i - 1]
     dshift = (0, d) if direction == "t" else (d, 0)
-    box = bd_sub(bd_sub(bd_sub(m, n_prev), extra), dshift)
-    val = dim_shift(box, (0, 0))
-    if i <= top:
-        # intersection with L(i) is the honest monomial lcm
-        lo = bd_sub(bd_sub(m, levels[i]), dshift)
-        cut = (min(box[0], lo[0]), min(box[1], lo[1]))
-        val -= dim_shift(cut, (0, 0))
-    return val
+    low = bd_add(bd_add(levels[i - 1], extra), dshift)
+    if i == len(levels):
+        return ((low, 1),)
+    return ((low, 1), (bd_max(low, bd_add(levels[i], dshift)), -1))
 
 
 class _GeneratorKey(tuple):
@@ -143,7 +143,7 @@ def _power_sum_in_cached(levels, i, gens, m):
     if len({g[1] for g in gens}) != len(gens):
         raise ValueError("repeated knots")
     if len(gens) == 1:
-        return _closed_single(levels, i, top, gens[0], m)
+        return box_sum(single_power_terms(levels, i, gens[0]), m)
     extras = {g[3] for g in gens}
     if i == top + 1 and len(extras) == 1:
         (extra,) = extras

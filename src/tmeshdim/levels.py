@@ -103,28 +103,39 @@ def check_assumptions(levels) -> AssumptionReport:
 
 def island_components(level: ActiveLevel):
     """Connected components of the active region, flagged island when they
-    avoid the domain boundary entirely."""
+    avoid the domain boundary entirely: each as its faces in Rect order, the
+    components in the order of their least faces.
+
+    level.faces follows mesh.faces, which build_tmesh sorts, so faces are
+    ordered by their positions there, with int compares. A hand-built mesh
+    whose faces come in another order has them sorted here first."""
     mesh = level.mesh
-    active = set(level.faces)
+    faces = level.faces
+    if not all(f < g for f, g in zip(faces, faces[1:])):
+        faces = sorted(faces)
+    place = {f: q for q, f in enumerate(faces)}
     eset = set(level.interior_edges)
     comps = []
-    left = set(active)
-    while left:
-        start = min(left)
+    seen = set()
+    for start in range(len(faces)):
+        if start in seen:
+            continue
         comp = {start}
-        stack = [start]
+        stack = [faces[start]]
         while stack:
             f = stack.pop()
             for e in mesh.face_edges[f]:
                 if e not in eset:
                     continue
                 for g in mesh.edge_faces[e]:
-                    if g in active and g not in comp:
-                        comp.add(g)
+                    q = place.get(g)
+                    if q is not None and q not in comp:
+                        comp.add(q)
                         stack.append(g)
-        left -= comp
-        verts = {p for f in comp for e in mesh.face_edges[f]
+        seen |= comp
+        members = tuple(faces[q] for q in sorted(comp))
+        verts = {p for f in members for e in mesh.face_edges[f]
                  for p in e.endpoints()}
         island = not (verts & mesh.boundary_vertices)
-        comps.append((tuple(sorted(comp)), island))
+        comps.append((members, island))
     return comps

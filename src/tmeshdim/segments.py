@@ -13,7 +13,8 @@ from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
 
-from .graded import _generator_key, box_sum, dim_M_terms, dim_power_sum_in
+from .graded import (_generator_key, box_sum, dim_M_terms, dim_power_sum_in,
+                     single_power_terms)
 from .levels import ActiveLevel, AssumptionViolated
 from .mesh import bd_sub, check_bidegree
 
@@ -51,18 +52,19 @@ class SegmentAnalysis:
     structure, which only index holds (SegmentIndex, in integer form); the
     contribution rules, the ordering search and oracle.h0_ideal_oracle read it.
 
-    An analysis serves every bi-degree. Besides the greedy order and the
-    search tables, it keeps blocks, per interior segment what _block reads
-    at m (dim_M at its e as box terms, its axis, the level deficit on that
+    An analysis serves every bi-degree. Besides the greedy order, the
+    search tables and walk_records, it keeps need, the level deficit that
+    caps and surpluses are taken from, blocks, per interior segment what
+    _block reads at m (dim_M at its e as box terms, its axis, need on that
     axis and its e), and two records into which no bi-degree enters, each
-    entry made when it is first asked for: lam_records, per (k, rule
-    key) segment k's lam records, generators, their _generator_key and the
-    records' r values, and cover_thresholds, per mask of theta's j's the
-    least surplus at which they cover a block. Their keys are rule keys and
-    masks of the level's own segments, so they are bounded by the level, not
-    by the number of bi-degrees asked, and they hold no reference back to
-    the analysis. The search reads theta's thresholds through them and the
-    search tables; it keeps no table of its own.
+    entry made when it is first asked for: lam_records, per (k, rule key)
+    segment k's lam records, generators, their _generator_key, the records'
+    r values, their least covering cap and one generator's span as box
+    terms, and cover_thresholds, per mask of theta's j's the least surplus
+    at which they cover a block. Their keys are rule keys and masks of the
+    level's own segments, so they are bounded by the level, not by the
+    number of bi-degrees asked, and they hold no reference back to the
+    analysis. A search keeps no table of its own.
     """
 
     def __init__(self, level: ActiveLevel, smoothness):
@@ -90,11 +92,11 @@ class SegmentAnalysis:
         self.segments = segs
         self.interior = tuple(s for s in segs if s.interior)
         self.index = SegmentIndex(self)
-        n = profile.levels[min(i, profile.top)]
+        self.need = profile.levels[min(i, profile.top)]
         self.blocks = tuple(
-            (dim_M_terms(profile.levels, i, rho.e), ax, n[ax], rho.e)
+            (dim_M_terms(profile.levels, i, rho.e), ax, self.need[ax], rho.e)
             for rho, ax in zip(self.interior, self.index.axis))
-        self.lam_records = _LamRecords(self.index)
+        self.lam_records = _LamRecords(self.index, profile.levels, i)
         self.cover_thresholds = _CoverThresholds(self.index)
 
     def _mk(self, axis, line, run, step):
@@ -141,14 +143,37 @@ class SegmentAnalysis:
                        and k != hub)
         return tuple(seq)
 
+    @cached_property
+    def walk_records(self):
+        """index.theta's candidates as the walk reads them, made on the
+        first search: each candidate's five fields, its owner k's axis, k's
+        least covering surplus at the full mask (see _theta_at), the entry
+        the walk files under a, (b mask, k_in_a, row, shift, axis) or None
+        when k_in_a is 0, and the (b, (a, k_in_b, row, shift, axis)) pairs
+        it files under each b; row is k's search_tables row and shift
+        len(crossers[k])."""
+        ix, least = self.index, self.cover_thresholds
+        records = []
+        for cand in ix.theta:
+            k, a, _, k_in_a, seconds = cand
+            row, shift, ax = ix.search_tables[k], len(ix.crossers[k]), \
+                ix.axis[k]
+            a_entry = (sum(1 << b for b, _ in seconds), k_in_a, row, shift, ax)
+            records.append(cand + (ax, least[row[-1] >> shift],
+                                   a_entry if k_in_a else None,
+                                   tuple((b, (a, k_in_b, row, shift, ax))
+                                         for b, k_in_b in seconds)))
+        return tuple(records)
+
 
 class SegmentIndex:
     """One level's crossing structure with small ints in place of keys.
 
     Interior segment k is an.interior[k], so the numbers follow the sorted
     keys. Every segment also has a position p in an.segments (again the key
-    order) and every line a rank in lines, the sorted line coordinates, so
-    the rules hash and compare ints, never Fractions.
+    order) and every line and end a rank in coords, the sorted distinct
+    coordinates of the segments' lines and of their edges' ends, so the
+    crossing tests and the rules hash and compare ints, never Fractions.
 
     keys, axis, r, dp, pos  per k: the key, 0 for "h" and 1 for "v", the
                             smoothness, the step shift and the position
@@ -184,24 +209,39 @@ class SegmentIndex:
         n = len(interior)
         self.keys = [s.key for s in interior]
         self.of = {key: k for k, key in enumerate(self.keys)}
-        self.lines = sorted({s.line for s in segs})
-        line_rank = {x: q for q, x in enumerate(self.lines)}
-        self.line = [line_rank[s.line] for s in segs]
+        # per position, the segment's line, its lo and its edges' his, each
+        # a Fraction's (numerator, denominator): a dict of those finds the
+        # distinct values without hashing a Fraction, and one sort of them
+        # ranks them. An end need not lie on a line of the level
+        value, ends = {}, []
+        for sig in segs:
+            pts = (sig.line, sig.lo) + tuple(e.hi for e in sig.edges)
+            keys = [(x.numerator, x.denominator) for x in pts]
+            value.update(zip(keys, pts))
+            ends.append(keys)
+        order = sorted(value, key=value.__getitem__)
+        self.coords = [value[key] for key in order]
+        rank = {key: q for q, key in enumerate(order)}
+        # ends[p]: the ranks of the line of segment p, of its lo and of the
+        # hi of each edge, so edge t spans ends[p][1 + t] to ends[p][2 + t]
+        ends = [[rank[key] for key in keys] for keys in ends]
+        self.line = [e[0] for e in ends]
         self.axis = [_axis_index(s.axis) for s in interior]
         self.r = [s.r for s in interior]
         self.dp = [s.dp for s in interior]
         self.pos = [p for p, s in enumerate(segs) if s.interior]
         edge_r = an.smoothness.edge_r
         self.crossers = []
-        for rho in interior:
+        for rho, mine in zip(interior, map(ends.__getitem__, self.pos)):
+            line, lo, hi = mine[0], mine[1], mine[-1]
             cs = []
-            for p, sig in enumerate(segs):
+            for p, (sig, its) in enumerate(zip(segs, ends)):
                 if sig.axis == rho.axis or not (
-                        sig.lo <= rho.line <= sig.hi
-                        and rho.lo <= sig.line <= rho.hi):
+                        its[1] <= line <= its[-1] and lo <= its[0] <= hi):
                     continue
-                r = next((edge_r[e] for e in sig.edges
-                          if e.lo <= rho.line <= e.hi and e in edge_r), sig.r)
+                r = next((edge_r[e] for e, e_lo, e_hi
+                          in zip(sig.edges, its[1:], its[2:])
+                          if e_lo <= line <= e_hi and e in edge_r), sig.r)
                 cs.append((self.of.get(sig.key, -1), p, r))
             self.crossers.append(tuple(cs))
         self.icross = [tuple(sorted(c[0] for c in cs if c[0] >= 0))
@@ -297,7 +337,7 @@ def order_segments(an: SegmentAnalysis, strategy="auto",
     # and contribution_sets reads the best order's keys and terms from it.
     rules = an.index.search_tables
     terms = [_Terms(an, k, m) for k in range(n)]
-    order, keys = _walk(rules, _theta_at(an, m), terms, _floors(rules, terms))
+    order, keys = _walk(an, m, terms, _floors(rules, terms))
     found = SegmentOrdering("exhaustive", order)
     object.__setattr__(found, "keys", keys)
     object.__setattr__(found, "terms", terms)
@@ -312,8 +352,8 @@ def _floors(rules, terms):
             for x, (t, row) in enumerate(zip(terms, rules))]
 
 
-def _walk(rules, theta_at, terms, floor):
-    """The lex-first order of least total term, by a depth-first walk, and
+def _walk(an: SegmentAnalysis, m, terms, floor):
+    """The lex-first order of least total term at m, by a depth-first walk, and
     the rule key it fixed for each segment on that order, theta's bits
     included: a pair of tuples, the keys by segment number.
 
@@ -327,6 +367,7 @@ def _walk(rules, theta_at, terms, floor):
         qualifies at its own before mask.
       - As a: the bit of k when some second b is not in P and a qualifies
         at P.
+    It files the walk_records that _theta_at keeps at m under a and the b's.
     A branch whose partial sum plus the floors of the segments not yet
     placed reaches the best total so far holds no better order, and is
     skipped. So the walk returns the order a zero floor gives whenever
@@ -340,16 +381,16 @@ def _walk(rules, theta_at, terms, floor):
     crosser's r at the crossing to be its segment's r, which holds as r is
     constant along a chain (build_smoothness).
     """
+    rules, least = an.index.search_tables, an.cover_thresholds
+    surplus = m[0] - an.need[0], m[1] - an.need[1]
     n = len(rules)
     as_a = [[] for _ in range(n)]
     as_b = [[] for _ in range(n)]
-    for k, a, _, k_in_a, seconds, least, shift, surplus in theta_at:
-        row = rules[k]
-        if k_in_a:
-            as_a[a].append((sum(1 << b for b, _ in seconds), k_in_a,
-                            row, shift, least, surplus))
-        for b, k_in_b in seconds:
-            as_b[b].append((a, k_in_b, row, shift, least, surplus))
+    for _, a, *_, as_a_entry, as_b_entries in _theta_at(an, m):
+        if as_a_entry:
+            as_a[a].append(as_a_entry)
+        for b, entry in as_b_entries:
+            as_b[b].append(entry)
     before = [0] * n      # before[x] for each x placed on the current path
     order = [0] * n       # order[d]: the segment at place d
     total = [sum(floor)] * n  # total[d]: terms ahead of d + floors of rest
@@ -368,13 +409,13 @@ def _walk(rules, theta_at, terms, floor):
             x = order[d] + 1
             continue
         key = rules[x][done]
-        for a, k_in_b, row, shift, least, surplus in as_b[x]:
+        for a, k_in_b, row, shift, axis in as_b[x]:
             if done >> a & 1 and _reaches(least[row[before[a]] >> shift],
-                                          surplus):
+                                          surplus[axis]):
                 key |= k_in_b
-        for b_bits, k_in_a, row, shift, least, surplus in as_a[x]:
+        for b_bits, k_in_a, row, shift, axis in as_a[x]:
             if b_bits & ~done and _reaches(least[row[done] >> shift],
-                                           surplus):
+                                           surplus[axis]):
                 key |= k_in_a
         partial = total[d] - floor[x] + terms[x][key]
         if best is not None and partial >= best:
@@ -463,58 +504,50 @@ def _rule_key(ix: SegmentIndex, k, before):
         ix.crossers[k])
 
 
-def _covers(ix: SegmentIndex, js, surplus):
-    """Theta's test on a mask of j's: alone they would cover the whole
-    block."""
-    return sum(max(surplus - ix.r[j], 0) for j in _bits(js)) > surplus
+def _least_cover(rs):
+    """The least c at or above 0 at which r values rs cover a block,
+    _weight(rs, c) > c, or None: the weight test of lam records against a
+    block's cap c, and theta's test on its j's r values at a surplus c.
+
+    It holds at every c below 0. At or above 0 it needs two r's below c,
+    since every r is at least 0; then raising c by 1 raises the sum by at
+    least 2, so from the least c on it holds at every c. With two r's or
+    more it holds at their sum plus 1, where each gives at least 1 more than
+    its share, so the least c is bisected on 0 up to there: O(log r) tests.
+    """
+    if len(rs) < 2:
+        return None
+    return bisect_left(range(sum(rs) + 2), True,
+                       key=lambda c: _weight(rs, c) > c)
 
 
 class _CoverThresholds(dict):
-    """Per mask js of theta's j's, the least surplus at or above 0 at which
-    _covers holds, or None when it holds at none, computed on first use.
-
-    _covers holds at every surplus below 0. At or above 0 it needs two j's
-    with r below the surplus, since every r is at least 0; then raising the
-    surplus by 1 raises the sum by at least 2, so from the threshold on it
-    holds at every surplus. With two j's or more it holds at the sum of
-    their r plus 1, where each j gives at least 1 more than its share, so
-    the threshold is bisected on 0 up to there: O(log r) tests, not O(r).
-    """
+    """Per mask js of theta's j's, the least surplus at which they cover a
+    block (_least_cover of their r's), computed on first use."""
 
     def __init__(self, ix: SegmentIndex):
         super().__init__()
         self.ix = ix
 
     def __missing__(self, js):
-        ix = self.ix
-        found = self[js] = None if js & (js - 1) == 0 else bisect_left(
-            range(sum(ix.r[j] for j in _bits(js)) + 2), True,
-            key=lambda s: _covers(ix, js, s))
+        found = self[js] = _least_cover([self.ix.r[j] for j in _bits(js)])
         return found
 
 
-def _reaches(least, surplus):
-    """Theta's covering test at surplus, given the least surplus at or above
-    0 at which it holds (None when it holds at none)."""
-    return surplus < 0 or least is not None and least <= surplus
+def _reaches(least, c):
+    """The covering test at c, given _least_cover's value."""
+    return c < 0 or least is not None and least <= c
 
 
 def _theta_at(an: SegmentAnalysis, m):
-    """Theta's candidates whose owner k passes the surplus test at m at some
-    search mask, each with cover_thresholds, len(crossers[k]) as shift and
-    k's surplus at m; k's threshold at mask P is
-    cover_thresholds[search_tables[k][P] >> shift]. Upsilon's j's only gain
-    bits as P grows and a threshold only falls as they do, so k's least is
-    the full mask's, at the end of its search_tables row."""
-    ix, least = an.index, an.cover_thresholds
-    live = []
-    for k, *cand in ix.theta:
-        shift = len(ix.crossers[k])
-        need = an.level.profile.levels[an.level.index][ix.axis[k]]
-        surplus = m[ix.axis[k]] - need
-        if _reaches(least[ix.search_tables[k][-1] >> shift], surplus):
-            live.append((k, *cand, least, shift, surplus))
-    return live
+    """The walk_records whose owner k passes the surplus test at m at some
+    search mask. k's threshold at mask P is
+    cover_thresholds[search_tables[k][P] >> len(crossers[k])]. Upsilon's
+    j's only gain bits as P grows and a threshold only falls as they do, so
+    k's least is the full mask's, at the end of its search_tables row."""
+    surplus = m[0] - an.need[0], m[1] - an.need[1]
+    return [rec for rec in an.walk_records
+            if _reaches(rec[6], surplus[rec[5]])]
 
 
 def _order_keys(an: SegmentAnalysis, before, m):
@@ -562,12 +595,14 @@ class _Terms(dict):
 class _LamRecords(dict):
     """Per (k, rule key), segment k's lam records ((position, r) pairs),
     generators ((direction, knot, degree, extra shift) in line order, as
-    dim_power_sum_in takes them), their _generator_key and the records' r
-    values, computed on first use."""
+    dim_power_sum_in takes them), their _generator_key, the records' r
+    values, their least covering cap (_least_cover) and, for exactly one
+    generator, its span in the level's quotient as box terms
+    (graded.single_power_terms; else None), computed on first use."""
 
-    def __init__(self, ix: SegmentIndex):
+    def __init__(self, ix: SegmentIndex, levels, i):
         super().__init__()
-        self.ix = ix
+        self.ix, self.levels, self.i = ix, levels, i
 
     def __missing__(self, k_key):
         ix = self.ix
@@ -578,10 +613,14 @@ class _LamRecords(dict):
         for j in _bits(key >> len(ix.crossers[k])):
             by_line.setdefault(ix.line[ix.pos[j]], (ix.r[j], ix.dp[k]))
         direction = "s" if ix.axis[k] == 0 else "t"
-        gens = tuple((direction, ix.lines[q], r2 + 1, extra)
+        gens = tuple((direction, ix.coords[q], r2 + 1, extra)
                      for q, (r2, extra) in sorted(by_line.items()))
-        found = self[k_key] = (recs, gens, _generator_key(gens),
-                               tuple(rc for _, rc in recs))
+        gen_key = _generator_key(gens)
+        rs = tuple(rc for _, rc in recs)
+        found = self[k_key] = (
+            recs, gens, gen_key, rs, _least_cover(rs),
+            single_power_terms(self.levels, self.i, gen_key[0])
+            if len(gen_key) == 1 else None)
         return found
 
 
@@ -605,7 +644,7 @@ def contribution_sets(an: SegmentAnalysis, ordering: SegmentOrdering,
         terms = [_Terms(an, k, m) for k in range(len(order))]
     records, h0_terms = [], []
     for k, key in enumerate(keys):
-        recs, gens, _, rs = an.lam_records[k, key]
+        recs, gens, _, rs, _, _ = an.lam_records[k, key]
         records.append((recs, _weight(rs, terms[k].block[1]), gens))
         h0_terms.append(terms[k][key])
     return ContributionSets(an, ordering, m, tuple(records), tuple(h0_terms),
@@ -629,9 +668,11 @@ def _term(levels, i, records, block) -> int:
     its block: 0 when its weight exceeds the cap and so covers the whole
     block, else the block less what its generators span in it."""
     size, cap, sub = block
-    _, _, gen_key, rs = records
-    if _weight(rs, cap) > cap:
+    _, _, gen_key, _, least, single = records
+    if _reaches(least, cap):
         return 0
+    if single:
+        return size - box_sum(single, sub)
     if not gen_key:
         return size
     return size - dim_power_sum_in(levels, i, gen_key, sub)

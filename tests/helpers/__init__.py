@@ -44,3 +44,25 @@ def grid(k, span=None, r=0, deficits=None):
 
 def single_face(side=1, r=0):
     return make([(0, 0, side, side)], r=r)
+
+
+def fraction_compares(monkeypatch, fn):
+    """(the Fraction comparisons fn() makes, counting ==, <, <=, > and >=,
+    fn()'s result). Tuples and containers compare the same object with
+    itself without a call."""
+    calls = 0
+
+    def counted(plain):
+        def counting(self, other):
+            nonlocal calls
+            calls += 1
+            return plain(self, other)
+        return counting
+
+    for name in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
+        monkeypatch.setattr(Fraction, name, counted(getattr(Fraction, name)))
+    try:
+        result = fn()
+    finally:
+        monkeypatch.undo()
+    return calls, result

@@ -1,5 +1,9 @@
-"""The contribution rules written over segment keys, kept as the reference
-that the integer rules of `tmeshdim.segments` must reproduce."""
+"""The contribution rules written over segment keys, and the covering test
+and the term formula written out in full, kept as the references that the
+integer rules and the compiled records of `tmeshdim.segments` must
+reproduce."""
+
+from tmeshdim import dim_M, dim_power_sum_in, dim_shift
 
 
 def crossings(an):
@@ -14,6 +18,27 @@ def crossings(an):
             (segs[p].key, (segs[p].line, rho.line) if rho.axis == "h"
              else (rho.line, segs[p].line), r, segs[p].interior)
             for _, p, r in cs]
+    return out
+
+
+def scanned_crossers(an):
+    """Per interior segment, one (number, position, r) per segment of the
+    other axis whose closed span meets its own, found by comparing the
+    Fraction coordinates of every pair: SegmentIndex.crossers' reference."""
+    segs, edge_r = an.segments, an.smoothness.edge_r
+    of = {s.key: k for k, s in enumerate(an.interior)}
+    out = []
+    for rho in an.interior:
+        cs = []
+        for p, sig in enumerate(segs):
+            if sig.axis == rho.axis or not (
+                    sig.lo <= rho.line <= sig.hi
+                    and rho.lo <= sig.line <= rho.hi):
+                continue
+            r = next((edge_r[e] for e in sig.edges
+                      if e.lo <= rho.line <= e.hi and e in edge_r), sig.r)
+            cs.append((of.get(sig.key, -1), p, r))
+        out.append(tuple(cs))
     return out
 
 
@@ -61,3 +86,64 @@ def keyed_terms(sets):
     segs = an.segments
     return {key: (tuple((segs[p].key, rc) for p, rc in recs), weight, gens)
             for key, (recs, weight, gens) in zip(an.index.keys, sets.terms)}
+
+
+def covers(rs, c):
+    """The covering test on r values rs at c: lam records of smoothness rs
+    against a block's cap c, or theta's j's of those r's at a surplus c."""
+    return sum(max(c - r, 0) for r in rs) > c
+
+
+def scanned_least_cover(rs):
+    """The least c at or above 0 at which covers(rs, c) holds, or None, by a
+    scan over the sorted r's: where the j least of them lie below c and the
+    others do not, the test reads j * c - (their sum) > c."""
+    rs = sorted(rs)
+    below = 0
+    for j, r in enumerate(rs, 1):
+        below += r
+        if j < 2:
+            continue
+        c = max(r + 1, below // (j - 1) + 1)
+        if j == len(rs) or c <= rs[j]:
+            return c
+    return None
+
+
+def closed_single(levels, i, gen, m):
+    """What one generator (direction, knot, degree, extra shift) spans
+    inside M(i) at m, box by box: its shifted box, less, below the top, the
+    part of it inside L(i)."""
+    direction, _, d, extra = gen
+    dshift = (0, d) if direction == "t" else (d, 0)
+    box = tuple(m[t] - levels[i - 1][t] - extra[t] - dshift[t]
+                for t in (0, 1))
+    val = dim_shift(box, (0, 0))
+    if i < len(levels):
+        lo = tuple(m[t] - levels[i][t] - dshift[t] for t in (0, 1))
+        val -= dim_shift((min(box[0], lo[0]), min(box[1], lo[1])), (0, 0))
+    return val
+
+
+def reference_term(an, k, key, m):
+    """Segment k's weight and term at rule key and m, worked out afresh from
+    its lam records and generators: the block less what the weight (above
+    the cap, all of it) or the generators cover, one generator box by box
+    and several by graded's exact fallback."""
+    levels, i = an.level.profile.levels, an.level.index
+    rho = an.interior[k]
+    ax = 0 if rho.axis == "h" else 1
+    size = dim_M(levels, i, rho.e, m)
+    cap = m[ax] - levels[min(i, len(levels) - 1)][ax]
+    sub = (m[0] - rho.e[0], m[1] - rho.e[1])
+    recs, gens = an.lam_records[k, key][:2]
+    weight = sum(max(cap - r, 0) for _, r in recs)
+    if covers([r for _, r in recs], cap):
+        covered = size
+    elif not gens:
+        covered = 0
+    elif len(gens) == 1:
+        covered = closed_single(levels, i, gens[0], sub)
+    else:
+        covered = dim_power_sum_in(levels, i, list(gens), sub)
+    return weight, max(size - covered, 0)

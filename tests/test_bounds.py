@@ -524,13 +524,14 @@ def test_the_work_at_a_fixed_bi_degree_does_not_grow_with_r(monkeypatch):
     # it runs, so a regression fails here instead of running for minutes:
     # no power grid is built for a generator that cannot fit in the box
     # of m, and none reaches the sliced rank unless it fits in its ambient
-    # box; each covering threshold takes O(log r) tests; and no loop of
+    # box; each least covering value (theta's thresholds and the lam
+    # records' caps) takes O(log r) covering tests; and no loop of
     # the oracle module runs over more than a few hundred values
     oracle_mod = sys.modules["tmeshdim.oracle"]
     segments_mod = sys.modules["tmeshdim.segments"]
     big, degrees = 10 ** 6, ((2, 2), (3, 3), (4, 3), (4, 4))
     top = max(map(max, degrees))
-    grids, tests = [], {}
+    grids, tests, inside = [], [], False
 
     def power_grid(direction, knot, degree, extra=(0, 0)):
         assert degree + max(extra) <= top, (direction, degree, extra)
@@ -542,10 +543,21 @@ def test_the_work_at_a_fixed_bi_degree_does_not_grow_with_r(monkeypatch):
             assert bideg[0] <= ambient[0] and bideg[1] <= ambient[1]
         return real_sliced(generators, ambient, lbox)
 
-    def covers(ix, js, surplus):
-        tests[id(ix), js] = tests.get((id(ix), js), 0) + 1
-        assert tests[id(ix), js] <= 2 * big.bit_length(), (ix.r, js)
-        return real_covers(ix, js, surplus)
+    def weight(rs, cap):
+        if inside:
+            tests[-1] += 1
+        return real_weight(rs, cap)
+
+    def least_cover(rs):
+        nonlocal inside
+        tests.append(0)
+        inside = True
+        try:
+            found = real_least_cover(rs)
+        finally:
+            inside = False
+        assert tests[-1] <= 2 * big.bit_length(), rs
+        return found
 
     def short_range(*args):
         assert len(range(*args)) <= 500, args
@@ -553,11 +565,13 @@ def test_the_work_at_a_fixed_bi_degree_does_not_grow_with_r(monkeypatch):
 
     real_grid = oracle_mod.power_grid
     real_sliced = oracle_mod.sliced_quotient_dim
-    real_covers = segments_mod._covers
+    real_weight = segments_mod._weight
+    real_least_cover = segments_mod._least_cover
     monkeypatch.setattr(oracle_mod, "power_grid", power_grid)
     monkeypatch.setattr(oracle_mod, "sliced_quotient_dim",
                         sliced_quotient_dim)
-    monkeypatch.setattr(segments_mod, "_covers", covers)
+    monkeypatch.setattr(segments_mod, "_weight", weight)
+    monkeypatch.setattr(segments_mod, "_least_cover", least_cover)
     monkeypatch.setattr(oracle_mod, "range", short_range, raising=False)
     with open(fixture_path("test1")) as f:
         doc = json.load(f)
@@ -573,7 +587,7 @@ def test_the_work_at_a_fixed_bi_degree_does_not_grow_with_r(monkeypatch):
         return got, ideal
 
     reports(1)  # the recorders see the grids of low r
-    assert tests and grids
+    assert any(tests) and grids
     want = reports(5)
     for r in (4, 7, big):
         assert reports(r) == want, r

@@ -9,7 +9,7 @@ from tmeshdim import (IndexOutOfRange, MixedDirectionError, bounds, dim_M,
                       dim_power_sum, dim_power_sum_in, dim_shift, oracle,
                       span_dim, span_quotient_dim)
 from tmeshdim.graded import (_power_sum_in_cached, box_sum,
-                             vertex_increment_terms)
+                             single_power_terms, vertex_increment_terms)
 from tmeshdim.mesh import bd_max, bd_sub
 from tmeshdim.meshfile import parse_mesh_file
 from tmeshdim.oracle import power_grid, sliced_quotient_dim
@@ -144,6 +144,28 @@ def test_power_sum_in_single_generator_closed_form():
                     gens = [("t", Fraction(1, 2), d, extra)]
                     assert (dim_power_sum_in(levels, i, gens, m)
                             == _in_oracle(levels, i, gens, m))
+
+
+def test_one_generator_box_terms_match_the_span_and_the_fallback():
+    # single_power_terms is what one generator spans inside M(i) as box
+    # terms, which the segment records store and dim_power_sum_in sums at
+    # m: both equal the span's rank, in either direction, with and without
+    # an extra shift, at every level index of two level sequences and at
+    # degrees below, at and past the level deficits
+    for levels in (((0, 0), (1, 1), (2, 2)), ((0, 0), (0, 1), (2, 1))):
+        for i in range(1, len(levels) + 1):
+            for direction in "st":
+                for d in (1, 2, 3):
+                    for extra in ((0, 0), (1, 0), (0, 2)):
+                        gen = (direction, Fraction(1, 3), d, extra)
+                        terms = single_power_terms(levels, i, gen)
+                        assert len(terms) == (1 if i == len(levels) else 2)
+                        for m in ((0, 0), (2, 1), (4, 4), (5, 3), (3, 6)):
+                            got = box_sum(terms, m)
+                            assert got == dim_power_sum_in(levels, i, [gen],
+                                                           m)
+                            assert got == _in_oracle(levels, i, [gen], m), \
+                                (levels, i, gen, m)
 
 
 def test_power_sum_in_top_quotient_closed_form():

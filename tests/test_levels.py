@@ -1,12 +1,13 @@
 import pytest
-from tmeshdim import (IndexOutOfRange, active_mesh, all_levels,
+from tmeshdim import (IndexOutOfRange, TMesh, active_mesh, all_levels,
                       check_assumptions, island_components)
-from tmeshdim.meshfile import parse_mesh_file
+from tmeshdim.meshfile import parse_mesh_dict, parse_mesh_file
 
-from .helpers import fixture_path, grid, make
+from .helpers import fixture_path, fraction_compares, grid, make
 from .helpers.randmesh import (blob_region_mesh, island_region_mesh,
                                ring_region_mesh)
 from .helpers.snf import relative_homology_ranks
+from .test_segment_golden import FIXTURES
 
 
 def test_level_index_bounds():
@@ -108,3 +109,62 @@ def test_fixture_island_level():
     assert len(lv.faces) == 10
     assert (lv.c, lv.h) == (1, 0)
     assert relative_homology_ranks(lv) == (1, 0)
+
+
+def rect_order_islands(level):
+    """island_components as a search over Rects: the least face left starts
+    each component, and its faces are sorted as Rects."""
+    mesh = level.mesh
+    active, eset = set(level.faces), set(level.interior_edges)
+    comps, left = [], set(active)
+    while left:
+        comp = {min(left)}
+        stack = list(comp)
+        while stack:
+            for e in mesh.face_edges[stack.pop()]:
+                for g in mesh.edge_faces[e] if e in eset else ():
+                    if g in active and g not in comp:
+                        comp.add(g)
+                        stack.append(g)
+        left -= comp
+        verts = {p for f in comp for e in mesh.face_edges[f]
+                 for p in e.endpoints()}
+        comps.append((tuple(sorted(comp)),
+                      not verts & mesh.boundary_vertices))
+    return comps
+
+
+def test_island_components_order_faces_by_their_positions(monkeypatch):
+    # a 20 x 20 unit grid whose faces outside the central 10 x 10 block
+    # carry the deficit (1, 1); ordering faces as Rects made 7,924 Fraction
+    # comparisons over its two levels. By positions in mesh.faces only the
+    # check that they come sorted compares Fractions, two per neighbouring
+    # pair of a level's faces
+    from .test_mesh import _grid_document
+
+    mesh, profile, _ = parse_mesh_dict(_grid_document(20, 10))
+    lvls = all_levels(mesh, profile)
+    calls, got = fraction_compares(
+        monkeypatch, lambda: [island_components(lv) for lv in lvls])
+    faces = sum(len(lv.faces) for lv in lvls)
+    assert faces == 500
+    assert calls <= 2 * faces
+    assert got == [rect_order_islands(lv) for lv in lvls]
+    assert [[(len(comp), isl) for comp, isl in comps] for comps in got] \
+        == [[(100, True)], [(400, False)]]
+
+
+def test_island_components_sort_the_faces_of_a_hand_built_mesh():
+    # a TMesh built by hand with its faces in another order than
+    # build_tmesh's gives the components of the sorted one
+    runs = [parse_mesh_file(fixture_path(name)) for name in FIXTURES]
+    runs += [island_region_mesh(), blob_region_mesh(), ring_region_mesh()]
+    for mesh, profile, _ in runs:
+        mixed = TMesh(mesh.faces[1::2] + mesh.faces[::2], mesh.edges,
+                      mesh.vertices, mesh.edge_faces, mesh.face_edges,
+                      mesh.vertex_edges)
+        for lv, other in zip(all_levels(mesh, profile),
+                             all_levels(mixed, profile)):
+            want = rect_order_islands(lv)
+            assert island_components(lv) == want
+            assert island_components(other) == want

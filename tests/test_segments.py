@@ -18,18 +18,20 @@ from types import SimpleNamespace
 import pytest
 from tmeshdim import (AssumptionViolated, SegmentOrdering,
                       TooManyForExhaustive, all_levels, analyze_segments,
-                      contribution_sets, dim_M, dim_power_sum_in,
-                      h0_ideal_oracle, h0_ideal_upper, order_segments)
+                      contribution_sets, dim_M, h0_ideal_oracle,
+                      h0_ideal_upper, order_segments)
 from tmeshdim.meshfile import parse_mesh_dict, parse_mesh_file
-from tmeshdim.segments import (EXHAUSTIVE_LIMIT, _before,
-                                _CoverThresholds, _covers, _floors,
+from tmeshdim.segments import (EXHAUSTIVE_LIMIT, SegmentIndex, _before,
+                                _CoverThresholds, _floors, _least_cover,
                                 _order_keys, _reaches, _Terms, _theta_at,
                                 _upsilon_js, _walk)
 
-from .helpers import fixture_path, make
+from .helpers import fixture_path, fraction_compares, make
 from .helpers.randmesh import (random_region_mesh, random_split_mesh,
                                ring_region_mesh)
-from .helpers.rules import crossings, keyed_terms, reference_sets
+from .helpers.rules import (covers, crossings, keyed_terms, reference_sets,
+                            reference_term, scanned_crossers,
+                            scanned_least_cover)
 from .test_segment_golden import FIXTURES, MIXED_R, mixed_r
 from .test_symmetry import unequal_deficits_doc
 
@@ -393,7 +395,6 @@ def test_walk_fixes_each_rule_key_when_the_segment_is_placed():
         rules = an.index.search_tables
         n = len(rules)
         for m in ((3, 3), (4, 5), (6, 6)):
-            theta_at = _theta_at(an, m)
             reached = [set() for _ in range(n)]
             for perm in permutations(range(n)):
                 keys = _order_keys(an, _before(perm), m)
@@ -404,8 +405,8 @@ def test_walk_fixes_each_rule_key_when_the_segment_is_placed():
                 least = [min(map(t.__getitem__, keys))
                          for t, keys in zip(terms, reached)]
                 want = enumerated_best(an, m, terms)
-                assert _walk(rules, theta_at, terms, [0] * n)[0] == want
-                assert _walk(rules, theta_at, terms, least)[0] == want
+                assert _walk(an, m, terms, [0] * n)[0] == want
+                assert _walk(an, m, terms, least)[0] == want
 
 
 class FloorCheck:
@@ -457,7 +458,6 @@ def test_every_term_the_search_reads_is_at_least_its_floor():
         rules = an.index.search_tables
         n = len(rules)
         for m in ((3, 3), (4, 5), (6, 6), (20, 20), (12, 17), (20, 3)):
-            theta_at = _theta_at(an, m)
             terms = [_Terms(an, k, m) for k in range(n)]
             floor = _floors(rules, terms)
             checked = [FloorCheck(t, f) for t, f in zip(terms, floor)]
@@ -466,8 +466,8 @@ def test_every_term_the_search_reads_is_at_least_its_floor():
                 for done in range(1 << n):
                     if not done >> x & 1:
                         checked[x][row[done]]
-            got = _walk(rules, theta_at, checked, floor)[0]
-            assert got == _walk(rules, theta_at, terms, [0] * n)[0] \
+            got = _walk(an, m, checked, floor)[0]
+            assert got == _walk(an, m, terms, [0] * n)[0] \
                 == order_segments(an, "exhaustive", m).order, \
                 (an.level.index, n, m)
             pruned += any(floor)
@@ -581,27 +581,6 @@ def test_a_warm_analysis_gives_what_a_fresh_one_gives():
                     == sweep_case(fresh, strategy, m), (label, strategy, m)
 
 
-def reference_term(an, k, key, m):
-    """Segment k's weight and term at rule key and m as the report worked
-    them out before the search handed its terms over: the block less what
-    the weight (above the cap, all of it) or the raw generators cover."""
-    levels, i = an.level.profile.levels, an.level.index
-    rho = an.interior[k]
-    ax = 0 if rho.axis == "h" else 1
-    size = dim_M(levels, i, rho.e, m)
-    cap = m[ax] - levels[min(i, len(levels) - 1)][ax]
-    sub = (m[0] - rho.e[0], m[1] - rho.e[1])
-    recs, gens = an.lam_records[k, key][:2]
-    weight = sum(max(cap - r, 0) for _, r in recs)
-    if weight > cap:
-        covered = size
-    elif not gens:
-        covered = 0
-    else:
-        covered = dim_power_sum_in(levels, i, list(gens), sub)
-    return weight, max(size - covered, 0)
-
-
 def test_the_search_hands_over_what_a_fresh_evaluation_gives():
     # the exhaustive search hands the rule key it fixed for each segment and
     # its terms to contribution_sets. On every searched level of the sweep,
@@ -657,7 +636,8 @@ def test_the_search_hands_over_what_a_fresh_evaluation_gives():
 
 def test_the_records_do_not_grow_with_the_degrees_asked():
     # the records are keyed by rule keys and masks of the level's own
-    # segments, so a sweep to 40 adds none to a sweep to 20. The search
+    # segments, and the walk records are its theta candidates, made on the
+    # first search, so a sweep to 40 adds none to a sweep to 20. The search
     # runs on the whole 2..20 square and at three corners further out
     def sweep(an, ms):
         for m in ms:
@@ -665,7 +645,8 @@ def test_the_records_do_not_grow_with_the_degrees_asked():
                 contribution_sets(an, order_segments(an, strategy, m), m)
             if m in searched and "exhaustive" in sweep_strategies(an):
                 order_segments(an, "exhaustive", m)
-        return len(an.lam_records), len(an.cover_thresholds)
+        return (len(an.lam_records), len(an.cover_thresholds),
+                len(an.__dict__.get("walk_records", ())))
 
     def reach(top):
         return set(product(range(2, top + 1), repeat=2))
@@ -674,13 +655,16 @@ def test_the_records_do_not_grow_with_the_degrees_asked():
     further = {m for a in range(21, 41) for b in (2, 5, 20, 40)
                for m in ((a, b), (b, a))}
     searched = reach(20) | {(40, 40), (40, 2), (2, 40)}
-    filled = 0
+    filled = walked = 0
     for label, lv, smoothness in sweep_levels():
         an = analyze_segments(lv, smoothness)
         to20 = sweep(an, sorted(reach(20)))
         assert sweep(an, sorted(further)) == to20, label
+        assert to20[2] == (len(an.index.theta) if "exhaustive"
+                           in sweep_strategies(an) else 0), label
         filled += to20[1] > 0
-    assert filled == 14
+        walked += to20[2]
+    assert (filled, walked) == (14, 103)
 
 
 def test_cover_thresholds_give_theta_covering_test():
@@ -697,7 +681,9 @@ def test_cover_thresholds_give_theta_covering_test():
         near = {t + d for t in (least, top) if t is not None
                 for d in (-1, 0, 1)}
         for s in near.union(range(-3, 41)):
-            assert _reaches(least, s) == _covers(ix, js, s), (ix.r, js, s)
+            assert _reaches(least, s) == covers(
+                [r for j, r in enumerate(ix.r) if js >> j & 1], s), \
+                (ix.r, js, s)
         return least
 
     found = set()
@@ -721,3 +707,100 @@ def test_cover_thresholds_give_theta_covering_test():
             ix = SimpleNamespace(r=list(rs))
             for js in range(1 << n):
                 agree(ix, js)
+
+
+def test_the_least_covering_value_matches_a_scan():
+    # _least_cover bisects the least c at which a multiset of r's covers a
+    # block. On every sequence of up to four r's from {0, 1, 3, 10^6, 10^9}
+    # it equals a scan over the sorted r's, and holds there and not one
+    # below; on r's in 0..5 it equals a scan over every c from 0
+    values = (0, 1, 3, 10 ** 6, 10 ** 9)
+    found = set()
+    for n in range(5):
+        for rs in product(values, repeat=n):
+            least = _least_cover(rs)
+            assert least == scanned_least_cover(rs), rs
+            if least is not None:
+                assert covers(rs, least) and not covers(rs, least - 1) \
+                    or least == 0, rs
+            found.add(least)
+    for n in range(4):
+        for rs in product(range(6), repeat=n):
+            scan = next((c for c in range(sum(rs) + 2) if covers(rs, c)),
+                        None)
+            assert _least_cover(rs) == scan, rs
+    assert None in found and 10 ** 9 + 1 in found and 1 in found
+
+
+def test_every_term_read_is_the_formula_worked_out_afresh():
+    # each term is compiled from records made once per analysis: a least
+    # covering cap, and one generator's span as box terms. Every (k, rule
+    # key) term that a search reads, and that contribution_sets reads under
+    # every strategy, equals reference_term's, worked out from dim_M, the
+    # weight, one generator box by box and several by graded's fallback: on
+    # the fixture and mixed-r levels and on seeded split meshes, at every m
+    # in 0..8 x 0..8, where caps fall below 0, and further out
+    levels = [(label, lv, smoothness)
+              for label, lv, smoothness in sweep_levels()]
+    for seed in (3, 9, 29):
+        mesh, profile, smoothness, _ = random_split_mesh(
+            random.Random(seed), max_faces=30)
+        levels += [(f"split {seed} L{lv.index}", lv, smoothness)
+                   for lv in all_levels(mesh, profile)]
+    degrees = list(product(range(9), repeat=2)) + [(20, 20), (40, 2),
+                                                   (2, 40)]
+    read = {"search": 0, "sets": 0, "cap below 0": 0, "covered": 0,
+            "one generator": 0, "several": 0}
+    for label, lv, smoothness in levels:
+        an = analyze_segments(lv, smoothness)
+        records = an.lam_records
+        for m in degrees:
+            seen = set()
+            for strategy in sweep_strategies(an):
+                ordr = order_segments(an, strategy, m)
+                for k, terms in enumerate(ordr.terms or ()):
+                    for key, term in terms.items():
+                        assert term == reference_term(an, k, key, m)[1], \
+                            (label, m, k, key)
+                        seen.add((k, key))
+                        read["search"] += 1
+                sets = contribution_sets(an, ordr, m)
+                keys = _order_keys(an, _before(ordr.order), m)
+                for k, key in enumerate(keys):
+                    assert (sets.terms[k][1], sets.h0_terms[k]) \
+                        == reference_term(an, k, key, m), (label, m, k)
+                    seen.add((k, key))
+                    read["sets"] += 1
+            for k, key in seen:
+                _, ax, need, _ = an.blocks[k]
+                least, single = records[k, key][4:]
+                if m[ax] < need:
+                    read["cap below 0"] += 1
+                elif _reaches(least, m[ax] - need):
+                    read["covered"] += 1
+                else:
+                    read["one generator" if single else "several"] += 1
+    assert min(read.values()) > 0, read
+
+
+def test_crossers_are_found_on_coordinate_ranks(monkeypatch):
+    # SegmentIndex ranks the coordinates of a level's lines and ends with
+    # one sort and compares ranks; the scan over every pair of segments
+    # made 5,574 Fraction comparisons in analyze_segments on this grid (a
+    # 20 x 20 unit grid whose faces outside the central 10 x 10 block carry
+    # the deficit (1, 1)), 3,462 of them for the crossers
+    from .test_mesh import _grid_document
+
+    mesh, profile, smoothness = parse_mesh_dict(_grid_document(20, 10))
+    lvls = all_levels(mesh, profile)
+    calls, ans = fraction_compares(
+        monkeypatch,
+        lambda: [analyze_segments(lv, smoothness) for lv in lvls])
+    assert calls <= 2500
+    calls, _ = fraction_compares(
+        monkeypatch, lambda: [SegmentIndex(an) for an in ans])
+    sizes = [len(an.index.coords) for an in ans]
+    assert sizes == [11, 21]
+    assert calls <= sum(d * d.bit_length() for d in sizes)
+    for an in ans + [an for an in searched_levels()]:
+        assert an.index.crossers == scanned_crossers(an)
