@@ -78,12 +78,16 @@ def bd_sub(a, b):
 
 
 def check_bidegree(m):
-    """m as a pair of ints; ValueError unless both are integral."""
-    a, b = m
-    pair = int(a), int(b)
-    if pair != (a, b):
-        raise ValueError(f"bi-degree {m!r} is not a pair of integers")
-    return pair
+    """m as a pair of ints; ValueError unless m is a pair of integral
+    values."""
+    try:
+        a, b = m
+        pair = int(a), int(b)
+        if pair == (a, b):
+            return pair
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ValueError(f"bi-degree {m!r} is not a pair of integers")
 
 
 def _integer(value, what, *args) -> int:

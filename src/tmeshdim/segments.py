@@ -52,19 +52,23 @@ class SegmentAnalysis:
     structure, which only index holds (SegmentIndex, in integer form); the
     contribution rules, the ordering search and oracle.h0_ideal_oracle read it.
 
-    An analysis serves every bi-degree. Besides the greedy order, the
-    search tables and walk_records, it keeps need, the level deficit that
-    caps and surpluses are taken from, blocks, per interior segment what
-    _block reads at m (dim_M at its e as box terms, its axis, need on that
-    axis and its e), and two records into which no bi-degree enters, each
-    entry made when it is first asked for: lam_records, per (k, rule key)
-    segment k's lam records, generators, their _generator_key, the records'
-    r values, their least covering cap and one generator's span as box
-    terms, and cover_thresholds, per mask of theta's j's the least surplus
-    at which they cover a block. Their keys are rule keys and masks of the
-    level's own segments, so they are bounded by the level, not by the
-    number of bi-degrees asked, and they hold no reference back to the
-    analysis. A search keeps no table of its own.
+    An analysis serves every bi-degree. An order's rule keys are made in
+    two phases: its plan (_plan: before masks and the keys before theta),
+    into which no bi-degree enters, then theta's bits at m (_with_theta).
+    Besides the greedy order and its plan, the search tables (every key
+    before theta, for the search) and walk_records, it keeps need, the
+    level deficit that caps and surpluses are taken from, blocks, per
+    interior segment what _block reads at m (dim_M at its e as box terms,
+    its axis, need on that axis and its e), and two records into which no
+    bi-degree enters, each entry made when it is first asked for:
+    lam_records, per (k, rule key) segment k's lam records, generators,
+    their _generator_key, the records' r values, their least covering cap
+    and one generator's span as box terms, and cover_thresholds, per mask
+    of theta's j's the least surplus at which they cover a block. Their
+    keys are rule keys and masks of the level's own segments, so they are
+    bounded by the level, not by the number of bi-degrees asked, and they
+    hold no reference back to the analysis. A search keeps no table of its
+    own.
     """
 
     def __init__(self, level: ActiveLevel, smoothness):
@@ -79,15 +83,21 @@ class SegmentAnalysis:
             chains.setdefault((e.axis, e.line), []).append(e)
         segs = []
         for (axis, line), es in chains.items():
-            es.sort(key=lambda e: e.lo)
-            run = [es[0]]
-            for e in es[1:]:
-                if e.lo == run[-1].hi:
+            # a chain's edges join at shared end vertices; build_tmesh gives
+            # its edges the mesh's own Vertex objects, whose hash is kept,
+            # so the lookups compare no Fraction. A chain starts at an edge
+            # whose lo end is no edge's hi end
+            after = {e.endpoints()[0]: e for e in es}
+            his = {e.endpoints()[1] for e in es}
+            for e in es:
+                if e.endpoints()[0] in his:
+                    continue
+                run = [e]
+                while (e := after.get(e.endpoints()[1])) is not None:
                     run.append(e)
-                else:
-                    segs.append(self._mk(axis, line, run, step))
-                    run = [e]
-            segs.append(self._mk(axis, line, run, step))
+                segs.append(self._mk(axis, line, run, step))
+        # in level.edges' order, which follows mesh.edges, the segments come
+        # sorted already, so this sort only checks them
         segs.sort(key=lambda s: s.key)
         self.segments = segs
         self.interior = tuple(s for s in segs if s.interior)
@@ -142,6 +152,11 @@ class SegmentAnalysis:
             seq.extend(k for k in comp if ix.axis[k] == ix.axis[hub]
                        and k != hub)
         return tuple(seq)
+
+    @cached_property
+    def greedy_plan(self):
+        """_plan of the greedy order."""
+        return _plan(self, self.greedy_order)
 
     @cached_property
     def walk_records(self):
@@ -295,14 +310,18 @@ def check_strategy(strategy):
 @dataclass(frozen=True)
 class SegmentOrdering:
     """An order of a level's interior segment numbers, the first placed
-    first. One that the exhaustive search made also carries the rule key it
-    fixed for each segment (theta's bits included) and the _Terms it read,
-    which contribution_sets reads at the search's analysis and m. They are
-    not constructor arguments, so dataclasses.replace drops them, and they
-    take no part in comparison or repr."""
+    first. One that order_segments made also carries what contribution_sets
+    reads at the analysis it was made on. A greedy one carries plan, the
+    analysis and its greedy_plan; a searched one carries keys, the rule key
+    the search fixed for each segment (theta's bits included), and terms,
+    the _Terms it read at its m. They are not constructor arguments, so
+    dataclasses.replace drops them, and they take no part in comparison or
+    repr."""
 
     strategy: str
     order: tuple
+    plan: Optional[tuple] = field(default=None, init=False, compare=False,
+                                  repr=False)
     keys: Optional[tuple] = field(default=None, init=False, compare=False,
                                   repr=False)
     terms: Optional[list] = field(default=None, init=False, compare=False,
@@ -323,7 +342,9 @@ def order_segments(an: SegmentAnalysis, strategy="auto",
     if strategy == "input":
         return SegmentOrdering("input", tuple(range(n)))
     if strategy == "greedy":
-        return SegmentOrdering("greedy", an.greedy_order)
+        found = SegmentOrdering("greedy", an.greedy_order)
+        object.__setattr__(found, "plan", (an, an.greedy_plan))
+        return found
     if n > EXHAUSTIVE_LIMIT:
         raise TooManyForExhaustive(
             f"{n} interior segments exceed the exhaustive limit {EXHAUSTIVE_LIMIT}")
@@ -359,10 +380,11 @@ def _walk(an: SegmentAnalysis, m, terms, floor):
 
     The walk places segment numbers in increasing order, so it meets the
     orders in lex order. A segment's rule key is fixed when it is placed
-    after the segments of mask P: rules[x][P], plus theta's bits, which
-    _order_keys would set as follows. Each such bit is the bit of owner k
-    among x's crossers, which gamma has set already when k is in P; when
-    k comes after x, before[k] & before[a] is before[a].
+    after the segments of mask P: rules[x][P], the key _plan gives x on
+    such an order, plus theta's bits, which _with_theta would set as
+    follows. Each such bit is the bit of owner k among x's crossers, which
+    gamma has set already when k is in P; when k comes after x,
+    before[k] & before[a] is before[a].
       - As b of owner k and first a: the bit of k when a is in P and a
         qualifies at its own before mask.
       - As a: the bit of k when some second b is not in P and a qualifies
@@ -438,7 +460,7 @@ class ContributionSets:
     terms[k] holds interior segment k's lam records ((position, r) pairs),
     weight and generators (as dim_power_sum_in takes them), and h0_terms[k]
     its term in the H0 upper bound: the part of its block that they leave
-    uncovered. before holds the order's before masks.
+    uncovered. before holds the order's before masks, in a list of its own.
     """
 
     analysis: SegmentAnalysis
@@ -550,8 +572,18 @@ def _theta_at(an: SegmentAnalysis, m):
             if _reaches(rec[6], surplus[rec[5]])]
 
 
-def _order_keys(an: SegmentAnalysis, before, m):
-    """The rule key of each k under one order, given as before masks, at m.
+def _plan(an: SegmentAnalysis, order):
+    """The first phase of an order's rule keys, into which no bi-degree
+    enters: its before masks and each segment's rule key before theta
+    (_rule_key), a pair of tuples by segment number."""
+    before = tuple(_before(order))
+    return before, tuple(_rule_key(an.index, k, b)
+                         for k, b in enumerate(before))
+
+
+def _with_theta(an: SegmentAnalysis, plan, m):
+    """The second phase: the rule key of each k under the order of plan at
+    m, theta's bits added to the plan's keys.
 
     Owner k pairs a with each b after a among theta's candidates when a
     qualifies, that is when the partners earlier than both k and a cover
@@ -560,11 +592,11 @@ def _order_keys(an: SegmentAnalysis, before, m):
     """
     ix = an.index
     thresholds = an.cover_thresholds
-    keys = [_rule_key(ix, k, b) for k, b in enumerate(before)]
+    before, keys = plan[0], list(plan[1])
+    surplus = m[0] - an.need[0], m[1] - an.need[1]
     for k, a, a_bit, k_in_a, seconds in ix.theta:
-        need = an.level.profile.levels[an.level.index][ix.axis[k]]
         js = _upsilon_js(ix, k, before[k] & before[a])
-        if not _reaches(thresholds[js], m[ix.axis[k]] - need):
+        if not _reaches(thresholds[js], surplus[ix.axis[k]]):
             continue
         paired = False
         for b, k_in_b in seconds:
@@ -628,25 +660,30 @@ def contribution_sets(an: SegmentAnalysis, ordering: SegmentOrdering,
                       m) -> ContributionSets:
     """The sets of one level under ordering at m. ordering.order must hold
     each interior segment number once; anything else raises ValueError. The
-    rule keys and terms are the search's when it made ordering on an at m,
-    else _order_keys' at the order's own masks and fresh _Terms'."""
+    rule keys are the search's when it made ordering on an at m, else the
+    order's plan at m (_with_theta): the greedy_plan ordering carries when
+    it was made on an, else one _plan builds on the call. Each segment's
+    weight and term are read from its lam_records entry and its block."""
     order = ordering.order
     if not all(isinstance(k, int) for k in order) \
             or sorted(order) != list(range(len(an.interior))):
         raise ValueError(f"not an order of the segment numbers: {order!r}")
     m = check_bidegree(m)
-    before = _before(order)
     terms = ordering.terms
     if terms and terms[0].an is an and terms[0].m == m:
-        keys = ordering.keys
+        before, keys = _before(order), ordering.keys
     else:
-        keys = _order_keys(an, before, m)
-        terms = [_Terms(an, k, m) for k in range(len(order))]
+        plan = ordering.plan
+        plan = plan[1] if plan and plan[0] is an else _plan(an, order)
+        before, keys = list(plan[0]), _with_theta(an, plan, m)
+    levels, i = an.level.profile.levels, an.level.index
     records, h0_terms = [], []
     for k, key in enumerate(keys):
-        recs, gens, _, rs, _, _ = an.lam_records[k, key]
-        records.append((recs, _weight(rs, terms[k].block[1]), gens))
-        h0_terms.append(terms[k][key])
+        found = an.lam_records[k, key]
+        recs, gens, _, rs, _, _ = found
+        block = _block(an, k, m)
+        records.append((recs, _weight(rs, block[1]), gens))
+        h0_terms.append(_term(levels, i, found, block))
     return ContributionSets(an, ordering, m, tuple(records), tuple(h0_terms),
                             before)
 

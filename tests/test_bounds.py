@@ -170,13 +170,17 @@ def test_a_non_integral_bi_degree_is_refused_where_it_enters():
     # and raised DecompositionMismatch from float rounding at (3.9, 3), and
     # configuration 1 held there; unchecked, the two oracles raised
     # TypeError even at (3.0, 3); integral values of any type keep their
-    # reports
+    # reports. An infinite entry raised OverflowError and None TypeError
+    # from int() before the check, and a value that is not a pair TypeError
+    # or ValueError from unpacking it
     test1 = parse_mesh_file(fixture_path("test1"))
     mesh, profile, smoothness = parse_mesh_file(
         fixture_path("new_relations_b"))
     an = analyze_segments(all_levels(mesh, profile)[0], smoothness)
     greedy = order_segments(an, "greedy")
-    for bad in ((3.9, 3), (4.5, 4), (3.5, 3), (3, Fraction(7, 2)), ("3", 3)):
+    for bad in ((3.9, 3), (4.5, 4), (3.5, 3), (3, Fraction(7, 2)), ("3", 3),
+                (float("inf"), 3), (3, float("-inf")), (float("nan"), 3),
+                (None, 1), (3, [3]), 3, (3, 3, 3)):
         for call in (lambda: bounds(*test1, bad),
                      lambda: certify_stable(*test1, bad),
                      lambda: euler_characteristic(*test1, bad),

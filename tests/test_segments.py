@@ -9,6 +9,7 @@ import dataclasses
 import gc
 import math
 import random
+import sys
 import weakref
 from fractions import Fraction as F
 from itertools import chain, permutations, product
@@ -18,13 +19,14 @@ from types import SimpleNamespace
 import pytest
 from tmeshdim import (AssumptionViolated, SegmentOrdering,
                       TooManyForExhaustive, all_levels, analyze_segments,
-                      contribution_sets, dim_M, h0_ideal_oracle,
-                      h0_ideal_upper, order_segments)
+                      bounds, contribution_sets, dim_M, h0_ideal_oracle,
+                      h0_ideal_upper, order_segments, segments)
+from tmeshdim.mesh import Edge, TMesh
 from tmeshdim.meshfile import parse_mesh_dict, parse_mesh_file
 from tmeshdim.segments import (EXHAUSTIVE_LIMIT, SegmentIndex, _before,
                                 _CoverThresholds, _floors, _least_cover,
-                                _order_keys, _reaches, _Terms, _theta_at,
-                                _upsilon_js, _walk)
+                                _plan, _reaches, _Terms, _theta_at,
+                                _upsilon_js, _walk, _with_theta)
 
 from .helpers import fixture_path, fraction_compares, make
 from .helpers.randmesh import (random_region_mesh, random_split_mesh,
@@ -296,12 +298,12 @@ def test_rules_when_theta_gives_the_first_segment_its_owner():
 def enumerated_best(an, m, terms):
     """The exhaustive search as a plain enumeration: every order of the
     segment numbers in lex order, each segment's rule key taken from the
-    whole order at m as contribution_sets takes it (_order_keys, which
-    shares no table with the search), the first strict minimum of the
-    terms' sum kept."""
+    whole order at m as contribution_sets takes it (_plan, then
+    _with_theta, which share no table with the search), the first strict
+    minimum of the terms' sum kept."""
     best = best_perm = None
     for perm in permutations(range(len(an.interior))):
-        keys = _order_keys(an, _before(perm), m)
+        keys = _with_theta(an, _plan(an, perm), m)
         val = sum(map(getitem, terms, keys))
         if best is None or val < best:
             best, best_perm = val, perm
@@ -397,7 +399,7 @@ def test_walk_fixes_each_rule_key_when_the_segment_is_placed():
         for m in ((3, 3), (4, 5), (6, 6)):
             reached = [set() for _ in range(n)]
             for perm in permutations(range(n)):
-                keys = _order_keys(an, _before(perm), m)
+                keys = _with_theta(an, _plan(an, perm), m)
                 for k, key in enumerate(keys):
                     reached[k].add(key)
             for seed in range(6):
@@ -585,7 +587,7 @@ def test_the_search_hands_over_what_a_fresh_evaluation_gives():
     # the exhaustive search hands the rule key it fixed for each segment and
     # its terms to contribution_sets. On every searched level of the sweep,
     # at m in 2..8 and at three degrees where graded takes its exact rank,
-    # the keys are _order_keys' at the order found, theta's bits included,
+    # the keys are _with_theta's at the order found, theta's bits included,
     # each weight and carried term is the one worked out afresh, and
     # h0_ideal_upper is the walk's best total. The order read at another m
     # or on the analysis of another smoothness gives what it gives as an
@@ -603,7 +605,7 @@ def test_the_search_hands_over_what_a_fresh_evaluation_gives():
         for m in degrees:
             ordr = order_segments(an, "exhaustive", m)
             before = _before(ordr.order)
-            keys = _order_keys(an, before, m)
+            keys = _with_theta(an, _plan(an, ordr.order), m)
             assert ordr.keys == tuple(keys), (label, m)
             with_theta += keys != [row[b] for row, b in zip(rules, before)]
             sets = contribution_sets(an, ordr, m)
@@ -765,7 +767,7 @@ def test_every_term_read_is_the_formula_worked_out_afresh():
                         seen.add((k, key))
                         read["search"] += 1
                 sets = contribution_sets(an, ordr, m)
-                keys = _order_keys(an, _before(ordr.order), m)
+                keys = _with_theta(an, _plan(an, ordr.order), m)
                 for k, key in enumerate(keys):
                     assert (sets.terms[k][1], sets.h0_terms[k]) \
                         == reference_term(an, k, key, m), (label, m, k)
@@ -788,7 +790,10 @@ def test_crossers_are_found_on_coordinate_ranks(monkeypatch):
     # one sort and compares ranks; the scan over every pair of segments
     # made 5,574 Fraction comparisons in analyze_segments on this grid (a
     # 20 x 20 unit grid whose faces outside the central 10 x 10 block carry
-    # the deficit (1, 1)), 3,462 of them for the crossers
+    # the deficit (1, 1)), 3,462 of them for the crossers. Sorting each
+    # chain's edges and joining them on equal ends made 2,112 of the 2,142
+    # left; joined at shared end vertices, 150 are left: 120 in the sort
+    # that checks the segments' order and 30 in the index
     from .test_mesh import _grid_document
 
     mesh, profile, smoothness = parse_mesh_dict(_grid_document(20, 10))
@@ -796,7 +801,7 @@ def test_crossers_are_found_on_coordinate_ranks(monkeypatch):
     calls, ans = fraction_compares(
         monkeypatch,
         lambda: [analyze_segments(lv, smoothness) for lv in lvls])
-    assert calls <= 2500
+    assert calls <= 150
     calls, _ = fraction_compares(
         monkeypatch, lambda: [SegmentIndex(an) for an in ans])
     sizes = [len(an.index.coords) for an in ans]
@@ -804,3 +809,126 @@ def test_crossers_are_found_on_coordinate_ranks(monkeypatch):
     assert calls <= sum(d * d.bit_length() for d in sizes)
     for an in ans + [an for an in searched_levels()]:
         assert an.index.crossers == scanned_crossers(an)
+
+
+def test_chains_of_a_hand_built_mesh_with_unsorted_edges():
+    # the chains are joined at shared end vertices, which build_tmesh gives
+    # as the mesh's own objects; a TMesh built by hand from new Edge objects
+    # in reverse order, whose ends are plain tuples, gives the same segments
+    runs = [parse_mesh_file(fixture_path(name)) for name in FIXTURES]
+    runs += [ring_region_mesh(), random_region_mesh(random.Random(20))[:3]]
+    segments = 0
+    for mesh, profile, smoothness in runs:
+        edges = tuple(Edge(e.axis, e.line, e.lo, e.hi)
+                      for e in reversed(mesh.edges))
+        assert edges[0]._ends is None
+        mixed = TMesh(mesh.faces, edges, mesh.vertices, mesh.edge_faces,
+                      mesh.face_edges, mesh.vertex_edges)
+        for lv, other in zip(all_levels(mesh, profile),
+                             all_levels(mixed, profile)):
+            want = analyze_segments(lv, smoothness).segments
+            assert analyze_segments(other, smoothness).segments == want
+            assert all(a.hi == b.lo for s in want
+                       for a, b in zip(s.edges, s.edges[1:]))
+            segments += len(want)
+    assert segments > 100
+
+
+def large_grid_meshes():
+    """The two shapes of the large-grid benchmark workload: 20 x 20 unit
+    grids whose faces carry the deficit (1, 1) outside a zero-deficit
+    half-plane (r = 2) or outside a central 7 x 9 island (r = 1), whose
+    level 1 has 18 interior segments, past the exhaustive limit."""
+    def doc(zero, r):
+        return {"faces": [dict({"rect": [i, j, i + 1, j + 1]},
+                               **({} if (i, j) in zero
+                                  else {"deficit": [1, 1]}))
+                          for j in range(20) for i in range(20)],
+                "smoothness": {"default": r}}
+
+    half = {(i, j) for i in range(10) for j in range(20)}
+    island = {(i, j) for i in range(5, 12) for j in range(6, 15)}
+    return [parse_mesh_dict(doc(half, 2)), parse_mesh_dict(doc(island, 1))]
+
+
+def test_the_greedy_plan_gives_what_a_plan_built_on_the_call_gives():
+    # the greedy ordering that order_segments makes carries its analysis's
+    # greedy_plan; one built by hand carries none, so contribution_sets
+    # builds its plan on the call. On every fixture and mixed-r level and
+    # on both large-grid shapes, at every m in 0..6 x 0..6, the two give the
+    # same sets, which match the key-level reference rules. Read on the
+    # analysis of another smoothness, the ordering is planned afresh there
+    levels = list(sweep_levels())
+    for q, (mesh, profile, smoothness) in enumerate(large_grid_meshes()):
+        levels += [(f"grid {q} L{lv.index}", lv, smoothness)
+                   for lv in all_levels(mesh, profile)]
+    degrees = list(product(range(7), repeat=2))
+    sizes, moved = [], 0
+    for label, lv, smoothness in levels:
+        an = analyze_segments(lv, smoothness)
+        other = analyze_segments(lv, mixed_r(lv.mesh, 99))
+        cached = order_segments(an, "greedy")
+        assert cached.plan[0] is an and cached.plan[1] is an.greedy_plan
+        by_hand = SegmentOrdering("greedy", an.greedy_order)
+        assert by_hand.plan is None and by_hand == cached
+        sequence = [an.index.keys[k] for k in cached.order]
+        for m in degrees:
+            got = contribution_sets(an, cached, m)
+            fresh = contribution_sets(an, by_hand, m)
+            assert (got.terms, got.h0_terms, got.before) \
+                == (fresh.terms, fresh.h0_terms, fresh.before), (label, m)
+            _, upsilon, _, lam = reference_sets(an, sequence, m)
+            assert_rules(got, upsilon, lam)
+            there = contribution_sets(other, cached, m)
+            assert there.h0_terms \
+                == contribution_sets(other, by_hand, m).h0_terms, (label, m)
+            moved += there.h0_terms != got.h0_terms
+        sizes.append(len(an.interior))
+    assert len(sizes) == 32 and 18 in sizes
+    assert moved > 0
+
+
+def test_a_greedy_sweep_makes_each_rule_key_before_theta_once(monkeypatch):
+    # the greedy order's plan is kept on the analysis, so a 25-degree greedy
+    # sweep makes each segment's rule key before theta once per analysis,
+    # not once per m; theta's candidates are still tested at every m, one
+    # _upsilon_js each (and one in each _rule_key)
+    calls = {"_rule_key": 0, "_upsilon_js": 0}
+    for name in calls:
+        def counted(*args, plain=getattr(segments, name), name=name):
+            calls[name] += 1
+            return plain(*args)
+
+        monkeypatch.setattr(segments, name, counted)
+    degrees = list(product(range(2, 7), repeat=2))
+    for triple, want in ((parse_mesh_file(fixture_path("test1")), 13),
+                         (large_grid_meshes()[1], 18)):
+        calls.update(dict.fromkeys(calls, 0))
+        for m in degrees:
+            bounds(*triple, m, ordering="greedy")
+        ans = sys.modules["tmeshdim.bounds"]._prepared(*triple).analyses
+        segs = sum(len(an.interior) for an in ans)
+        cands = sum(len(an.index.theta) for an in ans)
+        assert segs == want and cands > 0
+        assert calls == {"_rule_key": segs,
+                         "_upsilon_js": segs + len(degrees) * cands}
+
+
+def test_changing_the_before_masks_handed_out_changes_no_report():
+    # the masks a greedy ordering's plan keeps are the analysis's; the
+    # ContributionSets handed out hold a list of their own, so changing
+    # that list changes no later set or report
+    triple = parse_mesh_file(fixture_path("test1"))
+    want = [bounds(*triple, m, ordering=ordering)
+            for m in ((3, 3), (4, 5)) for ordering in ("greedy", "auto")]
+    for an in sys.modules["tmeshdim.bounds"]._prepared(*triple).analyses:
+        for strategy in sweep_strategies(an):
+            ordr = order_segments(an, strategy, (3, 3))
+            sets = contribution_sets(an, ordr, (3, 3))
+            before = list(sets.before)
+            sets.before[:] = [0] * len(before) + [1]
+            again = contribution_sets(an, ordr, (3, 3))
+            assert again.before == before and again.before is not sets.before
+    assert [bounds(*triple, m, ordering=ordering)
+            for m in ((3, 3), (4, 5))
+            for ordering in ("greedy", "auto")] == want
