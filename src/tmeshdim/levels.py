@@ -24,7 +24,6 @@ class ActiveLevel:
     index: int
     faces: tuple
     edges: tuple
-    vertices: tuple
     interior_edges: tuple
     interior_vertices: tuple
     boundary_trace: tuple
@@ -39,15 +38,13 @@ def active_mesh(mesh: TMesh, profile, i: int) -> ActiveLevel:
     cut = profile.levels[i - 1]
     faces = tuple(f for f in mesh.faces if bd_le(profile.face_deficit[f], cut))
     edges = tuple(e for e in mesh.edges if bd_le(profile.edge_deficit[e], cut))
-    vertices = tuple(v for v in mesh.vertices
-                     if bd_le(profile.vertex_deficit[v], cut))
     interior_edges = tuple(e for e in edges if e not in mesh.boundary_edges)
-    interior_vertices = tuple(v for v in vertices
-                              if v not in mesh.boundary_vertices)
+    interior_vertices = tuple(v for v in mesh.interior_vertices
+                              if bd_le(profile.vertex_deficit[v], cut))
     boundary_trace = tuple(e for e in edges if e in mesh.boundary_edges)
     c, h = _betti(mesh, faces, interior_edges, interior_vertices)
-    return ActiveLevel(mesh, profile, i, faces, edges, vertices,
-                       interior_edges, interior_vertices, boundary_trace, c, h)
+    return ActiveLevel(mesh, profile, i, faces, edges, interior_edges,
+                       interior_vertices, boundary_trace, c, h)
 
 
 def _face_sign(f, e) -> int:

@@ -78,26 +78,25 @@ class SegmentAnalysis:
         i = level.index
         step = profile.steps[i - 1] if i <= profile.top else (0, 0)
 
-        chains = {}
+        # a chain's edges join at shared end vertices, keyed by (axis,
+        # vertex); build_tmesh gives its edges the mesh's own Vertex
+        # objects, whose hash is kept, so the lookups hash no Fraction. A
+        # chain starts at an edge whose lo end is no same-axis edge's hi end
+        after, his = {}, set()
         for e in level.edges:
-            chains.setdefault((e.axis, e.line), []).append(e)
+            lo, hi = e.endpoints()
+            after[e.axis, lo] = e
+            his.add((e.axis, hi))
         segs = []
-        for (axis, line), es in chains.items():
-            # a chain's edges join at shared end vertices; build_tmesh gives
-            # its edges the mesh's own Vertex objects, whose hash is kept,
-            # so the lookups compare no Fraction. A chain starts at an edge
-            # whose lo end is no edge's hi end
-            after = {e.endpoints()[0]: e for e in es}
-            his = {e.endpoints()[1] for e in es}
-            for e in es:
-                if e.endpoints()[0] in his:
-                    continue
-                run = [e]
-                while (e := after.get(e.endpoints()[1])) is not None:
-                    run.append(e)
-                segs.append(self._mk(axis, line, run, step))
-        # in level.edges' order, which follows mesh.edges, the segments come
-        # sorted already, so this sort only checks them
+        for e in level.edges:
+            if (e.axis, e.endpoints()[0]) in his:
+                continue
+            run = [e]
+            while (e := after.get((e.axis, e.endpoints()[1]))) is not None:
+                run.append(e)
+            segs.append(self._mk(run, step))
+        # level.edges follows mesh.edges, so on a mesh build_tmesh made the
+        # chains start in key order; on one built by hand, this sort gives it
         segs.sort(key=lambda s: s.key)
         self.segments = segs
         self.interior = tuple(s for s in segs if s.interior)
@@ -106,11 +105,12 @@ class SegmentAnalysis:
         self.blocks = tuple(
             (dim_M_terms(profile.levels, i, rho.e), ax, self.need[ax], rho.e)
             for rho, ax in zip(self.interior, self.index.axis))
-        self.lam_records = _LamRecords(self.index, profile.levels, i)
+        self.lam_records = _LamRecords(self.index, segs, profile.levels, i)
         self.cover_thresholds = _CoverThresholds(self.index)
 
-    def _mk(self, axis, line, run, step):
+    def _mk(self, run, step):
         mesh = self.level.mesh
+        axis, line = run[0].axis, run[0].line
         interior = not any(p in mesh.boundary_vertices
                            for e in run for p in e.endpoints())
         rs = {self.smoothness.edge_r[e] for e in run
@@ -186,19 +186,20 @@ class SegmentIndex:
 
     Interior segment k is an.interior[k], so the numbers follow the sorted
     keys. Every segment also has a position p in an.segments (again the key
-    order) and every line and end a rank in coords, the sorted distinct
-    coordinates of the segments' lines and of their edges' ends, so the
-    crossing tests and the rules hash and compare ints, never Fractions.
+    order). Two edges of the mesh meet at most in a shared vertex, so two
+    segments of the level cross exactly at a vertex that ends an edge of
+    each: k's crossers are read off mesh.vertex_edges at the ends of its
+    edges, and the rules hash and compare ints, never Fractions.
 
     keys, axis, r, dp, pos  per k: the key, 0 for "h" and 1 for "v", the
                             smoothness, the step shift and the position
     of                      key -> k
-    line                    per position: the rank of the segment's line
     crossers                per k: one (j, p, r) per segment of the other
                             axis whose closed span meets k's, in position
                             order: j its number (-1 off the interior), p
                             its position, r its smoothness at the crossing
-                            (its edge's there, else its own)
+                            (that of its edges there, which are interior
+                            and which build_smoothness gives one r)
     icross                  per k: its interior crossers' numbers, ascending
     common                  per k: (k1, shared) for each other same-axis k1,
                             ascending, whose interior crossers meet k's in
@@ -224,41 +225,27 @@ class SegmentIndex:
         n = len(interior)
         self.keys = [s.key for s in interior]
         self.of = {key: k for k, key in enumerate(self.keys)}
-        # per position, the segment's line, its lo and its edges' his, each
-        # a Fraction's (numerator, denominator): a dict of those finds the
-        # distinct values without hashing a Fraction, and one sort of them
-        # ranks them. An end need not lie on a line of the level
-        value, ends = {}, []
-        for sig in segs:
-            pts = (sig.line, sig.lo) + tuple(e.hi for e in sig.edges)
-            keys = [(x.numerator, x.denominator) for x in pts]
-            value.update(zip(keys, pts))
-            ends.append(keys)
-        order = sorted(value, key=value.__getitem__)
-        self.coords = [value[key] for key in order]
-        rank = {key: q for q, key in enumerate(order)}
-        # ends[p]: the ranks of the line of segment p, of its lo and of the
-        # hi of each edge, so edge t spans ends[p][1 + t] to ends[p][2 + t]
-        ends = [[rank[key] for key in keys] for keys in ends]
-        self.line = [e[0] for e in ends]
         self.axis = [_axis_index(s.axis) for s in interior]
         self.r = [s.r for s in interior]
         self.dp = [s.dp for s in interior]
         self.pos = [p for p, s in enumerate(segs) if s.interior]
+        number = {p: k for k, p in enumerate(self.pos)}
+        at = {e: p for p, s in enumerate(segs) for e in s.edges}
+        vertex_edges = an.level.mesh.vertex_edges
         edge_r = an.smoothness.edge_r
         self.crossers = []
-        for rho, mine in zip(interior, map(ends.__getitem__, self.pos)):
-            line, lo, hi = mine[0], mine[1], mine[-1]
-            cs = []
-            for p, (sig, its) in enumerate(zip(segs, ends)):
-                if sig.axis == rho.axis or not (
-                        its[1] <= line <= its[-1] and lo <= its[0] <= hi):
-                    continue
-                r = next((edge_r[e] for e, e_lo, e_hi
-                          in zip(sig.edges, its[1:], its[2:])
-                          if e_lo <= line <= e_hi and e in edge_r), sig.r)
-                cs.append((self.of.get(sig.key, -1), p, r))
-            self.crossers.append(tuple(cs))
+        for rho in interior:
+            # the segments of the active edges of the other axis at rho's
+            # ends, with their r there; rho is interior, so are its
+            # vertices and every edge at them
+            met = {}
+            for v in (rho.edges[0].endpoints()[0],
+                      *(e.endpoints()[1] for e in rho.edges)):
+                for e in vertex_edges[v]:
+                    if e.axis != rho.axis and (p := at.get(e)) is not None:
+                        met[p] = edge_r[e]
+            self.crossers.append(tuple((number.get(p, -1), p, r)
+                                       for p, r in sorted(met.items())))
         self.icross = [tuple(sorted(c[0] for c in cs if c[0] >= 0))
                        for cs in self.crossers]
         self.common = [()] * n
@@ -630,23 +617,26 @@ class _LamRecords(dict):
     dim_power_sum_in takes them), their _generator_key, the records' r
     values, their least covering cap (_least_cover) and, for exactly one
     generator, its span in the level's quotient as box terms
-    (graded.single_power_terms; else None), computed on first use."""
+    (graded.single_power_terms; else None), computed on first use.
 
-    def __init__(self, ix: SegmentIndex, levels, i):
+    Generators are keyed by crosser position: k's crossers lie one to a
+    line, all of the other axis, so their position order is line order."""
+
+    def __init__(self, ix: SegmentIndex, segments, levels, i):
         super().__init__()
-        self.ix, self.levels, self.i = ix, levels, i
+        self.ix, self.segments, self.levels, self.i = ix, segments, levels, i
 
     def __missing__(self, k_key):
         ix = self.ix
         k, key = k_key
         recs = tuple(c[1:] for t, c in enumerate(ix.crossers[k])
                      if key >> t & 1)
-        by_line = {ix.line[p]: (rc, (0, 0)) for p, rc in recs}
+        by_pos = {p: (rc, (0, 0)) for p, rc in recs}
         for j in _bits(key >> len(ix.crossers[k])):
-            by_line.setdefault(ix.line[ix.pos[j]], (ix.r[j], ix.dp[k]))
+            by_pos.setdefault(ix.pos[j], (ix.r[j], ix.dp[k]))
         direction = "s" if ix.axis[k] == 0 else "t"
-        gens = tuple((direction, ix.coords[q], r2 + 1, extra)
-                     for q, (r2, extra) in sorted(by_line.items()))
+        gens = tuple((direction, self.segments[p].line, r2 + 1, extra)
+                     for p, (r2, extra) in sorted(by_pos.items()))
         gen_key = _generator_key(gens)
         rs = tuple(rc for _, rc in recs)
         found = self[k_key] = (

@@ -785,15 +785,14 @@ def test_every_term_read_is_the_formula_worked_out_afresh():
     assert min(read.values()) > 0, read
 
 
-def test_crossers_are_found_on_coordinate_ranks(monkeypatch):
-    # SegmentIndex ranks the coordinates of a level's lines and ends with
-    # one sort and compares ranks; the scan over every pair of segments
-    # made 5,574 Fraction comparisons in analyze_segments on this grid (a
-    # 20 x 20 unit grid whose faces outside the central 10 x 10 block carry
-    # the deficit (1, 1)), 3,462 of them for the crossers. Sorting each
-    # chain's edges and joining them on equal ends made 2,112 of the 2,142
-    # left; joined at shared end vertices, 150 are left: 120 in the sort
-    # that checks the segments' order and 30 in the index
+def test_crossers_are_read_off_shared_vertices(monkeypatch):
+    # two edges of the mesh meet at most in a shared vertex, so SegmentIndex
+    # reads each crossing off mesh.vertex_edges and compares no Fraction.
+    # On this grid (a 20 x 20 unit grid whose faces outside the central
+    # 10 x 10 block carry the deficit (1, 1)) a scan over every pair of
+    # segments made 5,574 comparisons in analyze_segments, 3,462 of them
+    # for the crossers; the 120 left are the sort that puts the segments
+    # in key order
     from .test_mesh import _grid_document
 
     mesh, profile, smoothness = parse_mesh_dict(_grid_document(20, 10))
@@ -801,20 +800,23 @@ def test_crossers_are_found_on_coordinate_ranks(monkeypatch):
     calls, ans = fraction_compares(
         monkeypatch,
         lambda: [analyze_segments(lv, smoothness) for lv in lvls])
-    assert calls <= 150
+    assert calls <= 120
     calls, _ = fraction_compares(
         monkeypatch, lambda: [SegmentIndex(an) for an in ans])
-    sizes = [len(an.index.coords) for an in ans]
-    assert sizes == [11, 21]
-    assert calls <= sum(d * d.bit_length() for d in sizes)
-    for an in ans + [an for an in searched_levels()]:
+    assert calls == 0
+    ans += searched_levels()
+    for mesh, profile, smoothness in large_grid_meshes():
+        ans += [analyze_segments(lv, smoothness)
+                for lv in all_levels(mesh, profile)]
+    for an in ans:
         assert an.index.crossers == scanned_crossers(an)
 
 
 def test_chains_of_a_hand_built_mesh_with_unsorted_edges():
-    # the chains are joined at shared end vertices, which build_tmesh gives
-    # as the mesh's own objects; a TMesh built by hand from new Edge objects
-    # in reverse order, whose ends are plain tuples, gives the same segments
+    # the chains are joined and the crossings read at shared end vertices,
+    # which build_tmesh gives as the mesh's own objects; a TMesh built by
+    # hand from new Edge objects in reverse order, whose ends are plain
+    # tuples, gives the same segments and crossers
     runs = [parse_mesh_file(fixture_path(name)) for name in FIXTURES]
     runs += [ring_region_mesh(), random_region_mesh(random.Random(20))[:3]]
     segments = 0
@@ -827,11 +829,48 @@ def test_chains_of_a_hand_built_mesh_with_unsorted_edges():
         for lv, other in zip(all_levels(mesh, profile),
                              all_levels(mixed, profile)):
             want = analyze_segments(lv, smoothness).segments
-            assert analyze_segments(other, smoothness).segments == want
+            an = analyze_segments(other, smoothness)
+            assert an.segments == want
+            assert an.index.crossers == scanned_crossers(an)
             assert all(a.hi == b.lo for s in want
                        for a, b in zip(s.edges, s.edges[1:]))
             segments += len(want)
     assert segments > 100
+
+
+def u_shaped_document():
+    """A U-shaped domain: a 4 x 2 base split at x = 1/2, 1 and 3 above y = 1,
+    with a column on [0, 1] and one on [3, 4] over y = 2. r is 1 but on the
+    interior runs of y = 2: 0 on [0, 1] and 2 on [3, 4]."""
+    half = "1/2"
+    rects = [(0, 0, 4, 1), (0, 1, half, 2), (half, 1, 1, 2), (1, 1, 3, 2),
+             (3, 1, 4, 2), (0, 2, half, 3), (half, 2, 1, 3), (0, 3, 1, 4),
+             (3, 2, 4, 4)]
+    return {"faces": [{"rect": [str(c) for c in r]} for r in rects],
+            "smoothness": {"default": 1, "overrides": [
+                {"orientation": "h", "line": "2", "span": ["0", "1"], "r": 0},
+                {"orientation": "h", "line": "2", "span": ["3", "4"],
+                 "r": 2}]}}
+
+
+def test_a_u_shaped_domain():
+    # y = 2 runs from one side of the U to the other: two interior runs of
+    # distinct r with the boundary run [1, 3] between them, so its chain has
+    # no one r, and the interior segment on x = 1/2 crosses it where its r
+    # is 0. The bounds hold on the non-rectangular domain and certify
+    mesh, profile, smoothness = parse_mesh_dict(u_shaped_document())
+    (lv,) = all_levels(mesh, profile)   # no face has a deficit
+    an = analyze_segments(lv, smoothness)
+    assert an.index.crossers == scanned_crossers(an)
+    (y2,) = [s for s in an.segments if s.key == ("h", 2, 0)]
+    assert not y2.interior and y2.r is None
+    k = an.index.of["v", F(1, 2), 1]
+    assert [r for _, p, r in an.index.crossers[k]
+            if an.segments[p] is y2] == [0]
+    for m, exact in (((2, 2), 24), ((3, 3), 62), ((4, 3), 81)):
+        rep = bounds(mesh, profile, smoothness, m, with_oracle=True)
+        assert rep.lower_general <= rep.oracle <= rep.upper, m
+        assert rep.certified and rep.exact == rep.oracle == exact, m
 
 
 def large_grid_meshes():

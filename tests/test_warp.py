@@ -1,7 +1,9 @@
 """Order-preserving coordinate warps leave the combinatorial report
 unchanged: the bounds and the certificate see only the order of the mesh
-lines, not where they sit. Reflections reverse that order and leave the
-whole report unchanged, the oracle included, up to the segment keys."""
+lines, not where they sit. When the smoothness varies from line to line,
+the upper bound can move and the rest of the report cannot. Reflections
+reverse that order and leave the whole report unchanged, the oracle
+included, up to the segment keys."""
 
 import dataclasses
 import json
@@ -12,6 +14,7 @@ from tmeshdim import bounds
 from tmeshdim.meshfile import parse_mesh_dict
 
 from .helpers import fixture_path
+from .test_segment_golden import MIXED_R, mixed_r
 
 # headline bi-degrees; test3 is left out because its exhaustive ordering
 # search alone takes several seconds per report
@@ -135,3 +138,66 @@ def test_reflections_keep_the_report():
             rep = bounds(*parse_mesh_dict(warp(doc, fx, fy)), m,
                          with_oracle=True)
             assert _without_keys(rep) == _without_keys(base), name
+
+
+def mixed_r_document(name, seed):
+    """The fixture's document with test_segment_golden.mixed_r's smoothness
+    written as overrides, one per interior line over the span of its
+    interior edges, so that warp moves them with the lines."""
+    with open(fixture_path(name)) as f:
+        doc = json.load(f)
+    mesh, profile, _ = parse_mesh_dict(doc)
+    spans = {}
+    for e in mesh.interior_edges:
+        lo, hi = spans.get((e.axis, e.line), (e.lo, e.hi))
+        spans[e.axis, e.line] = (min(lo, e.lo), max(hi, e.hi))
+    rng = random.Random(seed)
+    overrides = [{"orientation": axis, "line": str(line),
+                  "span": [str(lo), str(hi)], "r": rng.choice((0, 1, 2))}
+                 for (axis, line), (lo, hi) in sorted(spans.items())]
+    out = dict(doc, smoothness={"default": 0, "overrides": overrides})
+    assert parse_mesh_dict(out)[2].edge_r == mixed_r(mesh, seed).edge_r
+    return out, profile.levels[-1]
+
+
+def position_free_part(rep):
+    return (rep.chi, rep.chi_direct, rep.lower_general, rep.lower_special,
+            rep.certified, rep.exact)
+
+
+def test_warps_under_mixed_smoothness_keep_all_but_the_upper_bound():
+    # when r varies from line to line, a term's span can depend on where
+    # the knots sit, so upper may move under a warp; chi, the lower bounds
+    # and the certificate see only the order of the lines. Checked at
+    # bi-degrees at or above the top deficit, where the bounds hold
+    rng = random.Random(14)
+    certified = 0
+    for seed, name in enumerate(MIXED_R):
+        doc, top = mixed_r_document(name, seed)
+        xs, ys = _coordinates(doc)
+        warped = [warp(doc, _cubic, lambda t: 3 * t + t * t / 2)]
+        warped += [warp(doc, _relabel(xs, rng), _relabel(ys, rng))
+                   for _ in range(2)]
+        for step in ((0, 0), (1, 2), (3, 1), (2, 2)):
+            m = top[0] + step[0], top[1] + step[1]
+            base = bounds(*parse_mesh_dict(doc), m, ordering="greedy")
+            certified += base.certified
+            for other in warped:
+                rep = bounds(*parse_mesh_dict(other), m, ordering="greedy")
+                assert position_free_part(rep) == position_free_part(base), \
+                    (name, m)
+    assert certified > 0
+
+
+def test_a_warp_moves_the_upper_bound_under_mixed_smoothness():
+    # test1 with mixed_r's seed-0 smoothness at (4, 2), greedy: with its
+    # horizontal lines at y = 2, 3, 4 one term's generators are equally
+    # spaced and span less, so upper is 26; moving y = 3 to 13/4 gives 24.
+    # The dimension is 20 in both
+    doc, _ = mixed_r_document("test1", 0)
+    moved = warp(doc, _identity,
+                 lambda t: Fraction(13, 4) if t == 3 else t)
+    for d, upper in ((doc, 26), (moved, 24)):
+        rep = bounds(*parse_mesh_dict(d), (4, 2), ordering="greedy",
+                     with_oracle=True)
+        assert (rep.upper, rep.oracle, rep.certified) == (upper, 20, False)
