@@ -114,7 +114,19 @@ def single_power_terms(levels, i, gen):
 
 
 class _GeneratorKey(tuple):
-    __slots__ = ()
+    """A tuple that takes its hash once, at construction, as mesh.Vertex
+    does; pickling and copying go through the constructor."""
+
+    def __new__(cls, items):
+        self = tuple.__new__(cls, items)
+        self._hash = tuple.__hash__(self)
+        return self
+
+    def __hash__(self):
+        return self._hash
+
+    def __reduce__(self):
+        return _GeneratorKey, (tuple(self),)
 
 
 def _generator_key(gens):
@@ -175,4 +187,6 @@ def dim_power_sum_in(levels, i, gens, m) -> int:
     """
     _check_level(levels, i)
     key = gens if type(gens) is _GeneratorKey else _generator_key(gens)
-    return _power_sum_in_cached(tuple(levels), i, key, (m[0], m[1]))
+    return _power_sum_in_cached(
+        levels if type(levels) is tuple else tuple(levels), i, key,
+        (m[0], m[1]))

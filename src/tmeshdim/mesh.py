@@ -11,7 +11,9 @@ exactly three (T-junction) or four (crossing) incident edges.
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from operator import attrgetter
+from functools import cached_property
+from itertools import chain, compress
+from operator import attrgetter, itemgetter, not_
 
 
 class MeshError(Exception):
@@ -77,9 +79,18 @@ def bd_sub(a, b):
     return (a[0] - b[0], a[1] - b[1])
 
 
+def _int_pair(p) -> bool:
+    """Whether p is a tuple of two exact ints, which the readers of
+    bi-degrees and deficits below return as it is."""
+    return (type(p) is tuple and len(p) == 2 and type(p[0]) is int
+            and type(p[1]) is int)
+
+
 def check_bidegree(m):
     """m as a pair of ints; ValueError unless m is a pair of integral
     values."""
+    if _int_pair(m):
+        return m
     try:
         a, b = m
         pair = int(a), int(b)
@@ -143,8 +154,9 @@ class Edge:
     lo: Fraction
     hi: Fraction
 
-    # the hash is taken once, as for Rect; it covers the str axis, whose
-    # hash is salted per process
+    # the hash is taken once, as for Rect; it covers the str axis itself,
+    # whose hash is salted per process and may lie outside the range that
+    # hash() maps to itself
     def __post_init__(self):
         object.__setattr__(self, "_hash",
                            hash((self.axis, self.line, self.lo, self.hi)))
@@ -186,6 +198,38 @@ class Vertex(tuple):
 
     def __reduce__(self):
         return Vertex, tuple(self)
+
+
+_new, _set = object.__new__, object.__setattr__
+
+
+def _rect(x0, y0, x1, y1, hashed) -> Rect:
+    """Rect(x0, y0, x1, y1) made without its constructor: hashed is the
+    hash of the field tuple, which the parse and build_tmesh take from the
+    coordinates' hashes, each taken once. hash() maps a number's hash to
+    itself, so hash((x0, y0, x1, y1)) is hash((hash(x0), hash(y0),
+    hash(x1), hash(y1))). The fields are set in the constructor's order."""
+    cell = _new(Rect)
+    _set(cell, "x0", x0)
+    _set(cell, "y0", y0)
+    _set(cell, "x1", x1)
+    _set(cell, "y1", y1)
+    _set(cell, "_hash", hashed)
+    return cell
+
+
+def _edge(axis, line, lo, hi, hashed, ends) -> Edge:
+    """Edge(axis, line, lo, hi) made as _rect makes a Rect, with ends as
+    its endpoints(). The axis stays a str in the tuple hashed hashes: a
+    str's salted hash need not be its own hash."""
+    cell = _new(Edge)
+    _set(cell, "axis", axis)
+    _set(cell, "line", line)
+    _set(cell, "lo", lo)
+    _set(cell, "hi", hi)
+    _set(cell, "_hash", hashed)
+    _set(cell, "_ends", ends)
+    return cell
 
 
 class ReadOnlyDict(dict):
@@ -231,20 +275,27 @@ class TMesh:
         self.face_edges = face_edges
         self.vertex_edges = vertex_edges
         _read_only(self, "edge_faces", "face_edges", "vertex_edges")
-        self.boundary_edges = frozenset(
-            e for e in edges if len(edge_faces[e]) == 1)
-        self.interior_edges = tuple(
-            e for e in edges if e not in self.boundary_edges)
-        self.boundary_vertices = frozenset(
-            v for v in vertices
-            if any(e in self.boundary_edges for e in vertex_edges[v]))
-        self.interior_vertices = tuple(
-            v for v in vertices if v not in self.boundary_vertices)
-        place = {f: i for i, f in enumerate(faces)}
-        self.vertex_faces = ReadOnlyDict({
+        # each edge's faces are read once: a boundary edge bounds one face,
+        # and a boundary vertex ends a boundary edge
+        single = [len(fs) == 1
+                  for fs in map(self.edge_faces.__getitem__, edges)]
+        self.boundary_edges = frozenset(compress(edges, single))
+        self.interior_edges = tuple(compress(edges, map(not_, single)))
+        ends = {p for e in self.boundary_edges for p in e.endpoints()}
+        outer = [v in ends for v in vertices]
+        self.boundary_vertices = frozenset(compress(vertices, outer))
+        self.interior_vertices = tuple(compress(vertices, map(not_, outer)))
+
+    @cached_property
+    def vertex_faces(self):
+        """Per vertex, the faces of its edges in the order of faces. It is
+        made on first use: no report reads it."""
+        place = {f: i for i, f in enumerate(self.faces)}
+        edge_faces, vertex_edges = self.edge_faces, self.vertex_edges
+        return ReadOnlyDict({
             v: tuple(sorted({f for e in vertex_edges[v]
                              for f in edge_faces[e]}, key=place.__getitem__))
-            for v in vertices})
+            for v in self.vertices})
 
     def vertex_class(self, v) -> str:
         if v in self.boundary_vertices:
@@ -261,27 +312,31 @@ class TMesh:
         }
 
 
-def _as_rect(spec) -> Rect:
+def _corners(spec):
+    """The four coordinates of a Rect, or of four values made Fractions."""
     if isinstance(spec, Rect):
-        r = spec
-    else:
-        x0, y0, x1, y1 = (Fraction(c) for c in spec)
-        r = Rect(x0, y0, x1, y1)
-    if not (r.x0 < r.x1 and r.y0 < r.y1):
-        raise MalformedError(f"degenerate rectangle {r}")
-    return r
+        return spec.x0, spec.y0, spec.x1, spec.y1
+    x0, y0, x1, y1 = (Fraction(c) for c in spec)
+    return x0, y0, x1, y1
 
 
 # a coordinate as its (numerator, denominator) pair, which hashes and
 # compares in C where a Fraction does both in Python
 _exact = attrgetter("numerator", "denominator")
+_xs, _ys = itemgetter(0, 2), itemgetter(1, 3)
 
 
 def _ranked(values):
-    """The distinct values in increasing order, and each one's rank keyed
-    by its _exact pair."""
-    ordered = sorted({_exact(c): c for c in values}.values())
-    return ordered, {_exact(c): i for i, c in enumerate(ordered)}
+    """The distinct values in increasing order, their hashes, and the rank
+    of each value object keyed by its id. Each object's _exact pair is read
+    once, and equal values given as distinct objects share their pair's
+    rank, so each distinct value is sorted and hashed once."""
+    objects = {id(c): c for c in values}
+    exact = {i: _exact(c) for i, c in objects.items()}
+    ordered = sorted(dict(zip(exact.values(), objects.values())).values())
+    rank = {pair: k for k, pair in enumerate(map(_exact, ordered))}
+    return (ordered, [hash(c) for c in ordered],
+            {i: rank[pair] for i, pair in exact.items()})
 
 
 def _overlapping_pairs(boxes):
@@ -315,20 +370,29 @@ def build_tmesh(rects) -> TMesh:
     message names the first overlapping pair by input position, as
     "faces[i] and faces[j] overlap: ...".
 
-    The complex is built on coordinate ranks: the distinct x and the
-    distinct y values are sorted once, every rectangle becomes a box of
-    four ints, and vertices, edges and their incidences are int tuples
-    until the Edge and vertex values are made, once each, at the end.
-    Ranks order as the coordinates do, so every sort gives the order of
-    the values.
+    The complex is built on coordinate ranks. Each coordinate object is
+    read once, and each distinct x and y value is sorted and hashed once;
+    every rectangle becomes a box of four ints. The degenerate and overlap
+    checks, the vertices, the edges and their incidences work on int tuples
+    until the cells are made, once each, at the end, each taking its hash
+    from its coordinates' hashes (see _rect), so no Fraction is hashed or
+    compared past _ranked. Ranks order as the coordinates do, so every sort
+    gives the order of the values.
     """
-    rects = [_as_rect(r) for r in rects]
-    if not rects:
+    given = list(rects)
+    coords = [_corners(r) for r in given]
+    if not coords:
         raise MalformedError("no rectangles given")
-    xs, x_rank = _ranked(c for r in rects for c in (r.x0, r.x1))
-    ys, y_rank = _ranked(c for r in rects for c in (r.y0, r.y1))
-    boxes = [(x_rank[_exact(r.x0)], y_rank[_exact(r.y0)],
-              x_rank[_exact(r.x1)], y_rank[_exact(r.y1)]) for r in rects]
+    xs, hx, x_rank = _ranked(chain.from_iterable(map(_xs, coords)))
+    ys, hy, y_rank = _ranked(chain.from_iterable(map(_ys, coords)))
+    boxes = [(x_rank[id(x0)], y_rank[id(y0)], x_rank[id(x1)], y_rank[id(y1)])
+             for x0, y0, x1, y1 in coords]
+    rects = [r if isinstance(r, Rect) else
+             _rect(*c, hash((hx[b[0]], hy[b[1]], hx[b[2]], hy[b[3]])))
+             for r, c, b in zip(given, coords, boxes)]
+    for r, (x0, y0, x1, y1) in zip(rects, boxes):
+        if not (x0 < x1 and y0 < y1):
+            raise MalformedError(f"degenerate rectangle {r}")
     pair = min(_overlapping_pairs(boxes), default=None)
     if pair is not None:
         i, j = pair
@@ -358,8 +422,12 @@ def build_tmesh(rects) -> TMesh:
                                          (1, x0, y0, y1, on_vline[x0]),
                                          (1, x1, y0, y1, on_vline[x1])):
             a = bisect_left(cuts, lo)
-            b = bisect_left(cuts, hi, a)
-            for c0, c1 in zip(cuts[a:b], cuts[a + 1:b + 1]):
+            if cuts[a + 1] == hi:
+                spans = ((lo, hi),)
+            else:
+                b = bisect_left(cuts, hi, a)
+                spans = zip(cuts[a:b], cuts[a + 1:b + 1])
+            for c0, c1 in spans:
                 e = (axis, line, c0, c1)
                 fs = edge_faces.get(e)
                 if fs is None:
@@ -419,31 +487,37 @@ def build_tmesh(rects) -> TMesh:
     # each side of it, and then a vertex whose edges all bound two faces
     # has 3 or 4 edges of both axes (see test_mesh.py's
     # test_an_irregular_interior_star_is_an_overlap for the argument)
+    lone = {e for e, fs in edge_faces.items() if len(fs) == 1}
     for p, es in corner_edges.items():
-        if any(len(edge_faces[e]) == 1 for e in es):
+        if not lone.isdisjoint(es):
             continue  # a boundary vertex
         if len(es) not in (3, 4) or {e[0] for e in es} != {0, 1}:
             raise MalformedError(
                 f"interior vertex {(xs[p[0]], ys[p[1]])} has irregular "
                 f"star of {len(es)} edges")
 
-    # a tuple's hash depends on its items' hashes only, and hash() maps a
-    # number's hash to itself, so each coordinate is hashed once here
-    hx, hy = [hash(c) for c in xs], [hash(c) for c in ys]
+    # every cell takes its hash from its coordinates' hashes (see _rect)
     vertex = {p: Vertex(xs[p[0]], ys[p[1]], hash((hx[p[0]], hy[p[1]])))
               for p in corners}
-    made = {e: edge(e) for e in sorted_edges}
-    for e, cell in made.items():
+    made = {}
+    for e in sorted_edges:
+        axis, line, lo, hi = e
         p, q = edge_ends[e]
-        object.__setattr__(cell, "_ends", (vertex[p], vertex[q]))
-    vertices = tuple(vertex.values())
+        if axis == 0:
+            made[e] = _edge("h", ys[line], xs[lo], xs[hi],
+                            hash(("h", hy[line], hx[lo], hx[hi])),
+                            (vertex[p], vertex[q]))
+        else:
+            made[e] = _edge("v", xs[line], ys[lo], ys[hi],
+                            hash(("v", hx[line], hy[lo], hy[hi])),
+                            (vertex[p], vertex[q]))
     return TMesh(
-        faces, tuple(made.values()), vertices,
-        ReadOnlyDict({made[e]: tuple(faces[f] for f in fs)
+        faces, tuple(made.values()), tuple(vertex.values()),
+        ReadOnlyDict({made[e]: tuple(map(faces.__getitem__, fs))
                       for e, fs in edge_faces.items()}),
-        ReadOnlyDict({f: tuple(made[e] for e in mine)
+        ReadOnlyDict({f: tuple(map(made.__getitem__, mine))
                       for f, mine in zip(faces, face_sides)}),
-        ReadOnlyDict({vertex[p]: tuple(made[e] for e in es)
+        ReadOnlyDict({vertex[p]: tuple(map(made.__getitem__, es))
                       for p, es in corner_edges.items()}))
 
 
@@ -498,8 +572,11 @@ def build_profile(mesh: TMesh, face_deficits,
     fd = {}
     for f in mesh.faces:
         d = face_deficits.get(f)
-        d = (0, 0) if d is None else (_integer(d[0], "deficit of {}", f),
-                                      _integer(d[1], "deficit of {}", f))
+        if d is None:
+            d = (0, 0)
+        elif not _int_pair(d):
+            d = (_integer(d[0], "deficit of {}", f),
+                 _integer(d[1], "deficit of {}", f))
         if d[0] < 0 or d[1] < 0:
             raise UnorderedDeficitsError(f"negative deficit {d} on {f}")
         fd[f] = d
@@ -533,20 +610,13 @@ def build_profile(mesh: TMesh, face_deficits,
         if levels[-1] != max(ordered):
             raise InvalidSequenceError("sequence must end at the maximal deficit")
 
-    ed = {}
-    for e in mesh.edges:
-        fs = mesh.edge_faces[e]
-        d = fd[fs[0]]
-        for f in fs[1:]:
-            d = bd_min(d, fd[f])
-        ed[e] = d
-    vd = {}
-    for v, faces in mesh.vertex_faces.items():
-        ds = [fd[f] for f in faces]
-        d = ds[0]
-        for x in ds[1:]:
-            d = bd_min(d, x)
-        vd[v] = d
+    # an edge takes the least deficit of its faces, and a vertex that of
+    # the faces of its edges, the least of its edges'; the deficits form a
+    # chain, on which the componentwise and the tuple order agree
+    edge_faces, vertex_edges = mesh.edge_faces, mesh.vertex_edges
+    ed = {e: min(map(fd.__getitem__, edge_faces[e])) for e in mesh.edges}
+    vd = {v: min(map(ed.__getitem__, vertex_edges[v]))
+          for v in mesh.vertices}
 
     steps = tuple(bd_sub(b, a) for a, b in zip(levels, levels[1:]))
     return LeveledProfile(ReadOnlyDict(fd), ReadOnlyDict(ed),
@@ -568,12 +638,23 @@ class SmoothnessProfile:
         _read_only(self, "edge_r", "vertex_pair")
 
 
+def _chains_agree(es, edge_r) -> bool:
+    """Whether the edges es of one vertex that edge_r lists carry one r per
+    axis."""
+    seen = {}
+    for e in es:
+        r = edge_r.get(e)
+        if r is not None and seen.setdefault(e.axis, r) != r:
+            return False
+    return True
+
+
 def build_smoothness(mesh: TMesh, default_r: int,
                      overrides=()) -> SmoothnessProfile:
     default_r = _integer(default_r, "default smoothness")
     if default_r < 0:
         raise MalformedError(f"negative smoothness {default_r}")
-    edge_r = {e: default_r for e in mesh.interior_edges}
+    edge_r = dict.fromkeys(mesh.interior_edges, default_r)
     # an override matches the interior edges of its own line only
     on_line = {}
     if overrides:
@@ -596,14 +677,20 @@ def build_smoothness(mesh: TMesh, default_r: int,
             raise DanglingOverrideError(
                 f"override ({axis}, {line}, [{lo}, {hi}]) matches no interior edge")
 
-    # constancy along touching collinear chains
-    for v, es in mesh.vertex_edges.items():
-        for axis in ("h", "v"):
-            rs = {edge_r[e] for e in es
-                  if e.axis == axis and e in edge_r}
-            if len(rs) > 1:
-                raise ChainConflictError(
-                    f"collinear edges at {v} carry distinct smoothness {sorted(rs)}")
+    # constancy along touching collinear chains, which only an override
+    # can break: one pass per vertex, and the sets that word the error only
+    # at a vertex where it fails
+    if len(set(edge_r.values())) > 1:
+        for v, es in mesh.vertex_edges.items():
+            if _chains_agree(es, edge_r):
+                continue
+            for axis in ("h", "v"):
+                rs = {edge_r[e] for e in es
+                      if e.axis == axis and e in edge_r}
+                if len(rs) > 1:
+                    raise ChainConflictError(
+                        f"collinear edges at {v} carry distinct "
+                        f"smoothness {sorted(rs)}")
 
     vertex_pair = {}
     for v in mesh.interior_vertices:

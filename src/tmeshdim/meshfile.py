@@ -13,27 +13,29 @@ import tempfile
 from fractions import Fraction
 
 from .bounds import DimReport
-from .mesh import Rect, build_profile, build_smoothness, build_tmesh
+from .mesh import _rect, build_profile, build_smoothness, build_tmesh
 
 
 class ParseError(Exception):
     """Malformed document; the message names the offending member."""
 
 
-def _rat(value, where, known) -> Fraction:
-    """value as a Fraction; known maps each (type, value) read so far to its
-    Fraction, so that a document parses each distinct coordinate once."""
+def _rat(value, where, known):
+    """value's record (Fraction, hash, numerator, denominator); known maps
+    each (type, value) read so far to its record, so that a document
+    parses and hashes each distinct coordinate once."""
     if isinstance(value, bool) or isinstance(value, float):
         raise ParseError(f"{where}: expected an exact rational, got {value!r}")
     key = type(value), value
     try:
-        x = known.get(key)  # TypeError when value is unhashable
-        if x is None:
-            x = known[key] = Fraction(value)
+        got = known.get(key)  # TypeError when value is unhashable
+        if got is None:
+            x = Fraction(value)
+            got = known[key] = x, hash(x), x.numerator, x.denominator
     except (ValueError, TypeError, ZeroDivisionError):
         raise ParseError(
             f"{where}: expected an integer or 'p/q' string, got {value!r}")
-    return x
+    return got
 
 
 def _rat_str(x) -> str:
@@ -41,16 +43,18 @@ def _rat_str(x) -> str:
     return str(x.numerator) if x.denominator == 1 else str(x)
 
 
-def _int(value, where) -> int:
+def _int(value, where, *args) -> int:
+    """value, an int; where.format(*args) names it in the error."""
     if isinstance(value, bool) or not isinstance(value, int):
-        raise ParseError(f"{where}: expected an integer, got {value!r}")
+        raise ParseError(f"{where.format(*args)}: expected an integer, "
+                         f"got {value!r}")
     return value
 
 
-def _pair(value, where):
+def _pair(value, where, *args):
     if not isinstance(value, list) or len(value) != 2:
-        raise ParseError(f"{where}: expected a pair")
-    return _int(value[0], where), _int(value[1], where)
+        raise ParseError(f"{where.format(*args)}: expected a pair")
+    return _int(value[0], where, *args), _int(value[1], where, *args)
 
 
 def parse_mesh_dict(doc):
@@ -66,20 +70,26 @@ def parse_mesh_dict(doc):
     deficits = {}
     known = {}
     for k, entry in enumerate(faces):
-        where = f"faces[{k}]"
         if not isinstance(entry, dict) or "rect" not in entry:
-            raise ParseError(f"{where}: expected an object with a rect member")
+            raise ParseError(
+                f"faces[{k}]: expected an object with a rect member")
         rect = entry["rect"]
         if not isinstance(rect, list) or len(rect) != 4:
-            raise ParseError(f"{where}.rect: expected [x0, y0, x1, y1]")
-        x0, y0, x1, y1 = (_rat(c, f"{where}.rect[{j}]", known)
-                          for j, c in enumerate(rect))
-        if not (x0 < x1 and y0 < y1):
-            raise ParseError(f"{where}.rect: empty rectangle")
-        r = Rect(x0, y0, x1, y1)
+            raise ParseError(f"faces[{k}].rect: expected [x0, y0, x1, y1]")
+        try:
+            got = [known[type(c), c] for c in rect]
+        except (KeyError, TypeError):   # a value not read yet, or refused
+            got = [_rat(c, f"faces[{k}].rect[{j}]", known)
+                   for j, c in enumerate(rect)]
+        (x0, hx0, nx0, dx0), (y0, hy0, ny0, dy0), (x1, hx1, nx1, dx1), \
+            (y1, hy1, ny1, dy1) = got
+        # denominators are positive, so the cross products order the values
+        if not (nx0 * dx1 < nx1 * dx0 and ny0 * dy1 < ny1 * dy0):
+            raise ParseError(f"faces[{k}].rect: empty rectangle")
+        r = _rect(x0, y0, x1, y1, hash((hx0, hy0, hx1, hy1)))
         rects.append(r)
         if "deficit" in entry:
-            deficits[r] = _pair(entry["deficit"], f"{where}.deficit")
+            deficits[r] = _pair(entry["deficit"], "faces[{}].deficit", k)
 
     mesh = build_tmesh(rects)
 
@@ -98,12 +108,12 @@ def parse_mesh_dict(doc):
         axis = ov.get("orientation")
         if axis not in ("h", "v"):
             raise ParseError(f"{where}.orientation: expected 'h' or 'v'")
-        line = _rat(ov.get("line"), f"{where}.line", known)
+        line = _rat(ov.get("line"), f"{where}.line", known)[0]
         span = ov.get("span")
         if not isinstance(span, list) or len(span) != 2:
             raise ParseError(f"{where}.span: expected [lo, hi]")
-        lo = _rat(span[0], f"{where}.span[0]", known)
-        hi = _rat(span[1], f"{where}.span[1]", known)
+        lo = _rat(span[0], f"{where}.span[0]", known)[0]
+        hi = _rat(span[1], f"{where}.span[1]", known)[0]
         overrides.append((axis, line, (lo, hi), _int(ov.get("r"),
                                                      f"{where}.r")))
 
@@ -111,7 +121,7 @@ def parse_mesh_dict(doc):
     if levels is not None:
         if not isinstance(levels, list):
             raise ParseError("levels: expected a list of pairs")
-        levels = [_pair(entry, f"levels[{k}]")
+        levels = [_pair(entry, "levels[{}]", k)
                   for k, entry in enumerate(levels)]
 
     profile = build_profile(mesh, deficits, explicit_levels=levels)

@@ -649,21 +649,24 @@ class _LamRecords(dict):
 def contribution_sets(an: SegmentAnalysis, ordering: SegmentOrdering,
                       m) -> ContributionSets:
     """The sets of one level under ordering at m. ordering.order must hold
-    each interior segment number once; anything else raises ValueError. The
-    rule keys are the search's when it made ordering on an at m, else the
-    order's plan at m (_with_theta): the greedy_plan ordering carries when
-    it was made on an, else one _plan builds on the call. Each segment's
-    weight and term are read from its lam_records entry and its block."""
-    order = ordering.order
-    if not all(isinstance(k, int) for k in order) \
-            or sorted(order) != list(range(len(an.interior))):
+    each interior segment number once; anything else raises ValueError,
+    and an order that order_segments made on an, whose plan or terms say
+    so, is taken as checked. The rule keys are the search's when it made
+    ordering on an at m, else the order's plan at m (_with_theta): the
+    greedy_plan ordering carries when it was made on an, else one _plan
+    builds on the call. Each segment's weight is read from its lam_records
+    entry and its block; its block and term are the search's when the keys
+    are, else they are worked out here."""
+    order, terms, plan = ordering.order, ordering.terms, ordering.plan
+    made = terms and terms[0].an is an or plan and plan[0] is an
+    if not made and (not all(isinstance(k, int) for k in order)
+                     or sorted(order) != list(range(len(an.interior)))):
         raise ValueError(f"not an order of the segment numbers: {order!r}")
     m = check_bidegree(m)
-    terms = ordering.terms
-    if terms and terms[0].an is an and terms[0].m == m:
+    searched = terms and terms[0].an is an and terms[0].m == m
+    if searched:
         before, keys = _before(order), ordering.keys
     else:
-        plan = ordering.plan
         plan = plan[1] if plan and plan[0] is an else _plan(an, order)
         before, keys = list(plan[0]), _with_theta(an, plan, m)
     levels, i = an.level.profile.levels, an.level.index
@@ -671,9 +674,13 @@ def contribution_sets(an: SegmentAnalysis, ordering: SegmentOrdering,
     for k, key in enumerate(keys):
         found = an.lam_records[k, key]
         recs, gens, _, rs, _, _ = found
-        block = _block(an, k, m)
+        if searched:
+            block, term = terms[k].block, terms[k][key]
+        else:
+            block = _block(an, k, m)
+            term = _term(levels, i, found, block)
         records.append((recs, _weight(rs, block[1]), gens))
-        h0_terms.append(_term(levels, i, found, block))
+        h0_terms.append(term)
     return ContributionSets(an, ordering, m, tuple(records), tuple(h0_terms),
                             before)
 

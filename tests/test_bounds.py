@@ -18,7 +18,7 @@ from tmeshdim import (DecompositionMismatch, LeveledProfile, MalformedError,
                       analyze_segments, check_assumptions, h0_ideal_oracle,
                       oracle_spline_dim, order_segments)
 from tmeshdim.cli import main
-from tmeshdim.mesh import ReadOnlyDict
+from tmeshdim.mesh import ReadOnlyDict, check_bidegree
 from tmeshdim.meshfile import (parse_mesh_dict, parse_mesh_file,
                                render_certify_text, render_machine)
 
@@ -202,6 +202,17 @@ def test_a_non_integral_bi_degree_is_refused_where_it_enters():
                                                                   (4, 4))
     assert contribution_sets(an, greedy, (4.0, 4)).h0_terms \
         == contribution_sets(an, greedy, (4, 4)).h0_terms
+
+
+def test_a_bi_degree_of_two_ints_is_taken_as_it_is():
+    # a tuple of two exact ints is returned as it is; any other integral
+    # pair, True included, is read into a new tuple of ints
+    m = (3, 4)
+    assert check_bidegree(m) is m
+    for other in ([3, 4], (3.0, 4), (Fraction(3), 4), (True, 4), (3, False)):
+        got = check_bidegree(other)
+        assert got == tuple(other) and all(type(c) is int for c in got)
+    assert check_bidegree((True, 1)) == (1, 1)
 
 
 def test_a_non_integral_deficit_or_smoothness_is_refused_where_it_enters():

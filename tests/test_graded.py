@@ -8,7 +8,8 @@ import pytest
 from tmeshdim import (IndexOutOfRange, MixedDirectionError, bounds, dim_M,
                       dim_power_sum, dim_power_sum_in, dim_shift, oracle,
                       span_dim, span_quotient_dim)
-from tmeshdim.graded import (_power_sum_in_cached, box_sum,
+from tmeshdim.graded import (_GeneratorKey, _generator_key,
+                             _power_sum_in_cached, box_sum,
                              single_power_terms, vertex_increment_terms)
 from tmeshdim.mesh import bd_max, bd_sub
 from tmeshdim.meshfile import parse_mesh_file
@@ -212,6 +213,28 @@ def test_power_sum_in_caches_knots_by_value_in_any_order():
     assert after.currsize == before.currsize
     assert after.hits - before.hits == len(variants)
     assert after.misses == before.misses
+
+
+def test_a_generator_key_keeps_its_tuple_hash():
+    # the cache key takes its hash once, as a mesh vertex does, and a copy
+    # or an unpickled key takes it afresh; levels given as a list or as a
+    # tuple are one cache entry
+    import copy
+    import pickle
+    levels = ((0, 0), (1, 1), (2, 2))
+    gens = [("t", Fraction(1, 3), 2, (0, 0)), ("t", Fraction(5, 2), 2, (0, 0))]
+    key = _generator_key(gens)
+    assert type(key) is _GeneratorKey and key == tuple(key)
+    assert hash(key) == hash(tuple(key))
+    for twin in (copy.copy(key), copy.deepcopy(key),
+                 pickle.loads(pickle.dumps(key))):
+        assert type(twin) is _GeneratorKey
+        assert twin == key and hash(twin) == hash(key)
+    want = dim_power_sum_in(levels, 1, key, (6, 6))
+    before = _power_sum_in_cached.cache_info()
+    assert dim_power_sum_in(list(levels), 1, gens, (6, 6)) == want
+    after = _power_sum_in_cached.cache_info()
+    assert (after.hits - before.hits, after.misses) == (1, before.misses)
 
 
 def test_sliced_quotient_dim_matches_the_naive_span():

@@ -511,10 +511,13 @@ def _grid_document(n, block):
 
 
 def test_each_cell_hashes_its_fractions_once(monkeypatch):
-    # a face hashes its 4 coordinates, an edge 3 and a vertex 2, once each;
-    # the parse hashes no other Fraction, and bounds looks every vertex up
-    # by the mesh's own objects; before vertices kept their hash, the parse
-    # made 9,252 calls and the cold bounds 21,674
+    # the parse hashes each of the 21 coordinate values once, and
+    # build_tmesh each distinct x and y once; every cell takes its hash from
+    # those, and bounds looks every vertex up by the mesh's own objects.
+    # Before cells took their hash from the coordinate hashes the parse made
+    # 4,162 calls, and before vertices kept their hash it made 9,252 and
+    # the cold bounds 21,674; the 44 left in bounds are the segment keys of
+    # the analyses (SegmentIndex.of)
     calls = 0
     plain = Fraction.__hash__
 
@@ -532,8 +535,85 @@ def test_each_cell_hashes_its_fractions_once(monkeypatch):
     faces, edges, vertices = (len(mesh.faces), len(mesh.edges),
                               len(mesh.vertices))
     assert (faces, edges, vertices) == (400, 840, 441)
-    assert parsed <= 4 * faces + 3 * edges + 2 * vertices == 5002
-    assert calls <= 2000
+    assert parsed <= 21 + 2 * 21 == 63
+    assert calls <= 44
+
+
+def test_the_parse_hashes_each_coordinate_value_once_and_compares_none(
+        monkeypatch):
+    # on the 20 x 20 and the 80 x 80 grid the parse hashes each coordinate
+    # value once, and build_tmesh each distinct x and y once; the only
+    # Fraction comparisons are _ranked's sort of the distinct values. On
+    # these grids the parse used to make 4,162 and 64,642 hashes and 1,640
+    # and 25,760 comparisons
+    counts = {"hash": 0, "compare": 0, "ranked": 0}
+    ranking = False
+
+    def counted(name, plain):
+        def counting(*args):
+            counts[name if name == "hash" or not ranking else "ranked"] += 1
+            return plain(*args)
+        return counting
+
+    def ranked(values):
+        nonlocal ranking
+        ranking = True
+        try:
+            return plain_ranked(values)
+        finally:
+            ranking = False
+
+    plain_ranked = tmeshdim.mesh._ranked
+    for (n, block), most in (((20, 10), 63), ((80, 40), 243)):
+        doc = _grid_document(n, block)
+        counts.update(hash=0, compare=0, ranked=0)
+        monkeypatch.setattr(Fraction, "__hash__",
+                            counted("hash", Fraction.__hash__))
+        for name in ("__eq__", "__lt__", "__le__", "__gt__", "__ge__"):
+            monkeypatch.setattr(Fraction, name,
+                                counted("compare", getattr(Fraction, name)))
+        monkeypatch.setattr(tmeshdim.mesh, "_ranked", ranked)
+        mesh = parse_mesh_dict(doc)[0]
+        monkeypatch.undo()
+        assert len(mesh.faces) == n * n
+        assert counts["hash"] <= (n + 1) + 2 * (n + 1) == most
+        assert counts["compare"] == 0
+        assert 0 < counts["ranked"] <= 2 * (n + 1) * (n + 1).bit_length()
+
+
+def test_parsed_cells_are_the_cells_built_by_hand():
+    # every face, edge and vertex the parse makes equals, orders and hashes
+    # as one built by hand from fresh Fractions, on every fixture, on both
+    # large-grid meshes and on a document of p/q and negative coordinates
+    from .test_segments import large_grid_meshes
+
+    def fresh(c):
+        return Fraction(c.numerator, c.denominator)
+
+    meshes = [parse_mesh_file(fixture_path(name))[0] for name in FIXTURE_NAMES]
+    meshes += [triple[0] for triple in large_grid_meshes()]
+    # 2 and "2" parse to two equal Fractions, which build_tmesh merges
+    meshes.append(parse_mesh_dict({"faces": [
+        {"rect": ["-1/3", 0, "1/2", "7/4"]},
+        {"rect": ["1/2", 0, 2, "7/4"]},
+        {"rect": ["-1/3", "7/4", "2", 3]}]})[0])
+    assert len(meshes[-1].edges) == 10
+    cells = 0
+    for mesh in meshes:
+        for f in mesh.faces:
+            twin = Rect(fresh(f.x0), fresh(f.y0), fresh(f.x1), fresh(f.y1))
+            assert type(f) is Rect and twin == f and hash(twin) == hash(f)
+            assert not (twin < f or f < twin) and repr(twin) == repr(f)
+        for e in mesh.edges:
+            twin = Edge(e.axis, fresh(e.line), fresh(e.lo), fresh(e.hi))
+            assert type(e) is Edge and twin == e and hash(twin) == hash(e)
+            assert not (twin < e or e < twin) and repr(twin) == repr(e)
+        for v in mesh.vertices:
+            twin = Vertex(fresh(v[0]), fresh(v[1]))
+            assert type(v) is Vertex and twin == v and hash(twin) == hash(v)
+            assert hash(tuple(twin)) == hash(v)
+        cells += len(mesh.faces) + len(mesh.edges) + len(mesh.vertices)
+    assert cells == 3966
 
 
 def _fresh(v):

@@ -225,6 +225,60 @@ def test_an_order_must_hold_each_segment_number_once():
         an, SegmentOrdering("input", list(good)), m)) == want
 
 
+def test_an_order_made_on_the_analysis_is_taken_as_checked(monkeypatch):
+    # contribution_sets sorts and checks an order made by hand, or made on
+    # another analysis; one that order_segments made on this analysis, as
+    # its plan or terms say, is taken as checked. Counted on warm calls,
+    # through the sorted that segments looks up
+    an = level_analysis("new_relations_b", 1)
+    other = analyze_segments(an.level, mixed_r(an.level.mesh, 99))
+    m = (4, 4)
+    made = [order_segments(an, strategy, m)
+            for strategy in ("greedy", "exhaustive")]
+    by_hand = [SegmentOrdering("input", ordr.order) for ordr in made]
+    calls = [(an, ordr) for ordr in made + by_hand] \
+        + [(other, ordr) for ordr in made]
+    want = [contribution_sets(a, ordr, m).h0_terms for a, ordr in calls]
+    sorts = 0
+
+    def counting(*args, **kwargs):
+        nonlocal sorts
+        sorts += 1
+        return sorted(*args, **kwargs)
+
+    monkeypatch.setattr(segments, "sorted", counting, raising=False)
+    got, counted = [], []
+    for a, ordr in calls:
+        before = sorts
+        got.append(contribution_sets(a, ordr, m).h0_terms)
+        counted.append(sorts - before)
+    monkeypatch.undo()
+    assert got == want
+    assert counted == [0, 0, 1, 1, 1, 1]
+
+
+def test_a_searched_level_works_out_each_block_once(monkeypatch):
+    # contribution_sets reads a searched level's blocks and chosen terms
+    # from the search: a cold bounds on the counterexample at (6, 4) works
+    # out one block per interior segment of each level, where it worked out
+    # two per segment of the searched level (11 in all)
+    calls = 0
+    plain = segments._block
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return plain(*args)
+
+    triple = parse_mesh_file(fixture_path("counterexample"))
+    monkeypatch.setattr(segments, "_block", counting)
+    rep = bounds(*triple, (6, 4))
+    monkeypatch.undo()
+    assert [(r.strategy, r.segment_count) for r in rep.rows] \
+        == [("exhaustive", 5), ("exhaustive", 1)]
+    assert calls == 5 + 1
+
+
 def assert_rules(sets, upsilon, lam):
     """Each segment's lam records in sets are the reference's lam, and its
     generator lines are the lines of those records and of upsilon's j's."""
