@@ -79,17 +79,11 @@ def bd_sub(a, b):
     return (a[0] - b[0], a[1] - b[1])
 
 
-def _int_pair(p) -> bool:
-    """Whether p is a tuple of two exact ints, which the readers of
-    bi-degrees and deficits below return as it is."""
-    return (type(p) is tuple and len(p) == 2 and type(p[0]) is int
-            and type(p[1]) is int)
-
-
 def check_bidegree(m):
     """m as a pair of ints; ValueError unless m is a pair of integral
-    values."""
-    if _int_pair(m):
+    values. A tuple of two exact ints is returned as it is."""
+    if (type(m) is tuple and len(m) == 2 and type(m[0]) is int
+            and type(m[1]) is int):
         return m
     try:
         a, b = m
@@ -312,6 +306,17 @@ class TMesh:
         }
 
 
+def _as_rect(spec) -> Rect:
+    if isinstance(spec, Rect):
+        r = spec
+    else:
+        x0, y0, x1, y1 = (Fraction(c) for c in spec)
+        r = Rect(x0, y0, x1, y1)
+    if not (r.x0 < r.x1 and r.y0 < r.y1):
+        raise MalformedError(f"degenerate rectangle {r}")
+    return r
+
+
 def _corners(spec):
     """The four coordinates of a Rect, or of four values made Fractions."""
     if isinstance(spec, Rect):
@@ -380,11 +385,18 @@ def build_tmesh(rects) -> TMesh:
     gives the order of the values.
     """
     given = list(rects)
-    coords = [_corners(r) for r in given]
+    try:
+        coords = [_corners(r) for r in given]
+        xs, hx, x_rank = _ranked(chain.from_iterable(map(_xs, coords)))
+        ys, hy, y_rank = _ranked(chain.from_iterable(map(_ys, coords)))
+    except Exception:
+        # a spec that cannot be read: raise what checking the specs in turn
+        # meets first, which may be a degenerate rectangle before it
+        for r in given:
+            _as_rect(r)
+        raise
     if not coords:
         raise MalformedError("no rectangles given")
-    xs, hx, x_rank = _ranked(chain.from_iterable(map(_xs, coords)))
-    ys, hy, y_rank = _ranked(chain.from_iterable(map(_ys, coords)))
     boxes = [(x_rank[id(x0)], y_rank[id(y0)], x_rank[id(x1)], y_rank[id(y1)])
              for x0, y0, x1, y1 in coords]
     rects = [r if isinstance(r, Rect) else
@@ -487,9 +499,8 @@ def build_tmesh(rects) -> TMesh:
     # each side of it, and then a vertex whose edges all bound two faces
     # has 3 or 4 edges of both axes (see test_mesh.py's
     # test_an_irregular_interior_star_is_an_overlap for the argument)
-    lone = {e for e, fs in edge_faces.items() if len(fs) == 1}
     for p, es in corner_edges.items():
-        if not lone.isdisjoint(es):
+        if any(len(edge_faces[e]) == 1 for e in es):
             continue  # a boundary vertex
         if len(es) not in (3, 4) or {e[0] for e in es} != {0, 1}:
             raise MalformedError(
@@ -513,11 +524,11 @@ def build_tmesh(rects) -> TMesh:
                             (vertex[p], vertex[q]))
     return TMesh(
         faces, tuple(made.values()), tuple(vertex.values()),
-        ReadOnlyDict({made[e]: tuple(map(faces.__getitem__, fs))
+        ReadOnlyDict({made[e]: tuple(faces[f] for f in fs)
                       for e, fs in edge_faces.items()}),
-        ReadOnlyDict({f: tuple(map(made.__getitem__, mine))
+        ReadOnlyDict({f: tuple(made[e] for e in mine)
                       for f, mine in zip(faces, face_sides)}),
-        ReadOnlyDict({vertex[p]: tuple(map(made.__getitem__, es))
+        ReadOnlyDict({vertex[p]: tuple(made[e] for e in es)
                       for p, es in corner_edges.items()}))
 
 
@@ -572,11 +583,8 @@ def build_profile(mesh: TMesh, face_deficits,
     fd = {}
     for f in mesh.faces:
         d = face_deficits.get(f)
-        if d is None:
-            d = (0, 0)
-        elif not _int_pair(d):
-            d = (_integer(d[0], "deficit of {}", f),
-                 _integer(d[1], "deficit of {}", f))
+        d = (0, 0) if d is None else (_integer(d[0], "deficit of {}", f),
+                                      _integer(d[1], "deficit of {}", f))
         if d[0] < 0 or d[1] < 0:
             raise UnorderedDeficitsError(f"negative deficit {d} on {f}")
         fd[f] = d
@@ -638,17 +646,6 @@ class SmoothnessProfile:
         _read_only(self, "edge_r", "vertex_pair")
 
 
-def _chains_agree(es, edge_r) -> bool:
-    """Whether the edges es of one vertex that edge_r lists carry one r per
-    axis."""
-    seen = {}
-    for e in es:
-        r = edge_r.get(e)
-        if r is not None and seen.setdefault(e.axis, r) != r:
-            return False
-    return True
-
-
 def build_smoothness(mesh: TMesh, default_r: int,
                      overrides=()) -> SmoothnessProfile:
     default_r = _integer(default_r, "default smoothness")
@@ -678,19 +675,15 @@ def build_smoothness(mesh: TMesh, default_r: int,
                 f"override ({axis}, {line}, [{lo}, {hi}]) matches no interior edge")
 
     # constancy along touching collinear chains, which only an override
-    # can break: one pass per vertex, and the sets that word the error only
-    # at a vertex where it fails
+    # that sets a second r can break
     if len(set(edge_r.values())) > 1:
         for v, es in mesh.vertex_edges.items():
-            if _chains_agree(es, edge_r):
-                continue
             for axis in ("h", "v"):
                 rs = {edge_r[e] for e in es
                       if e.axis == axis and e in edge_r}
                 if len(rs) > 1:
                     raise ChainConflictError(
-                        f"collinear edges at {v} carry distinct "
-                        f"smoothness {sorted(rs)}")
+                        f"collinear edges at {v} carry distinct smoothness {sorted(rs)}")
 
     vertex_pair = {}
     for v in mesh.interior_vertices:

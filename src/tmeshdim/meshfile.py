@@ -20,12 +20,14 @@ class ParseError(Exception):
     """Malformed document; the message names the offending member."""
 
 
-def _rat(value, where, known):
+def _rat(value, known, where, *args):
     """value's record (Fraction, hash, numerator, denominator); known maps
     each (type, value) read so far to its record, so that a document
-    parses and hashes each distinct coordinate once."""
+    parses and hashes each distinct coordinate once. where.format(*args)
+    names value in the error."""
     if isinstance(value, bool) or isinstance(value, float):
-        raise ParseError(f"{where}: expected an exact rational, got {value!r}")
+        raise ParseError(f"{where.format(*args)}: expected an exact "
+                         f"rational, got {value!r}")
     key = type(value), value
     try:
         got = known.get(key)  # TypeError when value is unhashable
@@ -33,8 +35,8 @@ def _rat(value, where, known):
             x = Fraction(value)
             got = known[key] = x, hash(x), x.numerator, x.denominator
     except (ValueError, TypeError, ZeroDivisionError):
-        raise ParseError(
-            f"{where}: expected an integer or 'p/q' string, got {value!r}")
+        raise ParseError(f"{where.format(*args)}: expected an integer or "
+                         f"'p/q' string, got {value!r}")
     return got
 
 
@@ -76,13 +78,9 @@ def parse_mesh_dict(doc):
         rect = entry["rect"]
         if not isinstance(rect, list) or len(rect) != 4:
             raise ParseError(f"faces[{k}].rect: expected [x0, y0, x1, y1]")
-        try:
-            got = [known[type(c), c] for c in rect]
-        except (KeyError, TypeError):   # a value not read yet, or refused
-            got = [_rat(c, f"faces[{k}].rect[{j}]", known)
-                   for j, c in enumerate(rect)]
         (x0, hx0, nx0, dx0), (y0, hy0, ny0, dy0), (x1, hx1, nx1, dx1), \
-            (y1, hy1, ny1, dy1) = got
+            (y1, hy1, ny1, dy1) = (_rat(c, known, "faces[{}].rect[{}]", k, j)
+                                   for j, c in enumerate(rect))
         # denominators are positive, so the cross products order the values
         if not (nx0 * dx1 < nx1 * dx0 and ny0 * dy1 < ny1 * dy0):
             raise ParseError(f"faces[{k}].rect: empty rectangle")
@@ -108,12 +106,12 @@ def parse_mesh_dict(doc):
         axis = ov.get("orientation")
         if axis not in ("h", "v"):
             raise ParseError(f"{where}.orientation: expected 'h' or 'v'")
-        line = _rat(ov.get("line"), f"{where}.line", known)[0]
+        line = _rat(ov.get("line"), known, f"{where}.line")[0]
         span = ov.get("span")
         if not isinstance(span, list) or len(span) != 2:
             raise ParseError(f"{where}.span: expected [lo, hi]")
-        lo = _rat(span[0], f"{where}.span[0]", known)[0]
-        hi = _rat(span[1], f"{where}.span[1]", known)[0]
+        lo = _rat(span[0], known, f"{where}.span[0]")[0]
+        hi = _rat(span[1], known, f"{where}.span[1]")[0]
         overrides.append((axis, line, (lo, hi), _int(ov.get("r"),
                                                      f"{where}.r")))
 

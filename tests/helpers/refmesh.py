@@ -3,21 +3,9 @@
 and vertices, the same incidence dicts in the same orders, and the same
 exception class and message on invalid input."""
 
-from fractions import Fraction
-
 from tmeshdim.mesh import (DisconnectedError, Edge, MalformedError,
-                           NotSimplyConnectedError, OverlapError, Rect, TMesh)
-
-
-def _as_rect(spec) -> Rect:
-    if isinstance(spec, Rect):
-        r = spec
-    else:
-        x0, y0, x1, y1 = (Fraction(c) for c in spec)
-        r = Rect(x0, y0, x1, y1)
-    if not (r.x0 < r.x1 and r.y0 < r.y1):
-        raise MalformedError(f"degenerate rectangle {r}")
-    return r
+                           NotSimplyConnectedError, OverlapError, TMesh,
+                           _as_rect)
 
 
 def _overlapping_pairs(rects):

@@ -465,6 +465,29 @@ def test_rank_build_fails_as_the_reference_builder():
             NotSimplyConnectedError} <= kinds
 
 
+def test_rank_build_meets_faults_in_input_order():
+    """A spec that cannot be read fails as the reference builder fails: the
+    first fault in input order wins, whether it is a degenerate rectangle
+    or the unreadable spec."""
+    floats = Rect(0.0, 0.0, 1.0, 1.0)   # reads, but has no exact pair
+    bad = [
+        [(0, 0, 0, 1), ("x", 0, 1, 1)],
+        [("x", 0, 1, 1), (0, 0, 0, 1)],
+        [(0, 0, 1, 1), (1, 1, 1, 2), None],
+        [(0, 0, 1, 1), (1, 0, 2)],
+        [(0, 0, 0, 1), floats],
+        [floats, (0, 0, 0, 1)],
+        [(0, 0, 1, 1), (1, 0, "1/0", 1)],
+    ]
+    for rects in bad:
+        got = []
+        for build in (reference_build_tmesh, build_tmesh):
+            with pytest.raises(Exception) as info:
+                build(rects)
+            got.append((info.type, str(info.value)))
+        assert got[0] == got[1], rects
+
+
 # --- cell hashes ----------------------------------------------------------
 
 def test_cell_hash_is_the_field_tuple_hash():
