@@ -8,9 +8,9 @@ the active region; the dimension machinery assumes h = 0 at every level.
 
 from dataclasses import dataclass
 
-from .graded import IndexOutOfRange
+from .graded import _check_level
 from .linalg import rank_sparse
-from .mesh import TMesh, bd_le
+from .mesh import TMesh, bd_le, components
 
 
 class AssumptionViolated(Exception):
@@ -32,9 +32,7 @@ class ActiveLevel:
 
 
 def active_mesh(mesh: TMesh, profile, i: int) -> ActiveLevel:
-    top = profile.top
-    if not 1 <= i <= top + 1:
-        raise IndexOutOfRange(f"level index {i} outside 1..{top + 1}")
+    _check_level(profile.levels, i)
     cut = profile.levels[i - 1]
     faces = tuple(f for f in mesh.faces if bd_le(profile.face_deficit[f], cut))
     edges = tuple(e for e in mesh.edges if bd_le(profile.edge_deficit[e], cut))
@@ -111,26 +109,15 @@ def island_components(level: ActiveLevel):
     if not all(f < g for f, g in zip(faces, faces[1:])):
         faces = sorted(faces)
     place = {f: q for q, f in enumerate(faces)}
-    eset = set(level.interior_edges)
+    adj = [[] for _ in faces]
+    for e in level.interior_edges:
+        # an active edge may bound a face that is not yet active
+        ends = [place[g] for g in mesh.edge_faces[e] if g in place]
+        for q in ends:
+            adj[q] += ends
     comps = []
-    seen = set()
-    for start in range(len(faces)):
-        if start in seen:
-            continue
-        comp = {start}
-        stack = [faces[start]]
-        while stack:
-            f = stack.pop()
-            for e in mesh.face_edges[f]:
-                if e not in eset:
-                    continue
-                for g in mesh.edge_faces[e]:
-                    q = place.get(g)
-                    if q is not None and q not in comp:
-                        comp.add(q)
-                        stack.append(g)
-        seen |= comp
-        members = tuple(faces[q] for q in sorted(comp))
+    for comp in components(adj):
+        members = tuple(faces[q] for q in comp)
         verts = {p for f in members for e in mesh.face_edges[f]
                  for p in e.endpoints()}
         island = not (verts & mesh.boundary_vertices)

@@ -11,7 +11,6 @@ exactly three (T-junction) or four (crossing) incident edges.
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property
 from itertools import chain, compress
 from operator import attrgetter, itemgetter, not_
 
@@ -280,22 +279,6 @@ class TMesh:
         self.boundary_vertices = frozenset(compress(vertices, outer))
         self.interior_vertices = tuple(compress(vertices, map(not_, outer)))
 
-    @cached_property
-    def vertex_faces(self):
-        """Per vertex, the faces of its edges in the order of faces. It is
-        made on first use: no report reads it."""
-        place = {f: i for i, f in enumerate(self.faces)}
-        edge_faces, vertex_edges = self.edge_faces, self.vertex_edges
-        return ReadOnlyDict({
-            v: tuple(sorted({f for e in vertex_edges[v]
-                             for f in edge_faces[e]}, key=place.__getitem__))
-            for v in self.vertices})
-
-    def vertex_class(self, v) -> str:
-        if v in self.boundary_vertices:
-            return "boundary"
-        return "crossing" if len(self.vertex_edges[v]) == 4 else "t-junction"
-
     def stats(self):
         return {
             "faces": len(self.faces),
@@ -364,6 +347,27 @@ def _overlapping_pairs(boxes):
             if y0 < b[3] and b[1] < y1:
                 yield min(j, k), max(j, k)
         active.append(k)
+
+
+def components(adj):
+    """The connected components of the graph on 0..len(adj)-1 in which node
+    k's neighbours are adj[k]: each a sorted list, in the order of their
+    least nodes."""
+    seen = [False] * len(adj)
+    comps = []
+    for start in range(len(adj)):
+        if seen[start]:
+            continue
+        seen[start] = True
+        comp = [start]
+        for k in comp:  # comp grows as it is read: a breadth-first walk
+            for j in adj[k]:
+                if not seen[j]:
+                    seen[j] = True
+                    comp.append(j)
+        comp.sort()
+        comps.append(comp)
+    return comps
 
 
 def build_tmesh(rects) -> TMesh:
@@ -477,19 +481,10 @@ def build_tmesh(rects) -> TMesh:
         if len(fs) == 2:
             adj[fs[0]].append(fs[1])
             adj[fs[1]].append(fs[0])
-    seen = [False] * len(faces)
-    seen[0] = True
-    stack = [0]
-    reached = 1
-    while stack:
-        for g in adj[stack.pop()]:
-            if not seen[g]:
-                seen[g] = True
-                reached += 1
-                stack.append(g)
-    if reached != len(faces):
+    first = components(adj)[0]
+    if len(first) != len(faces):
         raise DisconnectedError(
-            f"{len(faces) - reached} faces unreachable through shared edges")
+            f"{len(faces) - len(first)} faces unreachable through shared edges")
 
     euler = len(corners) - len(sorted_edges) + len(faces)
     if euler != 1:
@@ -652,11 +647,12 @@ def build_smoothness(mesh: TMesh, default_r: int,
     if default_r < 0:
         raise MalformedError(f"negative smoothness {default_r}")
     edge_r = dict.fromkeys(mesh.interior_edges, default_r)
-    # an override matches the interior edges of its own line only
+    # an override matches the interior edges of its own line only, keyed by
+    # the line's exact pair, so no Fraction is hashed
     on_line = {}
     if overrides:
         for e in mesh.interior_edges:
-            on_line.setdefault((e.axis, e.line), []).append(e)
+            on_line.setdefault((e.axis, *_exact(e.line)), []).append(e)
     for ov in overrides:
         axis, line, span, r = ov
         line = Fraction(line)
@@ -666,7 +662,7 @@ def build_smoothness(mesh: TMesh, default_r: int,
         if r < 0:
             raise MalformedError(f"negative smoothness {r} in override")
         hit = False
-        for e in on_line.get((axis, line), ()):
+        for e in on_line.get((axis, *_exact(line)), ()):
             if lo <= e.lo and e.hi <= hi:
                 edge_r[e] = r
                 hit = True

@@ -16,7 +16,7 @@ from typing import Optional
 from .graded import (_generator_key, box_sum, dim_M_terms, dim_power_sum_in,
                      single_power_terms)
 from .levels import ActiveLevel, AssumptionViolated
-from .mesh import bd_sub, check_bidegree
+from .mesh import bd_sub, check_bidegree, components
 
 
 EXHAUSTIVE_LIMIT = 8
@@ -125,22 +125,8 @@ class SegmentAnalysis:
         """The greedy order's segment numbers; it does not depend on the
         bi-degree."""
         ix = self.index
-        left = set(range(len(self.interior)))
-        comps = []
-        while left:
-            start = min(left)
-            comp = {start}
-            stack = [start]
-            while stack:
-                k = stack.pop()
-                for j in ix.icross[k]:
-                    if j in left and j not in comp:
-                        comp.add(j)
-                        stack.append(j)
-            left -= comp
-            comps.append(sorted(comp))
         seq = []
-        for comp in comps:
+        for comp in components(ix.icross):
             # the most crossed segment goes first so every other member may
             # count it among its predecessors
             hub = min(comp, key=lambda k: (-len(ix.icross[k]),

@@ -444,7 +444,7 @@ def test_prepared_memo_is_bounded():
 
 
 BUILT_MAPS = ((0, "edge_faces"), (0, "face_edges"), (0, "vertex_edges"),
-              (0, "vertex_faces"), (1, "face_deficit"), (1, "edge_deficit"),
+              (1, "face_deficit"), (1, "edge_deficit"),
               (1, "vertex_deficit"), (2, "edge_r"), (2, "vertex_pair"))
 
 

@@ -55,7 +55,7 @@ def test_t_junction_star_and_edge_subdivision():
     # tall cell on the left, two stacked cells on the right
     mesh, _, _ = make([(0, 0, 1, 2), (1, 0, 2, 1), (1, 1, 2, 2)])
     v = (Fraction(1), Fraction(1))
-    assert mesh.vertex_class(v) == "t-junction"
+    assert {e.axis for e in mesh.vertex_edges[v]} == {"h", "v"}
     assert len(mesh.vertex_edges[v]) == 3
     # the tall face's right side is split at the junction
     tall = Rect(Fraction(0), Fraction(0), Fraction(1), Fraction(2))
@@ -67,7 +67,8 @@ def test_t_junction_star_and_edge_subdivision():
 def test_crossing_vertex_class():
     mesh, _, _ = make([(i, j, i + 1, j + 1) for i in range(2)
                        for j in range(2)])
-    assert mesh.vertex_class((Fraction(1), Fraction(1))) == "crossing"
+    star = mesh.vertex_edges[(Fraction(1), Fraction(1))]
+    assert len(star) == 4 and {e.axis for e in star} == {"h", "v"}
 
 
 def test_overlap_rejected():
@@ -119,14 +120,34 @@ def test_overlap_report_matches_the_pair_scan():
 
 
 def test_disconnected_rejected():
-    with pytest.raises(DisconnectedError):
-        build_tmesh([(0, 0, 1, 1), (2, 0, 3, 1)])
+    # the count is of the faces outside the least face's component, also
+    # when that component is the smaller part, in either input order
+    three = [(0, 0, 1, 1), (2, 0, 3, 1), (2, 1, 3, 2)]
+    for rects, n in (([(0, 0, 1, 1), (2, 0, 3, 1)], 1), (three, 2),
+                     (three[::-1], 2)):
+        with pytest.raises(DisconnectedError, match=f"^{n} faces "
+                           "unreachable through shared edges$"):
+            build_tmesh(rects)
 
 
 def test_corner_touch_is_disconnected():
     # sharing one vertex is not a shared edge
-    with pytest.raises(DisconnectedError):
+    with pytest.raises(DisconnectedError,
+                       match="^1 faces unreachable through shared edges$"):
         build_tmesh([(0, 0, 1, 1), (1, 1, 2, 2)])
+
+
+@pytest.mark.parametrize("adj, want", [
+    ([], []),
+    ([[]], [[0]]),
+    ([[], [], []], [[0], [1], [2]]),
+    ([[2], [], [0]], [[0, 2], [1]]),
+    ([[3], [2], [1, 4], [0], [2]], [[0, 3], [1, 2, 4]]),
+    ([[1, 1], [0, 3, 1], [], [1]], [[0, 1, 3], [2]]),
+    ([[4], [3], [], [1, 4], [0, 3]], [[0, 1, 3, 4], [2]]),
+])
+def test_components_in_order_of_their_least_nodes(adj, want):
+    assert tmeshdim.mesh.components(adj) == want
 
 
 def test_hole_rejected():
@@ -380,7 +401,6 @@ def snapshot(mesh):
         ("edge_faces", list(mesh.edge_faces.items())),
         ("face_edges", list(mesh.face_edges.items())),
         ("vertex_edges", list(mesh.vertex_edges.items())),
-        ("vertex_faces", list(mesh.vertex_faces.items())),
         ("boundary_edges", list(mesh.boundary_edges)),
         ("interior_edges", mesh.interior_edges),
         ("boundary_vertices", list(mesh.boundary_vertices)),
@@ -568,7 +588,9 @@ def test_the_parse_hashes_each_coordinate_value_once_and_compares_none(
     # value once, and build_tmesh each distinct x and y once; the only
     # Fraction comparisons are _ranked's sort of the distinct values. On
     # these grids the parse used to make 4,162 and 64,642 hashes and 1,640
-    # and 25,760 comparisons
+    # and 25,760 comparisons. A smoothness override hashes no Fraction
+    # either, and compares its span with the ends of each interior edge of
+    # its line; on the 20 x 20 grid it used to make 824 hashes
     counts = {"hash": 0, "compare": 0, "ranked": 0}
     ranking = False
 
@@ -587,8 +609,12 @@ def test_the_parse_hashes_each_coordinate_value_once_and_compares_none(
             ranking = False
 
     plain_ranked = tmeshdim.mesh._ranked
-    for (n, block), most in (((20, 10), 63), ((80, 40), 243)):
-        doc = _grid_document(n, block)
+    override = dict(_grid_document(20, 10), smoothness={
+        "default": 1, "overrides": [
+            {"orientation": "v", "line": 10, "span": [0, 20], "r": 2}]})
+    for n, doc, most in ((20, _grid_document(20, 10), 63),
+                         (80, _grid_document(80, 40), 243),
+                         (20, override, 63)):
         counts.update(hash=0, compare=0, ranked=0)
         monkeypatch.setattr(Fraction, "__hash__",
                             counted("hash", Fraction.__hash__))
@@ -596,11 +622,15 @@ def test_the_parse_hashes_each_coordinate_value_once_and_compares_none(
             monkeypatch.setattr(Fraction, name,
                                 counted("compare", getattr(Fraction, name)))
         monkeypatch.setattr(tmeshdim.mesh, "_ranked", ranked)
-        mesh = parse_mesh_dict(doc)[0]
+        mesh, _, smoothness = parse_mesh_dict(doc)
         monkeypatch.undo()
         assert len(mesh.faces) == n * n
         assert counts["hash"] <= (n + 1) + 2 * (n + 1) == most
-        assert counts["compare"] == 0
+        on_line = [e for e in mesh.interior_edges if doc is override
+                   and (e.axis, e.line) == ("v", 10)]
+        assert [smoothness.edge_r[e] for e in on_line] == [2] * (
+            n if doc is override else 0)
+        assert counts["compare"] <= 2 * len(on_line)
         assert 0 < counts["ranked"] <= 2 * (n + 1) * (n + 1).bit_length()
 
 
@@ -653,7 +683,6 @@ def test_a_built_vertex_is_its_plain_tuple():
         assert v == fresh and hash(v) == hash(fresh)
         assert repr(v) == repr(fresh) and str(v) == str(fresh)
         assert mesh.vertex_edges[fresh] is mesh.vertex_edges[v]
-        assert mesh.vertex_faces[fresh] is mesh.vertex_faces[v]
         assert (fresh in mesh.boundary_vertices) == (
             v in mesh.boundary_vertices)
         assert profile.vertex_deficit[fresh] == profile.vertex_deficit[v]
