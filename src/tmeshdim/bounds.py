@@ -17,7 +17,7 @@ from typing import Optional
 
 from .graded import box_sum, dim_M_terms, vertex_increment_terms
 from .levels import AssumptionReport, all_levels, check_assumptions
-from .mesh import TMesh, bd_add, bd_max, bd_min, bd_sub, check_bidegree
+from .mesh import TMesh, bd_add, bd_max, bd_min, check_bidegree
 from .segments import (analyze_segments, check_strategy, contribution_sets,
                        h0_ideal_upper, order_segments)
 
@@ -115,23 +115,23 @@ class Config1Report:
 
 
 def configuration1_holds(mesh: TMesh, profile, smoothness, m) -> Config1Report:
-    """Check practical smoothness at m once per distinct crossed pair
-    (r_h, r_v) of a level. A level's (pair, vertex) list is walked only to
-    list its failures when some pair fails."""
+    """Check practical smoothness at m against two pairs per level, the
+    componentwise max and min of its crossed pairs (r_h, r_v): it holds at
+    every vertex of level i when m - n_i dominates the max, and case b
+    holds when m - n_{i-1} is dominated by the min. A level's (pair,
+    vertex) list is walked only to list its failures when the max fails."""
     m = check_bidegree(m)
     prep = _prepared(mesh, profile, smoothness)
     levels, top = profile.levels, profile.top
     failures = []
     case_b = []
-    for i, pairs, walk in prep.crossings:
-        gap = bd_sub(m, levels[min(i, top)])
-        prev_gap = bd_sub(m, levels[i - 1])
-        bad = {(r_h, r_v) for r_h, r_v in pairs
-               if not (gap[0] >= r_h and gap[1] >= r_v)}
-        if bad:
-            failures.extend((i, v) for pair, v in walk if pair in bad)
-        if pairs and all(prev_gap[0] <= r_h and prev_gap[1] <= r_v
-                         for r_h, r_v in pairs):
+    for i, most, least, walk in prep.crossings:
+        n_i, n_prev = levels[min(i, top)], levels[i - 1]
+        g_h, g_v = m[0] - n_i[0], m[1] - n_i[1]
+        if g_h < most[0] or g_v < most[1]:
+            failures.extend((i, v) for (r_h, r_v), v in walk
+                            if g_h < r_h or g_v < r_v)
+        if m[0] - n_prev[0] <= least[0] and m[1] - n_prev[1] <= least[1]:
             case_b.append(i)
     return Config1Report(not failures, tuple(failures), tuple(case_b))
 
@@ -191,9 +191,10 @@ class _Prepared:
     """Everything a report needs that depends on the mesh, its deficits and
     its smoothness but not on m; analyses is None when a level has
     relative cycles. chi holds the leveled and direct box sums, crossings
-    per level its index, its distinct crossed pairs (r_h, r_v) and its
-    (pair, vertex) list in interior-vertex order, and dim_m per level
-    dim_M(levels, i, (0, 0)) as box terms."""
+    per level with an interior vertex its index, the componentwise max and
+    min of its crossed pairs (r_h, r_v) and its (pair, vertex) list in
+    interior-vertex order, and dim_m per level dim_M(levels, i, (0, 0)) as
+    box terms."""
 
     lvls: tuple
     assumption: AssumptionReport
@@ -208,11 +209,16 @@ def _prepare(mesh, profile, smoothness) -> _Prepared:
     assumption = check_assumptions(lvls)
     analyses = (tuple(analyze_segments(lv, smoothness) for lv in lvls)
                 if assumption.ok else None)
-    walks = [tuple((smoothness.vertex_pair[v], v)
-                   for v in lv.interior_vertices) for lv in lvls]
+    crossings = []
+    for lv in lvls:
+        walk = tuple((smoothness.vertex_pair[v], v)
+                     for v in lv.interior_vertices)
+        if walk:
+            r_h, r_v = zip(*(pair for pair, _ in walk))
+            crossings.append((lv.index, (max(r_h), max(r_v)),
+                              (min(r_h), min(r_v)), walk))
     return _Prepared(lvls, assumption, analyses, _chi_sums(lvls, smoothness),
-                     tuple((lv.index, {pair for pair, _ in walk}, walk)
-                           for lv, walk in zip(lvls, walks)),
+                     tuple(crossings),
                      tuple(dim_M_terms(profile.levels, lv.index, (0, 0))
                            for lv in lvls))
 

@@ -102,12 +102,11 @@ def island_components(level: ActiveLevel):
     components in the order of their least faces.
 
     level.faces follows mesh.faces, which build_tmesh sorts, so faces are
-    ordered by their positions there, with int compares. A hand-built mesh
-    whose faces come in another order has them sorted here first."""
+    ordered by their positions there, with int compares; mesh.faces_sorted
+    checks that once per mesh. A hand-built mesh whose faces come in
+    another order has them sorted here first."""
     mesh = level.mesh
-    faces = level.faces
-    if not all(f < g for f, g in zip(faces, faces[1:])):
-        faces = sorted(faces)
+    faces = level.faces if mesh.faces_sorted else sorted(level.faces)
     place = {f: q for q, f in enumerate(faces)}
     adj = [[] for _ in faces]
     for e in level.interior_edges:

@@ -11,6 +11,7 @@ exactly three (T-junction) or four (crossing) incident edges.
 from bisect import bisect_left
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 from itertools import chain, compress
 from operator import attrgetter, itemgetter, not_
 
@@ -278,6 +279,13 @@ class TMesh:
         outer = [v in ends for v in vertices]
         self.boundary_vertices = frozenset(compress(vertices, outer))
         self.interior_vertices = tuple(compress(vertices, map(not_, outer)))
+
+    @cached_property
+    def faces_sorted(self) -> bool:
+        """Whether faces come in Rect order, as build_tmesh makes them;
+        checked on first use, so once per mesh."""
+        faces = self.faces
+        return all(f < g for f, g in zip(faces, faces[1:]))
 
     def stats(self):
         return {

@@ -56,19 +56,21 @@ class SegmentAnalysis:
     two phases: its plan (_plan: before masks and the keys before theta),
     into which no bi-degree enters, then theta's bits at m (_with_theta).
     Besides the greedy order and its plan, the search tables (every key
-    before theta, for the search) and walk_records, it keeps need, the
-    level deficit that caps and surpluses are taken from, blocks, per
-    interior segment what _block reads at m (dim_M at its e as box terms,
-    its axis, need on that axis and its e), and two records into which no
-    bi-degree enters, each entry made when it is first asked for:
-    lam_records, per (k, rule key) segment k's lam records, generators,
-    their _generator_key, the records' r values, their least covering cap
-    and one generator's span as box terms, and cover_thresholds, per mask
-    of theta's j's the least surplus at which they cover a block. Their
-    keys are rule keys and masks of the level's own segments, so they are
-    bounded by the level, not by the number of bi-degrees asked, and they
-    hold no reference back to the analysis. A search keeps no table of its
-    own.
+    before theta, for the search) and walk_theta (theta's candidates filed
+    per segment with each owner's covering threshold at every search mask,
+    so that a theta test at m is one list read and one int compare), each
+    made on first use, it keeps need, the level deficit that caps and
+    surpluses are taken from, blocks, per interior segment what _block
+    reads at m (dim_M at its e as box terms, its axis, need on that axis
+    and its e), and two records into which no bi-degree enters, each entry
+    made when it is first asked for: lam_records, per (k, rule key) segment
+    k's lam records, generators, their _generator_key, the records' r
+    values, their least covering cap and one generator's span as box terms,
+    and cover_thresholds, per mask of theta's j's the least surplus at
+    which they cover a block. Their keys are rule keys and masks of the
+    level's own segments, so they are bounded by the level, not by the
+    number of bi-degrees asked, and they hold no reference back to the
+    analysis. A search keeps no table of its own.
     """
 
     def __init__(self, level: ActiveLevel, smoothness):
@@ -145,26 +147,34 @@ class SegmentAnalysis:
         return _plan(self, self.greedy_order)
 
     @cached_property
-    def walk_records(self):
+    def walk_theta(self):
         """index.theta's candidates as the walk reads them, made on the
-        first search: each candidate's five fields, its owner k's axis, k's
-        least covering surplus at the full mask (see _theta_at), the entry
-        the walk files under a, (b mask, k_in_a, row, shift, axis) or None
-        when k_in_a is 0, and the (b, (a, k_in_b, row, shift, axis)) pairs
-        it files under each b; row is k's search_tables row and shift
-        len(crossers[k])."""
+        first search and filed per interior segment x: as_a[x], one
+        (b mask, k_in_a, row) per candidate whose first segment a is x and
+        whose k_in_a is not 0, and as_b[x], one (a, k_in_b, row) per
+        candidate with x among its b's. row is owner k's covering threshold
+        at every search mask P, cover_thresholds[search_tables[k][P] >>
+        len(crossers[k])], with never, which exceeds every threshold of the
+        level, for None; the candidates of one owner share it. The triple
+        (as_a, as_b, never); _live_theta reads it at m."""
         ix, least = self.index, self.cover_thresholds
-        records = []
-        for cand in ix.theta:
-            k, a, _, k_in_a, seconds = cand
-            row, shift, ax = ix.search_tables[k], len(ix.crossers[k]), \
-                ix.axis[k]
-            a_entry = (sum(1 << b for b, _ in seconds), k_in_a, row, shift, ax)
-            records.append(cand + (ax, least[row[-1] >> shift],
-                                   a_entry if k_in_a else None,
-                                   tuple((b, (a, k_in_b, row, shift, ax))
-                                         for b, k_in_b in seconds)))
-        return tuple(records)
+        n = len(ix.keys)
+        # a threshold is at most its j's r sum plus 1 (_least_cover)
+        never = sum(ix.r) + 2
+        rows = {}
+        as_a = [[] for _ in range(n)]
+        as_b = [[] for _ in range(n)]
+        for k, a, _, k_in_a, seconds in ix.theta:
+            if k not in rows:
+                shift = len(ix.crossers[k])
+                rows[k] = [never if t is None else t for t in
+                           (least[key >> shift] for key in ix.search_tables[k])]
+            row = rows[k]
+            if k_in_a:
+                as_a[a].append((sum(1 << b for b, _ in seconds), k_in_a, row))
+            for b, k_in_b in seconds:
+                as_b[b].append((a, k_in_b, row))
+        return as_a, as_b, never
 
 
 class SegmentIndex:
@@ -284,12 +294,13 @@ def check_strategy(strategy):
 class SegmentOrdering:
     """An order of a level's interior segment numbers, the first placed
     first. One that order_segments made also carries what contribution_sets
-    reads at the analysis it was made on. A greedy one carries plan, the
-    analysis and its greedy_plan; a searched one carries keys, the rule key
-    the search fixed for each segment (theta's bits included), and terms,
-    the _Terms it read at its m. They are not constructor arguments, so
-    dataclasses.replace drops them, and they take no part in comparison or
-    repr."""
+    reads at the analysis it was made on. A greedy one, and a searched one
+    of at most one segment, whose only order is the greedy one, carries
+    plan, the analysis and its greedy_plan; a searched one of more carries
+    keys, the rule key the search fixed for each segment (theta's bits
+    included), and terms, the _Terms it read at its m. They are not
+    constructor arguments, so dataclasses.replace drops them, and they take
+    no part in comparison or repr."""
 
     strategy: str
     order: tuple
@@ -324,7 +335,10 @@ def order_segments(an: SegmentAnalysis, strategy="auto",
     if m is None:
         raise ValueError("exhaustive ordering needs a bi-degree")
     if n <= 1:
-        return SegmentOrdering("exhaustive", tuple(range(n)))
+        # the only order is the greedy one, whose plan the analysis keeps
+        found = SegmentOrdering("exhaustive", an.greedy_order)
+        object.__setattr__(found, "plan", (an, an.greedy_plan))
+        return found
     # The objective is h0_ideal_upper. The rules are looked up in tables
     # indexed by before masks, and a segment's term depends only on its rule
     # key, which many orders share, so each term is computed once per search,
@@ -362,11 +376,15 @@ def _walk(an: SegmentAnalysis, m, terms, floor):
         qualifies at its own before mask.
       - As a: the bit of k when some second b is not in P and a qualifies
         at P.
-    It files the walk_records that _theta_at keeps at m under a and the b's.
+    It reads the walk_theta entries that _live_theta keeps at m, so each of
+    these tests is one threshold read off k's row and compared with the
+    surplus.
     A branch whose partial sum plus the floors of the segments not yet
     placed reaches the best total so far holds no better order, and is
-    skipped. So the walk returns the order a zero floor gives whenever
-    floor[x] is at most every term of x it reads, as _floors' floor is:
+    skipped, and the walk stops at the first order whose total is the sum
+    of the floors, which no order undercuts. So the walk returns the order
+    a zero floor gives whenever floor[x] is at most every term of x it
+    reads, as _floors' floor is:
     rules[x][P] only gains bits as P grows, theta's bits are crossers'
     bits, which rules[x] holds at the full mask, and a term never grows
     when its key gains a bit. A lam bit does not lower the weight, and a weight above
@@ -376,19 +394,13 @@ def _walk(an: SegmentAnalysis, m, terms, floor):
     crosser's r at the crossing to be its segment's r, which holds as r is
     constant along a chain (build_smoothness).
     """
-    rules, least = an.index.search_tables, an.cover_thresholds
-    surplus = m[0] - an.need[0], m[1] - an.need[1]
+    rules = an.index.search_tables
+    as_a, as_b, surplus = _live_theta(an, m)
     n = len(rules)
-    as_a = [[] for _ in range(n)]
-    as_b = [[] for _ in range(n)]
-    for _, a, *_, as_a_entry, as_b_entries in _theta_at(an, m):
-        if as_a_entry:
-            as_a[a].append(as_a_entry)
-        for b, entry in as_b_entries:
-            as_b[b].append(entry)
+    low = sum(floor)
     before = [0] * n      # before[x] for each x placed on the current path
     order = [0] * n       # order[d]: the segment at place d
-    total = [sum(floor)] * n  # total[d]: terms ahead of d + floors of rest
+    total = [low] * n     # total[d]: terms ahead of d + floors of rest
     placed = [0] * n      # placed[d]: the mask of the segments ahead of d
     keyed = [0] * n       # keyed[x]: the key of x placed on the current path
     best = best_order = best_keys = None
@@ -404,13 +416,12 @@ def _walk(an: SegmentAnalysis, m, terms, floor):
             x = order[d] + 1
             continue
         key = rules[x][done]
-        for a, k_in_b, row, shift, axis in as_b[x]:
-            if done >> a & 1 and _reaches(least[row[before[a]] >> shift],
-                                          surplus[axis]):
+        s = surplus[x]
+        for a, k_in_b, row in as_b[x]:
+            if done >> a & 1 and row[before[a]] <= s:
                 key |= k_in_b
-        for b_bits, k_in_a, row, shift, axis in as_a[x]:
-            if b_bits & ~done and _reaches(least[row[done] >> shift],
-                                           surplus[axis]):
+        for b_bits, k_in_a, row in as_a[x]:
+            if b_bits & ~done and row[done] <= s:
                 key |= k_in_a
         partial = total[d] - floor[x] + terms[x][key]
         if best is not None and partial >= best:
@@ -418,12 +429,35 @@ def _walk(an: SegmentAnalysis, m, terms, floor):
         elif d == n - 1:
             order[d], keyed[x] = x, key
             best, best_order, best_keys = partial, tuple(order), tuple(keyed)
+            if best == low:
+                return best_order, best_keys
             x += 1
         else:
             order[d], before[x], keyed[x] = x, done, key
             d += 1
             total[d], placed[d] = partial, done | 1 << x
             x = 0
+
+
+def _live_theta(an: SegmentAnalysis, m):
+    """walk_theta at m: (as_a, as_b, surplus), the entries filed under each
+    x whose owner passes the surplus test at m at some search mask, and
+    surplus[x] the surplus, on the axis of the owners filed under x, that
+    a threshold in their rows must not exceed.
+
+    The owners filed under x cross x, so their axis is the other one. A
+    negative surplus reaches at every threshold and reads never; any other
+    reads at most never - 1, so a None threshold never passes. Upsilon's
+    j's only gain bits as P grows and a threshold only falls as they do,
+    so an owner's least threshold is the full mask's, at the end of its
+    row."""
+    as_a, as_b, never = an.walk_theta
+    live = [never if s < 0 else min(s, never - 1)
+            for s in (m[0] - an.need[0], m[1] - an.need[1])]
+    surplus = [live[1 - ax] for ax in an.index.axis]
+    return ([[e for e in es if e[2][-1] <= s] for es, s in zip(as_a, surplus)],
+            [[e for e in es if e[2][-1] <= s] for es, s in zip(as_b, surplus)],
+            surplus)
 
 
 @dataclass
@@ -534,17 +568,6 @@ def _reaches(least, c):
     return c < 0 or least is not None and least <= c
 
 
-def _theta_at(an: SegmentAnalysis, m):
-    """The walk_records whose owner k passes the surplus test at m at some
-    search mask. k's threshold at mask P is
-    cover_thresholds[search_tables[k][P] >> len(crossers[k])]. Upsilon's
-    j's only gain bits as P grows and a threshold only falls as they do, so
-    k's least is the full mask's, at the end of its search_tables row."""
-    surplus = m[0] - an.need[0], m[1] - an.need[1]
-    return [rec for rec in an.walk_records
-            if _reaches(rec[6], surplus[rec[5]])]
-
-
 def _plan(an: SegmentAnalysis, order):
     """The first phase of an order's rule keys, into which no bi-degree
     enters: its before masks and each segment's rule key before theta
@@ -583,17 +606,29 @@ def _with_theta(an: SegmentAnalysis, plan, m):
 
 class _Terms(dict):
     """Segment k's term in the H0 upper bound at m by rule key, each
-    computed on first use; its block is computed once."""
+    computed on first use; its block is computed once. A term is computed
+    in one step from its lam_records entry and the block, as _term computes
+    it: the walk reads a new term at most nodes it visits."""
 
     def __init__(self, an: SegmentAnalysis, k, m):
         super().__init__()
         self.an, self.k, self.m = an, k, m
+        self.records = an.lam_records
         self.levels, self.i = an.level.profile.levels, an.level.index
         self.block = _block(an, k, m)
 
     def __missing__(self, key):
-        term = self[key] = _term(self.levels, self.i,
-                                 self.an.lam_records[self.k, key], self.block)
+        size, cap, sub = self.block
+        _, _, gen_key, _, least, single = self.records[self.k, key]
+        if cap < 0 or least is not None and least <= cap:
+            term = 0
+        elif single:
+            term = size - box_sum(single, sub)
+        elif not gen_key:
+            term = size
+        else:
+            term = size - dim_power_sum_in(self.levels, self.i, gen_key, sub)
+        self[key] = term
         return term
 
 

@@ -27,6 +27,7 @@ from .helpers.chi import reference_chi, reference_config1
 from .helpers.randmesh import (island_region_mesh, random_region_mesh,
                                random_split_mesh, ring_region_mesh)
 from .helpers.univariate import tensor_grid_dim
+from .test_segment_golden import MIXED_R, mixed_r
 
 CANONICAL = [("test1", (3, 3)), ("test2", (4, 4)), ("test3", (6, 6)),
              ("new_relations_a", (3, 3)), ("new_relations_b", (4, 4)),
@@ -275,6 +276,11 @@ def _reference_meshes():
                 for j in range(4) for i in range(4)]
     triples.append(("skew", make(rects, deficits=deficits, r=1,
                                  overrides=[("v", 2, (0, 4), 2)])))
+    # the seeded mixed-r reruns, whose levels cross lines of r 0, 1 and 2
+    for seed, name in enumerate(MIXED_R):
+        mesh, profile, _ = parse_mesh_file(fixture_path(name))
+        triples.append((f"{name} mixed-r", (mesh, profile,
+                                            mixed_r(mesh, seed))))
     return triples
 
 
@@ -284,8 +290,14 @@ REFERENCE_DEGREES = list(itertools.product(range(9), repeat=2))
 
 
 def test_config1_by_pair_classes_matches_the_per_vertex_check():
-    seen = {"holds": 0, "fails": 0, "case b": 0}
+    # each level is checked against the componentwise max and min of its
+    # crossed pairs, so the meshes include levels whose pairs differ
+    seen = {"holds": 0, "fails": 0, "case b": 0, "mixed pairs": 0}
     for label, triple in _reference_meshes():
+        mesh, profile, smoothness = triple
+        seen["mixed pairs"] += any(
+            len({smoothness.vertex_pair[v] for v in lv.interior_vertices}) > 1
+            for lv in all_levels(mesh, profile))
         for m in REFERENCE_DEGREES:
             rep = configuration1_holds(*triple, m)
             want = reference_config1(*triple, m)

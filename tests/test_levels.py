@@ -139,19 +139,23 @@ def test_island_components_order_faces_by_their_positions(monkeypatch):
     # carry the deficit (1, 1); ordering faces as Rects made 7,924 Fraction
     # comparisons over its two levels. By positions in mesh.faces only the
     # check that they come sorted compares Fractions, two per neighbouring
-    # pair of a level's faces
+    # pair of the mesh's faces, and it runs once per mesh: a second call
+    # compares none
     from .test_mesh import _grid_document
 
     mesh, profile, _ = parse_mesh_dict(_grid_document(20, 10))
     lvls = all_levels(mesh, profile)
     calls, got = fraction_compares(
         monkeypatch, lambda: [island_components(lv) for lv in lvls])
-    faces = sum(len(lv.faces) for lv in lvls)
-    assert faces == 500
-    assert calls <= 2 * faces
+    assert len(mesh.faces) == 400
+    assert 0 < calls <= 2 * len(mesh.faces)
     assert got == [rect_order_islands(lv) for lv in lvls]
     assert [[(len(comp), isl) for comp, isl in comps] for comps in got] \
         == [[(100, True)], [(400, False)]]
+    calls, again = fraction_compares(
+        monkeypatch, lambda: [island_components(lv) for lv in lvls])
+    assert calls == 0
+    assert again == got
 
 
 def test_island_components_sort_the_faces_of_a_hand_built_mesh():

@@ -25,7 +25,7 @@ from tmeshdim.mesh import Edge, TMesh
 from tmeshdim.meshfile import parse_mesh_dict, parse_mesh_file
 from tmeshdim.segments import (EXHAUSTIVE_LIMIT, SegmentIndex, _before,
                                 _CoverThresholds, _floors, _least_cover,
-                                _plan, _reaches, _Terms, _theta_at,
+                                _live_theta, _plan, _reaches, _Terms,
                                 _upsilon_js, _walk, _with_theta)
 
 from .helpers import fixture_path, fraction_compares, make
@@ -533,12 +533,58 @@ def test_every_term_the_search_reads_is_at_least_its_floor():
     assert pruned == 28
 
 
+class ReadLog:
+    """One segment's terms, each read logged as (segment, rule key)."""
+
+    def __init__(self, terms, x, log):
+        self.terms, self.x, self.log = terms, x, log
+
+    def __getitem__(self, key):
+        self.log.append((self.x, key))
+        return self.terms[key]
+
+
+def test_the_walk_stops_at_an_order_whose_total_is_the_floor_sum():
+    # no order totals less than the sum of the floors, so the walk ends at
+    # the first order that reaches it, which is the lex-first optimum: its
+    # last read is the key of that order's last segment, and it returns
+    # the order and keys that a zero floor, and a floor whose sum is never
+    # reached, give
+    def walk(an, m, terms, floor):
+        log = []
+        found = _walk(an, m, [ReadLog(t, x, log) for x, t in
+                              enumerate(terms)], floor)
+        return found, log
+
+    stopped = reads = 0
+    for an in searched_levels():
+        rules = an.index.search_tables
+        n = len(rules)
+        for m in ((3, 3), (4, 5), (6, 6), (20, 20), (12, 17), (20, 3)):
+            terms = [_Terms(an, k, m) for k in range(n)]
+            floor = _floors(rules, terms)
+            (order, keys), log = walk(an, m, terms, floor)
+            if sum(map(getitem, terms, keys)) != sum(floor):
+                continue
+            assert log[-1] == (order[-1], keys[order[-1]])
+            assert order == _walk(an, m, terms, [0] * n)[0], \
+                (an.level.index, n, m)
+            lowered = [f - (x == 0) for x, f in enumerate(floor)]
+            assert _walk(an, m, terms, lowered) == (order, keys)
+            stopped += 1
+            reads += len(log)
+    # searches that end at the floor sum, and the terms they read
+    assert (stopped, reads) == (101, 495)
+
+
 def test_no_search_mask_has_a_lower_theta_threshold_than_the_full_one():
     # upsilon's j's only gain bits as the search mask grows and a covering
     # threshold only falls as they do, so at no mask is an owner's
-    # threshold below the full mask's (None counting as infinite), and
-    # _theta_at, which reads the full mask's alone, keeps exactly the
-    # candidates whose owner passes the surplus test at some mask
+    # threshold below the full mask's (None counting as infinite). Each
+    # walk_theta row holds the owner's threshold at every mask, never for
+    # None, and _live_theta, which reads the full mask's alone, keeps
+    # exactly the entries of the candidates whose owner passes the surplus
+    # test at some mask, filed under their a and b's
     def at(t):
         return math.inf if t is None else t
 
@@ -547,20 +593,47 @@ def test_no_search_mask_has_a_lower_theta_threshold_than_the_full_one():
         ix, least = an.index, an.cover_thresholds
         if not ix.theta:
             continue
+        as_a, as_b, never = an.walk_theta
         need = an.level.profile.levels[an.level.index]
         rows = {}
         for k in {cand[0] for cand in ix.theta}:
             shift = len(ix.crossers[k])
             rows[k] = [least[key >> shift] for key in ix.search_tables[k]]
             assert all(at(t) >= at(rows[k][-1]) for t in rows[k]), k
+            assert all(t is None or t < never for t in rows[k]), k
             varied += len(set(rows[k])) > 1
+
+        def owner(x, k_in_x):
+            # the bit of owner k among x's crossers names k
+            return ix.crossers[x][k_in_x.bit_length() - 1][0]
+
+        # one row per owner, shared by its entries
+        shared = {}
+        for x, entries in chain(enumerate(as_a), enumerate(as_b)):
+            for entry in entries:
+                k = owner(x, entry[1])
+                assert shared.setdefault(k, entry[2]) is entry[2]
+        assert {k: [never if t is None else t for t in rows[k]]
+                for k in shared} == shared
         for m in ((1, 1), (2, 2), (3, 3), (4, 5), (6, 6), (20, 3)):
             want = [cand for cand in ix.theta
                     if any(_reaches(t, m[ix.axis[cand[0]]]
                                     - need[ix.axis[cand[0]]])
                            for t in rows[cand[0]])]
-            got = [tuple(live[:5]) for live in _theta_at(an, m)]
-            assert got == want, (an.level.index, m)
+            live_a, live_b, _ = _live_theta(an, m)
+            got_a = sorted((a, b_bits, k_in_a, owner(a, k_in_a))
+                           for a, entries in enumerate(live_a)
+                           for b_bits, k_in_a, _ in entries)
+            got_b = sorted((b, a, k_in_b, owner(b, k_in_b))
+                           for b, entries in enumerate(live_b)
+                           for a, k_in_b, _ in entries)
+            assert got_a == sorted(
+                (a, sum(1 << b for b, _ in seconds), k_in_a, k)
+                for k, a, _, k_in_a, seconds in want if k_in_a), \
+                (an.level.index, m)
+            assert got_b == sorted(
+                (b, a, k_in_b, k) for k, a, _, _, seconds in want
+                for b, k_in_b in seconds), (an.level.index, m)
             kept += len(want)
             dropped += len(ix.theta) - len(want)
     # candidates kept and dropped at some m, and owners whose thresholds
@@ -692,17 +765,21 @@ def test_the_search_hands_over_what_a_fresh_evaluation_gives():
 
 def test_the_records_do_not_grow_with_the_degrees_asked():
     # the records are keyed by rule keys and masks of the level's own
-    # segments, and the walk records are its theta candidates, made on the
-    # first search, so a sweep to 40 adds none to a sweep to 20. The search
-    # runs on the whole 2..20 square and at three corners further out
+    # segments, and the walk's theta entries are its theta candidates'
+    # rows, made on the first search, so a sweep to 40 adds none to a
+    # sweep to 20. The search runs on the whole 2..20 square and at three
+    # corners further out
     def sweep(an, ms):
         for m in ms:
             for strategy in ("greedy", "input"):
                 contribution_sets(an, order_segments(an, strategy, m), m)
             if m in searched and "exhaustive" in sweep_strategies(an):
                 order_segments(an, "exhaustive", m)
+        # a theta candidate files its (a, owner row) pair under each b
+        as_b = an.__dict__.get("walk_theta", ((), ()))[1]
         return (len(an.lam_records), len(an.cover_thresholds),
-                len(an.__dict__.get("walk_records", ())))
+                len({(a, id(row)) for entries in as_b
+                     for a, _, row in entries}))
 
     def reach(top):
         return set(product(range(2, top + 1), repeat=2))
@@ -950,7 +1027,9 @@ def test_the_greedy_plan_gives_what_a_plan_built_on_the_call_gives():
     # builds its plan on the call. On every fixture and mixed-r level and
     # on both large-grid shapes, at every m in 0..6 x 0..6, the two give the
     # same sets, which match the key-level reference rules. Read on the
-    # analysis of another smoothness, the ordering is planned afresh there
+    # analysis of another smoothness, the ordering is planned afresh there.
+    # A level of at most one segment has one order, the greedy one, and its
+    # search carries the greedy plan too
     levels = list(sweep_levels())
     for q, (mesh, profile, smoothness) in enumerate(large_grid_meshes()):
         levels += [(f"grid {q} L{lv.index}", lv, smoothness)
@@ -962,6 +1041,11 @@ def test_the_greedy_plan_gives_what_a_plan_built_on_the_call_gives():
         other = analyze_segments(lv, mixed_r(lv.mesh, 99))
         cached = order_segments(an, "greedy")
         assert cached.plan[0] is an and cached.plan[1] is an.greedy_plan
+        if len(an.interior) <= 1:
+            searched = order_segments(an, "exhaustive", (3, 3))
+            assert searched.order == cached.order == tuple(
+                range(len(an.interior)))
+            assert searched.plan == cached.plan and searched.keys is None
         by_hand = SegmentOrdering("greedy", an.greedy_order)
         assert by_hand.plan is None and by_hand == cached
         sequence = [an.index.keys[k] for k in cached.order]
@@ -977,7 +1061,7 @@ def test_the_greedy_plan_gives_what_a_plan_built_on_the_call_gives():
                 == contribution_sets(other, by_hand, m).h0_terms, (label, m)
             moved += there.h0_terms != got.h0_terms
         sizes.append(len(an.interior))
-    assert len(sizes) == 32 and 18 in sizes
+    assert len(sizes) == 32 and 18 in sizes and sizes.count(0) + sizes.count(1)
     assert moved > 0
 
 
