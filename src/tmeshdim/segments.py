@@ -326,19 +326,14 @@ def order_segments(an: SegmentAnalysis, strategy="auto",
     if strategy == "input":
         return SegmentOrdering("input", tuple(range(n)))
     if strategy == "greedy":
-        found = SegmentOrdering("greedy", an.greedy_order)
-        object.__setattr__(found, "plan", (an, an.greedy_plan))
-        return found
+        return _greedy(an, "greedy")
     if n > EXHAUSTIVE_LIMIT:
         raise TooManyForExhaustive(
             f"{n} interior segments exceed the exhaustive limit {EXHAUSTIVE_LIMIT}")
     if m is None:
         raise ValueError("exhaustive ordering needs a bi-degree")
     if n <= 1:
-        # the only order is the greedy one, whose plan the analysis keeps
-        found = SegmentOrdering("exhaustive", an.greedy_order)
-        object.__setattr__(found, "plan", (an, an.greedy_plan))
-        return found
+        return _greedy(an, "exhaustive")  # the only order
     # The objective is h0_ideal_upper. The rules are looked up in tables
     # indexed by before masks, and a segment's term depends only on its rule
     # key, which many orders share, so each term is computed once per search,
@@ -349,6 +344,14 @@ def order_segments(an: SegmentAnalysis, strategy="auto",
     found = SegmentOrdering("exhaustive", order)
     object.__setattr__(found, "keys", keys)
     object.__setattr__(found, "terms", terms)
+    return found
+
+
+def _greedy(an: SegmentAnalysis, strategy):
+    """The analysis's greedy order under strategy's name, carrying its
+    greedy_plan."""
+    found = SegmentOrdering(strategy, an.greedy_order)
+    object.__setattr__(found, "plan", (an, an.greedy_plan))
     return found
 
 
@@ -606,29 +609,17 @@ def _with_theta(an: SegmentAnalysis, plan, m):
 
 class _Terms(dict):
     """Segment k's term in the H0 upper bound at m by rule key, each
-    computed on first use; its block is computed once. A term is computed
-    in one step from its lam_records entry and the block, as _term computes
-    it: the walk reads a new term at most nodes it visits."""
+    computed on first use; its block is computed once."""
 
     def __init__(self, an: SegmentAnalysis, k, m):
         super().__init__()
         self.an, self.k, self.m = an, k, m
-        self.records = an.lam_records
         self.levels, self.i = an.level.profile.levels, an.level.index
         self.block = _block(an, k, m)
 
     def __missing__(self, key):
-        size, cap, sub = self.block
-        _, _, gen_key, _, least, single = self.records[self.k, key]
-        if cap < 0 or least is not None and least <= cap:
-            term = 0
-        elif single:
-            term = size - box_sum(single, sub)
-        elif not gen_key:
-            term = size
-        else:
-            term = size - dim_power_sum_in(self.levels, self.i, gen_key, sub)
-        self[key] = term
+        term = self[key] = _term(self.levels, self.i,
+                                 self.an.lam_records[self.k, key], self.block)
         return term
 
 
