@@ -30,21 +30,19 @@ class _Parser(argparse.ArgumentParser):
 
 
 def _parse_degrees(spec: str):
-    """Inclusive degree rectangle "m1,m2[:M1,M2]" swept in colex order."""
+    """Inclusive degree rectangle "m1,m2[:M1,M2]" swept in colex order;
+    each degree is written in ASCII digits alone."""
 
     def pair(txt):
         parts = txt.split(",")
-        try:
-            a, b = (int(p) for p in parts)
-        except ValueError:
+        if len(parts) != 2 or not all(p.isascii() and p.isdigit()
+                                      for p in parts):
             raise _CliError(f"bad degree pair {txt!r}")
-        if len(parts) != 2 or a < 0 or b < 0:
-            raise _CliError(f"bad degree pair {txt!r}")
-        return a, b
+        return int(parts[0]), int(parts[1])
 
-    lo, _, hi = spec.partition(":")
+    lo, colon, hi = spec.partition(":")
     m_lo = pair(lo)
-    m_hi = pair(hi) if hi else m_lo
+    m_hi = pair(hi) if colon else m_lo
     if m_hi[0] < m_lo[0] or m_hi[1] < m_lo[1]:
         raise _CliError(f"empty degree range {spec!r}")
     return [(a, b) for b in range(m_lo[1], m_hi[1] + 1)

@@ -24,12 +24,14 @@ from math import gcd
 
 
 def _clear_row(row):
-    """Convert a {col: int} row to a primitive {col: int} row."""
-    out = {c: v for c, v in row.items() if v}
+    """Convert a {col: int} row to a primitive {col: int} row, a new dict:
+    zeros are filtered only when the row holds one, and the row is divided
+    only when its content is above 1."""
+    out = row if all(row.values()) else {c: v for c, v in row.items() if v}
     g = gcd(*out.values())
     if g > 1:
-        out = {c: v // g for c, v in out.items()}
-    return out
+        return {c: v // g for c, v in out.items()}
+    return dict(out) if out is row else out
 
 
 def rank_sparse(rows):
@@ -44,7 +46,11 @@ def rank_sparse(rows):
             k = len(work)
             work[k] = row
             for c in row:
-                holders.setdefault(c, set()).add(k)
+                held = holders.get(c)
+                if held is None:
+                    holders[c] = {k}
+                else:
+                    held.add(k)
     # (length, row id), pushed when a row gets shorter; every live row has
     # an entry no longer than itself, so the first entry popped that
     # matches its row's length is a shortest row

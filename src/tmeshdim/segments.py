@@ -8,7 +8,7 @@ crossing segments earlier in a chosen ordering, by segments meeting the
 boundary, and by relations manufactured from parallel neighbors.
 """
 
-from bisect import bisect_left
+from bisect import bisect_left, bisect_right
 from dataclasses import dataclass, field
 from functools import cached_property
 from typing import Optional
@@ -58,16 +58,18 @@ class SegmentAnalysis:
     Besides the greedy order and its plan, the search tables (every key
     before theta, for the search) and walk_theta (theta's candidates filed
     per segment with each owner's covering threshold at every search mask,
-    so that a theta test at m is one list read and one int compare), each
-    made on first use, it keeps need, the level deficit that caps and
+    so that a theta test at m is one list read and one int compare, and
+    each list sorted so that the entries live at m are a prefix of it),
+    each made on first use, it keeps need, the level deficit that caps and
     surpluses are taken from, blocks, per interior segment what _block
     reads at m (dim_M at its e as box terms, its axis, need on that axis
     and its e), and two records into which no bi-degree enters, each entry
-    made when it is first asked for: lam_records, per (k, rule key) segment
-    k's lam records, generators, their _generator_key, the records' r
-    values, their least covering cap and one generator's span as box terms,
-    and cover_thresholds, per mask of theta's j's the least surplus at
-    which they cover a block. Their keys are rule keys and masks of the
+    made when it is first asked for: lam_records, one _LamRecords per
+    interior segment k, which holds per rule key k's lam records,
+    generators, their _generator_key, the records' r values, their least
+    covering cap and one generator's span as box terms, and
+    cover_thresholds, per mask of theta's j's the least surplus at which
+    they cover a block. Their keys are rule keys and masks of the
     level's own segments, so they are bounded by the level, not by the
     number of bi-degrees asked, and they hold no reference back to the
     analysis. A search keeps no table of its own.
@@ -107,7 +109,9 @@ class SegmentAnalysis:
         self.blocks = tuple(
             (dim_M_terms(profile.levels, i, rho.e), ax, self.need[ax], rho.e)
             for rho, ax in zip(self.interior, self.index.axis))
-        self.lam_records = _LamRecords(self.index, segs, profile.levels, i)
+        self.lam_records = tuple(_LamRecords(self.index, k, segs,
+                                             profile.levels, i)
+                                 for k in range(len(self.interior)))
         self.cover_thresholds = _CoverThresholds(self.index)
 
     def _mk(self, run, step):
@@ -155,8 +159,10 @@ class SegmentAnalysis:
         candidate with x among its b's. row is owner k's covering threshold
         at every search mask P, cover_thresholds[search_tables[k][P] >>
         len(crossers[k])], with never, which exceeds every threshold of the
-        level, for None; the candidates of one owner share it. The triple
-        (as_a, as_b, never); _live_theta reads it at m."""
+        level, for None; the candidates of one owner share it. Each list is
+        sorted by its owners' full-mask thresholds, row[-1], and filed as
+        the pair (entries, their row[-1]'s). The triple (as_a, as_b,
+        never); _live_theta reads it at m."""
         ix, least = self.index, self.cover_thresholds
         n = len(ix.keys)
         # a threshold is at most its j's r sum plus 1 (_least_cover)
@@ -174,7 +180,7 @@ class SegmentAnalysis:
                 as_a[a].append((sum(1 << b for b, _ in seconds), k_in_a, row))
             for b, k_in_b in seconds:
                 as_b[b].append((a, k_in_b, row))
-        return as_a, as_b, never
+        return _by_full_mask(as_a), _by_full_mask(as_b), never
 
 
 class SegmentIndex:
@@ -298,9 +304,10 @@ class SegmentOrdering:
     of at most one segment, whose only order is the greedy one, carries
     plan, the analysis and its greedy_plan; a searched one of more carries
     keys, the rule key the search fixed for each segment (theta's bits
-    included), and terms, the _Terms it read at its m. They are not
-    constructor arguments, so dataclasses.replace drops them, and they take
-    no part in comparison or repr."""
+    included), terms, the _Terms it read, and at, the analysis and the
+    bi-degree it was made at. They are not constructor arguments, so
+    dataclasses.replace drops them, and they take no part in comparison or
+    repr."""
 
     strategy: str
     order: tuple
@@ -310,6 +317,8 @@ class SegmentOrdering:
                                   repr=False)
     terms: Optional[list] = field(default=None, init=False, compare=False,
                                   repr=False)
+    at: Optional[tuple] = field(default=None, init=False, compare=False,
+                                repr=False)
 
 
 def order_segments(an: SegmentAnalysis, strategy="auto",
@@ -338,12 +347,12 @@ def order_segments(an: SegmentAnalysis, strategy="auto",
     # indexed by before masks, and a segment's term depends only on its rule
     # key, which many orders share, so each term is computed once per search,
     # and contribution_sets reads the best order's keys and terms from it.
-    rules = an.index.search_tables
-    terms = [_Terms(an, k, m) for k in range(n)]
-    order, keys = _walk(an, m, terms, _floors(rules, terms))
+    terms = _search_terms(an, m)
+    order, keys = _walk(an, m, terms, _floors(an.index.search_tables, terms))
     found = SegmentOrdering("exhaustive", order)
     object.__setattr__(found, "keys", keys)
     object.__setattr__(found, "terms", terms)
+    object.__setattr__(found, "at", (an, m))
     return found
 
 
@@ -442,6 +451,16 @@ def _walk(an: SegmentAnalysis, m, terms, floor):
             x = 0
 
 
+def _by_full_mask(filed):
+    """Each list of walk_theta entries sorted by its owners' full-mask
+    thresholds, row[-1], as the pair (entries, their row[-1]'s)."""
+    out = []
+    for es in filed:
+        es.sort(key=lambda e: e[2][-1])
+        out.append((es, [e[2][-1] for e in es]))
+    return out
+
+
 def _live_theta(an: SegmentAnalysis, m):
     """walk_theta at m: (as_a, as_b, surplus), the entries filed under each
     x whose owner passes the surplus test at m at some search mask, and
@@ -453,13 +472,17 @@ def _live_theta(an: SegmentAnalysis, m):
     reads at most never - 1, so a None threshold never passes. Upsilon's
     j's only gain bits as P grows and a threshold only falls as they do,
     so an owner's least threshold is the full mask's, at the end of its
-    row."""
+    row. An owner passes at a surplus once its least threshold is at most
+    the surplus, and then at every larger one (_least_cover), so the live
+    entries of a list sorted by that threshold are a prefix of it: one
+    bisection and one slice. The walk ORs their bits into a key, so their
+    order within a list changes no key."""
     as_a, as_b, never = an.walk_theta
     live = [never if s < 0 else min(s, never - 1)
             for s in (m[0] - an.need[0], m[1] - an.need[1])]
     surplus = [live[1 - ax] for ax in an.index.axis]
-    return ([[e for e in es if e[2][-1] <= s] for es, s in zip(as_a, surplus)],
-            [[e for e in es if e[2][-1] <= s] for es, s in zip(as_b, surplus)],
+    return ([es[:bisect_right(ts, s)] for (es, ts), s in zip(as_a, surplus)],
+            [es[:bisect_right(ts, s)] for (es, ts), s in zip(as_b, surplus)],
             surplus)
 
 
@@ -607,40 +630,52 @@ def _with_theta(an: SegmentAnalysis, plan, m):
     return keys
 
 
-class _Terms(dict):
-    """Segment k's term in the H0 upper bound at m by rule key, each
-    computed on first use; its block is computed once."""
+def _search_terms(an: SegmentAnalysis, m):
+    """One _Terms per interior segment at m, sharing one (levels, i)
+    pair."""
+    li = an.level.profile.levels, an.level.index
+    return [_Terms(records, _block(an, k, m), li)
+            for k, records in enumerate(an.lam_records)]
 
-    def __init__(self, an: SegmentAnalysis, k, m):
+
+class _Terms(dict):
+    """A segment's term in the H0 upper bound at m by rule key, each
+    computed on first use by _term from its records (its lam_records
+    dict), its block at m and li, its level's (levels, i) pair."""
+
+    __slots__ = ("records", "block", "li")
+
+    def __init__(self, records, block, li):
         super().__init__()
-        self.an, self.k, self.m = an, k, m
-        self.levels, self.i = an.level.profile.levels, an.level.index
-        self.block = _block(an, k, m)
+        self.records, self.block, self.li = records, block, li
 
     def __missing__(self, key):
-        term = self[key] = _term(self.levels, self.i,
-                                 self.an.lam_records[self.k, key], self.block)
+        term = self[key] = _term(self.li, self.records[key], self.block)
         return term
 
 
 class _LamRecords(dict):
-    """Per (k, rule key), segment k's lam records ((position, r) pairs),
+    """Per rule key, segment k's lam records ((position, r) pairs),
     generators ((direction, knot, degree, extra shift) in line order, as
     dim_power_sum_in takes them), their _generator_key, the records' r
     values, their least covering cap (_least_cover) and, for exactly one
     generator, its span in the level's quotient as box terms
     (graded.single_power_terms; else None), computed on first use.
+    SegmentAnalysis keeps one per interior segment, read as
+    lam_records[k][key].
 
     Generators are keyed by crosser position: k's crossers lie one to a
     line, all of the other axis, so their position order is line order."""
 
-    def __init__(self, ix: SegmentIndex, segments, levels, i):
-        super().__init__()
-        self.ix, self.segments, self.levels, self.i = ix, segments, levels, i
+    __slots__ = ("ix", "k", "segments", "levels", "i")
 
-    def __missing__(self, k_key):
-        ix = self.ix
-        k, key = k_key
+    def __init__(self, ix: SegmentIndex, k, segments, levels, i):
+        super().__init__()
+        self.ix, self.k, self.segments = ix, k, segments
+        self.levels, self.i = levels, i
+
+    def __missing__(self, key):
+        ix, k = self.ix, self.k
         recs = tuple(c[1:] for t, c in enumerate(ix.crossers[k])
                      if key >> t & 1)
         by_pos = {p: (rc, (0, 0)) for p, rc in recs}
@@ -651,7 +686,7 @@ class _LamRecords(dict):
                      for p, (r2, extra) in sorted(by_pos.items()))
         gen_key = _generator_key(gens)
         rs = tuple(rc for _, rc in recs)
-        found = self[k_key] = (
+        found = self[key] = (
             recs, gens, gen_key, rs, _least_cover(rs),
             single_power_terms(self.levels, self.i, gen_key[0])
             if len(gen_key) == 1 else None)
@@ -662,35 +697,36 @@ def contribution_sets(an: SegmentAnalysis, ordering: SegmentOrdering,
                       m) -> ContributionSets:
     """The sets of one level under ordering at m. ordering.order must hold
     each interior segment number once; anything else raises ValueError,
-    and an order that order_segments made on an, whose plan or terms say
+    and an order that order_segments made on an, whose plan or at says
     so, is taken as checked. The rule keys are the search's when it made
     ordering on an at m, else the order's plan at m (_with_theta): the
     greedy_plan ordering carries when it was made on an, else one _plan
     builds on the call. Each segment's weight is read from its lam_records
     entry and its block; its block and term are the search's when the keys
     are, else they are worked out here."""
-    order, terms, plan = ordering.order, ordering.terms, ordering.plan
-    made = terms and terms[0].an is an or plan and plan[0] is an
+    order, plan, at = ordering.order, ordering.plan, ordering.at
+    made = at and at[0] is an or plan and plan[0] is an
     if not made and (not all(isinstance(k, int) for k in order)
                      or sorted(order) != list(range(len(an.interior)))):
         raise ValueError(f"not an order of the segment numbers: {order!r}")
     m = check_bidegree(m)
-    searched = terms and terms[0].an is an and terms[0].m == m
+    searched = at == (an, m)
     if searched:
         before, keys = _before(order), ordering.keys
     else:
         plan = plan[1] if plan and plan[0] is an else _plan(an, order)
         before, keys = list(plan[0]), _with_theta(an, plan, m)
-    levels, i = an.level.profile.levels, an.level.index
+    li = an.level.profile.levels, an.level.index
     records, h0_terms = [], []
     for k, key in enumerate(keys):
-        found = an.lam_records[k, key]
+        found = an.lam_records[k][key]
         recs, gens, _, rs, _, _ = found
         if searched:
-            block, term = terms[k].block, terms[k][key]
+            table = ordering.terms[k]
+            block, term = table.block, table[key]
         else:
             block = _block(an, k, m)
-            term = _term(levels, i, found, block)
+            term = _term(li, found, block)
         records.append((recs, _weight(rs, block[1]), gens))
         h0_terms.append(term)
     return ContributionSets(an, ordering, m, tuple(records), tuple(h0_terms),
@@ -709,10 +745,11 @@ def _weight(rs, cap) -> int:
     return sum([cap - r for r in rs if r < cap])
 
 
-def _term(levels, i, records, block) -> int:
-    """A segment's term in the H0 upper bound from its lam_records entry and
-    its block: 0 when its weight exceeds the cap and so covers the whole
-    block, else the block less what its generators span in it."""
+def _term(li, records, block) -> int:
+    """A segment's term in the H0 upper bound from its level's
+    (levels, i) pair, its lam_records entry and its block: 0 when its
+    weight exceeds the cap and so covers the whole block, else the block
+    less what its generators span in it."""
     size, cap, sub = block
     _, _, gen_key, _, least, single = records
     if _reaches(least, cap):
@@ -721,7 +758,7 @@ def _term(levels, i, records, block) -> int:
         return size - box_sum(single, sub)
     if not gen_key:
         return size
-    return size - dim_power_sum_in(levels, i, gen_key, sub)
+    return size - dim_power_sum_in(*li, gen_key, sub)
 
 
 def h0_ideal_upper(sets: ContributionSets) -> int:

@@ -136,7 +136,7 @@ def reference_term(an, k, key, m):
     size = dim_M(levels, i, rho.e, m)
     cap = m[ax] - levels[min(i, len(levels) - 1)][ax]
     sub = (m[0] - rho.e[0], m[1] - rho.e[1])
-    recs, gens = an.lam_records[k, key][:2]
+    recs, gens = an.lam_records[k][key][:2]
     weight = sum(max(cap - r, 0) for _, r in recs)
     if covers([r for _, r in recs], cap):
         covered = size

@@ -114,6 +114,11 @@ def test_cli_input_errors_exit_one(tmp_path, capsys):
     assert main(["bounds", str(latin1), "--degrees", "3,3"]) == 1
     assert f"{latin1}: not UTF-8" in capsys.readouterr().err
     assert main(["bounds", fixture_path("test1"), "--degrees", "3"]) == 1
+    # an empty upper end, a digit separator and a non-ASCII digit
+    for spec in ("3,3:", "1_0,2", "\u0663,3"):
+        capsys.readouterr()
+        assert main(["bounds", fixture_path("test1"), "--degrees", spec]) == 1
+        assert "bad degree pair" in capsys.readouterr().err, spec
     assert main(["bounds", fixture_path("test1"), "--degrees", "5,5:3,3"]) == 1
     assert main(["certify", fixture_path("test1"), "--degrees", "3,3",
                  "--ordering", "typo"]) == 1

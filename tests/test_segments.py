@@ -25,8 +25,9 @@ from tmeshdim.mesh import Edge, TMesh
 from tmeshdim.meshfile import parse_mesh_dict, parse_mesh_file
 from tmeshdim.segments import (EXHAUSTIVE_LIMIT, SegmentIndex, _before,
                                 _CoverThresholds, _floors, _least_cover,
-                                _live_theta, _plan, _reaches, _Terms,
-                                _upsilon_js, _walk, _with_theta)
+                                _live_theta, _plan, _reaches,
+                                _search_terms, _upsilon_js, _walk,
+                                _with_theta)
 
 from .helpers import fixture_path, fraction_compares, make
 from .helpers.randmesh import (random_region_mesh, random_split_mesh,
@@ -365,8 +366,7 @@ def enumerated_best(an, m, terms):
 
 
 def enumerated_order(an, m):
-    return enumerated_best(an, m,
-                           [_Terms(an, k, m) for k in range(len(an.interior))])
+    return enumerated_best(an, m, _search_terms(an, m))
 
 
 def test_pruned_search_matches_the_enumeration_up_to_eight_segments():
@@ -514,7 +514,7 @@ def test_every_term_the_search_reads_is_at_least_its_floor():
         rules = an.index.search_tables
         n = len(rules)
         for m in ((3, 3), (4, 5), (6, 6), (20, 20), (12, 17), (20, 3)):
-            terms = [_Terms(an, k, m) for k in range(n)]
+            terms = _search_terms(an, m)
             floor = _floors(rules, terms)
             checked = [FloorCheck(t, f) for t, f in zip(terms, floor)]
             # every rule key before theta, whether the walk reads it or not
@@ -561,7 +561,7 @@ def test_the_walk_stops_at_an_order_whose_total_is_the_floor_sum():
         rules = an.index.search_tables
         n = len(rules)
         for m in ((3, 3), (4, 5), (6, 6), (20, 20), (12, 17), (20, 3)):
-            terms = [_Terms(an, k, m) for k in range(n)]
+            terms = _search_terms(an, m)
             floor = _floors(rules, terms)
             (order, keys), log = walk(an, m, terms, floor)
             if sum(map(getitem, terms, keys)) != sum(floor):
@@ -584,7 +584,9 @@ def test_no_search_mask_has_a_lower_theta_threshold_than_the_full_one():
     # walk_theta row holds the owner's threshold at every mask, never for
     # None, and _live_theta, which reads the full mask's alone, keeps
     # exactly the entries of the candidates whose owner passes the surplus
-    # test at some mask, filed under their a and b's
+    # test at some mask, filed under their a and b's. Each list ascends by
+    # the full-mask threshold, so the live entries are a prefix of it: the
+    # entries the threshold filter keeps
     def at(t):
         return math.inf if t is None else t
 
@@ -609,7 +611,10 @@ def test_no_search_mask_has_a_lower_theta_threshold_than_the_full_one():
 
         # one row per owner, shared by its entries
         shared = {}
-        for x, entries in chain(enumerate(as_a), enumerate(as_b)):
+        for x, (entries, thresholds) in chain(enumerate(as_a),
+                                              enumerate(as_b)):
+            assert thresholds == sorted(thresholds) \
+                == [entry[2][-1] for entry in entries], x
             for entry in entries:
                 k = owner(x, entry[1])
                 assert shared.setdefault(k, entry[2]) is entry[2]
@@ -620,7 +625,12 @@ def test_no_search_mask_has_a_lower_theta_threshold_than_the_full_one():
                     if any(_reaches(t, m[ix.axis[cand[0]]]
                                     - need[ix.axis[cand[0]]])
                            for t in rows[cand[0]])]
-            live_a, live_b, _ = _live_theta(an, m)
+            live_a, live_b, surplus = _live_theta(an, m)
+            for live, filed in ((live_a, as_a), (live_b, as_b)):
+                for x, (entries, _) in enumerate(filed):
+                    assert live[x] == entries[:len(live[x])] \
+                        == [e for e in entries if e[2][-1] <= surplus[x]], \
+                        (an.level.index, m, x)
             got_a = sorted((a, b_bits, k_in_a, owner(a, k_in_a))
                            for a, entries in enumerate(live_a)
                            for b_bits, k_in_a, _ in entries)
@@ -652,7 +662,7 @@ def test_exhaustive_search_leaves_no_cyclic_garbage():
         try:
             order_segments(an, "exhaustive", m)
             assert gc.collect() == 0, name
-            assert an.lam_records and an.cover_thresholds
+            assert any(an.lam_records) and an.cover_thresholds
             for m2 in ((3, 3), m, (5, 2)):
                 order_segments(an, "exhaustive", m2)
                 for strategy in ("greedy", "input"):
@@ -746,7 +756,7 @@ def test_the_search_hands_over_what_a_fresh_evaluation_gives():
                 assert h0_ideal_upper(sets) == walked
             # an order made by replace carries none of the search's record
             by_hand = dataclasses.replace(ordr, strategy="input")
-            assert by_hand.keys is by_hand.terms is None
+            assert by_hand.keys is by_hand.terms is by_hand.at is None
             other = (m[1], m[0] + 1)
             for got, at in ((sets, m),
                             (contribution_sets(an, ordr, other), other)):
@@ -777,8 +787,8 @@ def test_the_records_do_not_grow_with_the_degrees_asked():
                 order_segments(an, "exhaustive", m)
         # a theta candidate files its (a, owner row) pair under each b
         as_b = an.__dict__.get("walk_theta", ((), ()))[1]
-        return (len(an.lam_records), len(an.cover_thresholds),
-                len({(a, id(row)) for entries in as_b
+        return (sum(map(len, an.lam_records)), len(an.cover_thresholds),
+                len({(a, id(row)) for entries, _ in as_b
                      for a, _, row in entries}))
 
     def reach(top):
@@ -906,7 +916,7 @@ def test_every_term_read_is_the_formula_worked_out_afresh():
                     read["sets"] += 1
             for k, key in seen:
                 _, ax, need, _ = an.blocks[k]
-                least, single = records[k, key][4:]
+                least, single = records[k][key][4:]
                 if m[ax] < need:
                     read["cap below 0"] += 1
                 elif _reaches(least, m[ax] - need):
