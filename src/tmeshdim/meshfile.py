@@ -8,6 +8,7 @@ overrides) and optional explicit "levels". Coordinates are exact: integers or
 
 import json
 import os
+import re
 import stat
 import tempfile
 from fractions import Fraction
@@ -18,6 +19,11 @@ from .mesh import _rect, build_profile, build_smoothness, build_tmesh
 
 class ParseError(Exception):
     """Malformed document; the message names the offending member."""
+
+
+# the strings a coordinate may be: Fraction alone would also take "1_0",
+# "1e1", " 1/2 " and non-ASCII digits
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
 
 
 def _rat(value, known, where, *args):
@@ -32,6 +38,8 @@ def _rat(value, known, where, *args):
     try:
         got = known.get(key)  # TypeError when value is unhashable
         if got is None:
+            if isinstance(value, str) and not _RATIONAL.fullmatch(value):
+                raise ValueError(value)
             x = Fraction(value)
             got = known[key] = x, hash(x), x.numerator, x.denominator
     except (ValueError, TypeError, ZeroDivisionError):

@@ -1,8 +1,10 @@
 """Independent exact linear-algebra oracles.
 
-oracle_spline_dim assembles the raw smoothness constraints of a spline space
-and counts solutions by exact rank, with no use of the combinatorial
-machinery; h0_ideal_oracle does the same for one level's line ideal complex.
+oracle_spline_dim assembles the raw smoothness constraints of a spline space,
+as remainder_rows blocks on lines translated so that the busiest one of
+each axis is at 0, and counts solutions by exact rank, with no use of the
+combinatorial machinery; h0_ideal_oracle does the same for one level's line
+ideal complex.
 span_dim / span_quotient_dim measure subspaces spanned by polynomial
 generators in the monomial basis. All exist to cross-check the closed
 formulas, so they stay deliberately naive. sliced_quotient_dim is
@@ -105,16 +107,39 @@ def power_grid(direction, knot, degree, extra=(0, 0)):
     return grid, bideg
 
 
+def remainder_rows(p, q, deg, r):
+    """Rows j = 0..r of "the remainder of d mod (x - p/q)^(r+1) is zero",
+    d of degree deg in x and r <= deg, in the coefficients of x^a.
+
+    The remainder of x^a has coefficient j equal to 1 at a = j, to 0 for
+    j < a <= r, and to (-1)^(r-j) C(a, j) C(a-j-1, r-j) (p/q)^(a-j) for
+    a > r. Row j, scaled by q^(deg-j) to integers, is returned as
+    (q^(deg-j), [its entries at a = r+1..deg]), none of them zero; the
+    list is empty when p = 0. The rows are the Taylor rows of orders 0..r
+    times the inverse of their unit upper-triangular leading block, so the
+    two span the same space.
+    """
+    p_pow = [p ** k for k in range(deg + 1)]
+    q_pow = [q ** k for k in range(deg + 1)]
+    return [(q_pow[deg - j],
+             [(-1) ** (r - j) * comb(a, j) * comb(a - j - 1, r - j)
+              * p_pow[a - j] * q_pow[deg - a]
+              for a in range(r + 1, deg + 1)] if p else [])
+            for j in range(r + 1)]
+
+
 def oracle_spline_dim(mesh: TMesh, profile, smoothness, m) -> int:
     """Spline space dimension by brute-force constraint rank.
 
-    Unknowns are the monomial coefficients of each face's polynomial piece;
-    each interior edge contributes the vanishing of the first r+1 Taylor
-    coefficients of the piece difference across its line. Rows repeated by
-    edge subdivision are deduplicated by face pair. On the line
-    c0 = p/q the Taylor row of order j is scaled by q^(deg - j), where deg
-    is the highest power of the expansion variable, so its entries are the
-    integers comb(a, j) p^(a-j) q^(deg-a).
+    Unknowns are the monomial coefficients of each face's polynomial piece,
+    in coordinates translated so that, in each axis, the line with the most
+    interior edges (the greatest of them on a tie) sits at 0; a translation
+    maps each piece's box onto itself, so the dimension is unchanged. Each
+    interior edge asks that the piece difference across its line vanish to
+    order min(r, deg), deg the highest power of the expansion variable: one
+    remainder_rows block per layer of the other variable, whose rows on the
+    line at 0 hold one entry per side. Rows repeated by edge subdivision
+    are deduplicated by face pair.
     """
     m = check_bidegree(m)
     index = {}
@@ -129,6 +154,13 @@ def oracle_spline_dim(mesh: TMesh, profile, smoothness, m) -> int:
         pieces.append((total, box))
         total += (box[0] + 1) * (box[1] + 1)
 
+    # per axis, the line with the most interior edges, the greatest on a
+    # tie, is sorted last; then each line's translated (p, q)
+    on_line = Counter((e.axis, e.line) for e in mesh.interior_edges)
+    shift = {axis: line for (axis, line), _ in sorted(
+        on_line.items(), key=lambda kv: (kv[1], kv[0][1]))}
+    knots = {(axis, line): (line - shift[axis]).as_integer_ratio()
+             for axis, line in on_line}
     rows = []
     seen = set()
     for e in mesh.interior_edges:
@@ -150,22 +182,22 @@ def oracle_spline_dim(mesh: TMesh, profile, smoothness, m) -> int:
             continue
         deg = max(side[2] for side in sides)
         across = max(side[4] for side in sides)
-        p, q = e.line.numerator, e.line.denominator
-        p_pow = [p ** k for k in range(deg + 1)]
-        q_pow = [q ** k for k in range(deg + 1)]
         # orders above deg would give empty rows
-        for j in range(min(smoothness.edge_r[e], deg) + 1):
-            coef = [comb(a, j) * p_pow[a - j] * q_pow[deg - a]
-                    for a in range(j, deg + 1)]
-            signed = {1: coef, -1: [-c for c in coef]}
+        block = remainder_rows(*knots[e.axis, e.line], deg,
+                               min(smoothness.edge_r[e], deg))
+        tail_col = len(block)
+        for j, (lead, tail) in enumerate(block):
+            signed = {1: (lead, tail), -1: (-lead, [-c for c in tail])}
             for l in range(across + 1):
                 row = {}
                 for sign, off, top, stride, top_l, stride_l in sides:
-                    if l <= top_l:
+                    if l <= top_l and j <= top:
                         first = off + l * stride_l
-                        cols = range(first + j * stride,
+                        at_j, above = signed[sign]
+                        row[first + j * stride] = at_j
+                        cols = range(first + tail_col * stride,
                                      first + (top + 1) * stride, stride)
-                        row.update(zip(cols, signed[sign]))
+                        row.update(zip(cols, above))
                 if row:
                     rows.append(row)
     return total - rank_sparse(rows)

@@ -5,6 +5,8 @@ import json
 import os
 import stat
 
+from fractions import Fraction as F
+
 import pytest
 from tmeshdim import OverlapError, bounds
 from tmeshdim.cli import main
@@ -21,6 +23,34 @@ REPLAY = [("test1", "3,3"), ("test2", "4,4"), ("test3", "6,6"),
 def test_floats_are_rejected():
     with pytest.raises(ParseError, match="exact rational"):
         parse_mesh_dict({"faces": [{"rect": [0, 0, 0.5, 1]}]})
+
+
+def test_coordinate_strings_are_ascii_integers_or_ratios():
+    # Fraction itself reads the first six, as 10, 3, 1/2, 10, 1/2 and 3/2
+    ok = {"faces": [{"rect": [0, 0, 1, 1]}, {"rect": [1, 0, 2, 1]}],
+          "smoothness": {"default": 0, "overrides": [
+              {"orientation": "v", "line": 1, "span": [0, 1], "r": 1}]}}
+    parse_mesh_dict(ok)
+    for bad in ("1_0", "\u0663", "\u0661/\u0662", "1e1", " 1/2", "1.5",
+                "1/-2", ""):
+        cases = [
+            (r"faces\[1\]\.rect\[2\]",
+             dict(ok, faces=[ok["faces"][0], {"rect": [1, 0, bad, 1]}])),
+            (r"smoothness\.overrides\[0\]\.line",
+             dict(ok, smoothness={"overrides": [
+                 dict(ok["smoothness"]["overrides"][0], line=bad)]})),
+            (r"smoothness\.overrides\[0\]\.span\[1\]",
+             dict(ok, smoothness={"overrides": [
+                 dict(ok["smoothness"]["overrides"][0], span=[0, bad])]})),
+        ]
+        for where, doc in cases:
+            with pytest.raises(ParseError, match=where + ": expected an "
+                               "integer or 'p/q' string"):
+                parse_mesh_dict(doc)
+    # the strings it does take: signs, and ratios that need no reduction
+    doc = {"faces": [{"rect": ["-2/4", "+0", "1", "3/3"]}]}
+    (face,) = parse_mesh_dict(doc)[0].faces
+    assert (face.x0, face.y0, face.x1, face.y1) == (-F(1, 2), 0, 1, 1)
 
 
 def test_malformed_documents_name_the_member():
