@@ -8,6 +8,7 @@ from fractions import Fraction
 from math import lcm
 
 import pytest
+import tmeshdim.linalg
 import tmeshdim.oracle
 from tmeshdim import oracle_spline_dim
 from tmeshdim.linalg import rank_sparse
@@ -92,6 +93,53 @@ def incidence_matrix(rng):
                          for _ in range(rng.randint(0, 20)))]
 
 
+def glue_matrix(rng):
+    """Rows the union-find step glues, mixed with rows it must not glue:
+    identifications v(x - y) and single entries v x, with repeated joins
+    and cycles of joins; (v, w) pairs with w != -v; rows that cancel to
+    nothing once their columns share a class; and rows that become
+    identifications or single entries only on class roots."""
+    ncols = rng.randint(2, 14)
+    nonzero = [n for n in range(-6, 7) if n]
+    joined = []
+    zeroed = []
+    rows = []
+    for _ in range(rng.randint(1, 24)):
+        kind = rng.random()
+        x, y = rng.sample(range(ncols), 2)
+        v = rng.choice(nonzero)
+        if kind < 0.3:
+            rows.append({x: v, y: -v})
+            joined.append((x, y))
+        elif kind < 0.4:
+            rows.append({x: v})
+            zeroed.append(x)
+        elif kind < 0.5 and joined:
+            # a repeated join, or one that closes a cycle through a class
+            a, b = rng.choice(joined)
+            c = rng.choice((a, b, rng.choice(joined)[0]))
+            if c != a:
+                rows.append({a: -v, c: v})
+        elif kind < 0.65:
+            w = rng.choice([n for n in nonzero if n != -v])
+            rows.append({x: v, y: w})
+        elif kind < 0.8 and joined:
+            # two columns of one class cancel; a zeroed third goes too,
+            # or is left as a single entry
+            a, b = rng.choice(joined)
+            z = rng.choice(zeroed) if zeroed else x
+            rows.append({a: v, b: -v, z: rng.choice(nonzero)})
+        elif joined:
+            # an identification of x and z once a and b are one class
+            a, b = rng.choice(joined)
+            z = rng.choice([c for c in range(ncols) if c not in (a, b)]
+                           or [a])
+            w = rng.choice(nonzero)
+            rows.append({a: w, b: v - w, z: -v})
+    rng.shuffle(rows)
+    return rows
+
+
 def test_rank_matches_dense_elimination():
     rng = random.Random(11)
     for _ in range(600):
@@ -104,6 +152,47 @@ def test_rank_of_incidence_matrices():
     for _ in range(300):
         rows = incidence_matrix(rng)
         assert rank_sparse(rows) == dense_rank(rows), rows
+
+
+def test_rank_of_glue_heavy_matrices():
+    rng = random.Random(15)
+    for _ in range(400):
+        rows = glue_matrix(rng)
+        assert rank_sparse(rows) == dense_rank(rows), rows
+
+
+def test_union_find_walks_a_long_chain_in_near_linear_links(monkeypatch):
+    # a chain of identifications (k, k+1) and a row through column 0 and
+    # each k, which lands on column 0's class root; without union by size
+    # and path compression the classes of 10^5 columns cost ~10^10 links
+    n = 10 ** 5
+    chain = [{k: 1, k + 1: -1} for k in range(n)]
+    spokes = [{0: 1, k: 2} for k in range(1, n + 1)]
+    find = tmeshdim.linalg._find
+    budget = 8 * (2 * n)
+    walked = [0]
+
+    class Counted:
+        """parent, with a count of the links read through it."""
+
+        def __init__(self, parent):
+            self.parent = parent
+            self.setdefault = parent.setdefault
+
+        def __getitem__(self, c):
+            walked[0] += 1
+            assert walked[0] <= budget, "union-find walked too many links"
+            return self.parent[c]
+
+        def __setitem__(self, c, p):
+            self.parent[c] = p
+
+    monkeypatch.setattr(tmeshdim.linalg, "_find",
+                        lambda parent, c: find(Counted(parent), c))
+    for rows in (chain, chain[::-1]):
+        walked[0] = 0
+        assert rank_sparse(rows + spokes) == n + 1
+        assert walked[0] <= budget
 
 
 def test_rank_of_large_dependent_integer_matrices():
@@ -129,8 +218,10 @@ def test_rank_of_large_dependent_integer_matrices():
 
 def test_rank_does_not_depend_on_row_order_and_leaves_rows_alone():
     rng = random.Random(14)
-    for _ in range(200):
-        rows = integer_rows(random_matrix(rng)) + incidence_matrix(rng)
+    mats = [integer_rows(random_matrix(rng)) + incidence_matrix(rng)
+            for _ in range(200)]
+    mats += [glue_matrix(rng) for _ in range(200)]
+    for rows in mats:
         before = copy.deepcopy(rows)
         want = rank_sparse(rows)
         assert rows == before
@@ -145,6 +236,14 @@ def test_rank_of_small_cases():
     assert rank_sparse([{0: 1, 1: 6}, {0: 1, 1: 6}]) == 1
     with pytest.raises(TypeError):
         rank_sparse([{0: Fraction(1, 3), 1: 2}, {0: 1, 1: 6}])
+    # rows the union-find step would glue, and a row that is an
+    # identification only once columns 0 and 1 are one class
+    for rows in ([{0: Fraction(1, 3), 1: Fraction(-1, 3)}],
+                 [{0: Fraction(1, 3)}],
+                 [{0: 1, 1: -1},
+                  {0: Fraction(1, 3), 1: Fraction(1, 3), 2: Fraction(-2, 3)}]):
+        with pytest.raises(TypeError):
+            rank_sparse(rows)
     assert rank_sparse([{0: 2, 1: -4}, {0: -3, 1: 6}, {1: 5}]) == 2
     assert rank_sparse(iter([{0: 1}, {1: 1}, {0: 1, 1: 1}])) == 2
 
